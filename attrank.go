@@ -129,7 +129,7 @@ func SaveNetwork(path string, net *Network) error { return dataio.SaveFile(path,
 
 // Rank computes AttRank scores for the network's state at time now.
 // Repeated ranks of the same *Network reuse a compiled ranking operator
-// (normalized matrix, CSR mirror, worker pool) behind the scenes; see
+// (normalized matrix, tiled layout, worker pool) behind the scenes; see
 // Operator to manage one explicitly.
 func Rank(net *Network, now int, p Params) (*Result, error) { return core.Rank(net, now, p) }
 
@@ -140,7 +140,7 @@ func Rank(net *Network, now int, p Params) (*Result, error) { return core.Rank(n
 type Operator = core.Operator
 
 // CompileOperator returns a ranking operator for the network. The heavy
-// state (normalized matrix, CSR mirror, worker pool) is built lazily on
+// state (normalized matrix, tiled layout, worker pool) is built lazily on
 // first use, so compiling is cheap.
 func CompileOperator(net *Network) *Operator { return core.Compile(net) }
 

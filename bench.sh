@@ -3,9 +3,7 @@
 # repository root.
 #
 # Writes BENCH_core.json (the compiled-operator harness on a 100k-paper
-# synthetic power-law network), BENCH_sweep.json (the batched
-# parameter-grid sweep vs the sequential per-cell sweep, with a B-sweep
-# over block widths), BENCH_service.json (the serving path under
+# synthetic power-law network), BENCH_service.json (the serving path under
 # closed-loop overload: sustained RPS, accepted-latency quantiles and
 # shed rates at 1x/2x/4x saturation, graceful-shutdown drain),
 # BENCH_cluster.json (a leader plus three WAL-shipping followers on
@@ -19,11 +17,12 @@
 # bit-equality with the single-process kernel), and then runs the
 # go-test microbenchmarks for the per-iteration kernels.
 #
-# The committed BENCH_core.json and BENCH_sweep.json are generated at
-# GOMAXPROCS=1 (single-core kernel merit, no scheduler noise). Each is
-# re-run at NumCPU as well — not committed, but printed — so regressions
-# in the parallel kernels are visible next to the pinned numbers; see
-# DESIGN.md §4 and §11.
+# The committed BENCH_core.json is generated at GOMAXPROCS=1 (single-core
+# kernel merit, no scheduler noise). It is re-run at NumCPU as well — not
+# committed, but printed — so regressions in the parallel kernel are
+# visible next to the pinned numbers; see DESIGN.md §4. The Table-3 grid
+# sweep is measured end to end by the benchmark under benchmark/
+# (bash benchmark/run.sh --workload sweep).
 set -eu
 
 echo "==> attrank-bench, GOMAXPROCS=1 (100k-paper synthetic network -> BENCH_core.json)"
@@ -31,12 +30,6 @@ GOMAXPROCS=1 go run ./cmd/attrank-bench -out BENCH_core.json "$@"
 
 echo "==> attrank-bench, all cores (parallel-kernel scaling check, not committed)"
 go run ./cmd/attrank-bench -out /tmp/BENCH_core_ncpu.json "$@"
-
-echo "==> attrank-bench -sweep, GOMAXPROCS=1 (grid sweep -> BENCH_sweep.json)"
-GOMAXPROCS=1 go run ./cmd/attrank-bench -sweep -sweep-reps 5 -sweep-out BENCH_sweep.json
-
-echo "==> attrank-bench -sweep, all cores (scaling check, not committed)"
-go run ./cmd/attrank-bench -sweep -sweep-out /tmp/BENCH_sweep_ncpu.json
 
 echo "==> attrank-bench -serve (overload harness -> BENCH_service.json)"
 go run ./cmd/attrank-bench -serve -serve-out BENCH_service.json

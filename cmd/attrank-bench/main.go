@@ -6,15 +6,6 @@
 //
 //	attrank-bench [-papers 100000] [-profile dblp] [-out BENCH_core.json] [-reps 20]
 //	attrank-bench -serve [-serve-papers 20000] [-serve-dur 3s] [-serve-out BENCH_service.json]
-//	attrank-bench -sweep [-sweep-papers 100000] [-sweep-reps 3] [-sweep-out BENCH_sweep.json]
-//
-// With -sweep it benchmarks the full AttRank parameter-grid sweep (the
-// Table-3 workload): the batched blocked-SpMM path (RankBatch through
-// eval.SweepAttRank) against the sequential per-cell seed sweep, with a
-// runtime bit-equality cross-check between the arms and a B-sweep over
-// block widths 1/4/8/16/32 (BENCH_sweep.json). Grid throughput is
-// single-threaded work, so run it under GOMAXPROCS=1 for the committed
-// numbers.
 //
 // With -serve it instead benchmarks the HTTP serving path: it starts an
 // in-process live server (internal/service + internal/ingest) over a
@@ -25,20 +16,18 @@
 // (BENCH_service.json).
 //
 // It times, per power-method iteration: the serial CSC reference kernel
-// (three sweeps), the legacy parallel path (goroutine-spawning SpMV plus
-// separate combine and residual sweeps), the retired CSR fused kernel,
-// and the production tiled kernel (RCM-relabeled, compressed 16-bit
-// tiles) at one partition and at one partition per core. It also reports
-// the layout's compression (bytes per nonzero, tile shape), the one-off
-// compile pipeline costs the operator cache amortizes (normalization and
-// relabeling run concurrently, then tile cutting) and a full
-// cold-vs-warm Rank comparison.
+// (three sweeps) and the production tiled kernel (RCM-relabeled,
+// compressed 16-bit tiles) at one partition and at one partition per
+// core. It also reports the layout's compression (bytes per nonzero,
+// tile shape), the one-off compile pipeline costs the operator cache
+// amortizes (normalization and relabeling run concurrently, then tile
+// cutting) and a full cold-vs-warm Rank comparison.
 //
 // With -smoke it runs the bit-equality gate instead: on a seeded 10k
-// synthetic graph the tiled kernel (under its RCM relabeling), the CSR
-// fused kernel and the serial CSC reference must produce bit-identical
-// iterates, and the operator's parallel path must match its serial path
-// bit-for-bit. Exits non-zero on any mismatch.
+// synthetic graph the tiled kernel (under its RCM relabeling) and the
+// serial CSC reference must produce bit-identical iterates, and the
+// operator's parallel path must match its serial path bit-for-bit.
+// Exits non-zero on any mismatch.
 //
 // With -impact it runs the impact-layer smoke: an in-process server with
 // -indicators over a seeded corpus, every served indicator score and
@@ -74,14 +63,12 @@ type report struct {
 	// One-off costs the compiled operator pays once per network. The
 	// stochastic normalization and the RCM relabeling run concurrently;
 	// the pipeline speedup is their serial sum over the observed wall
-	// clock. ConvertCSRNS is the retired CSR fused arm's build, kept for
-	// comparison.
+	// clock.
 	CompileStochasticNS    int64   `json:"compile_stochastic_ns"`
 	CompileRelabelNS       int64   `json:"compile_relabel_ns"`
 	CompileTiledNS         int64   `json:"compile_tiled_ns"`
 	CompileWallNS          int64   `json:"compile_pipeline_wall_ns"`
 	CompilePipelineSpeedup float64 `json:"compile_pipeline_speedup"`
-	ConvertCSRNS           int64   `json:"convert_csr_ns"`
 
 	// Compiled tile layout: the bytes the kernel streams per nonzero
 	// (values + 16-bit column words + row pointers + tile headers; the
@@ -93,11 +80,8 @@ type report struct {
 	TileRowOccupancy float64 `json:"tile_row_occupancy"`
 
 	// Per-iteration wall clock (best of reps), in nanoseconds. The
-	// fused numbers measure the production tiled kernel; the retired
-	// CSR fused kernel keeps its own field.
+	// fused numbers measure the production tiled kernel.
 	IterSerialNS      int64 `json:"iter_serial_ns"`
-	IterLegacyNS      int64 `json:"iter_legacy_parallel_ns"`
-	IterCSRFusedNS    int64 `json:"iter_csr_fused_ns"`
 	IterFusedSerialNS int64 `json:"iter_fused_parts1_ns"`
 	IterFusedNS       int64 `json:"iter_fused_ns"`
 
@@ -107,9 +91,7 @@ type report struct {
 	RankWarmNS    int64   `json:"rank_warm_ns"`
 	RankColdIters int     `json:"rank_cold_iterations"`
 	RankWarmIters int     `json:"rank_warm_iterations"`
-	FusedVsLegacy float64 `json:"fused_vs_legacy_speedup"`
 	FusedVsSerial float64 `json:"fused_vs_serial_speedup"`
-	TiledVsCSR    float64 `json:"tiled_vs_csr_fused_speedup"`
 
 	// Observability overhead: the same fixed-iteration rank with the
 	// obs metric sites live vs turned into no-ops (obs.SetEnabled),
@@ -138,12 +120,7 @@ func main() {
 		serveDur    = flag.Duration("serve-dur", 3*time.Second, "duration of each -serve load level")
 		servePapers = flag.Int("serve-papers", 20000, "corpus size for -serve")
 
-		sweep       = flag.Bool("sweep", false, "benchmark the full AttRank grid sweep (batched vs sequential) instead of the ranking kernels")
-		sweepOut    = flag.String("sweep-out", "BENCH_sweep.json", "output JSON path for -sweep")
-		sweepPapers = flag.Int("sweep-papers", 100000, "synthetic network size for -sweep")
-		sweepReps   = flag.Int("sweep-reps", 3, "timing repetitions per -sweep arm (best-of)")
-
-		smoke       = flag.Bool("smoke", false, "run the bit-equality smoke (tiled vs csr fused vs serial on a seeded graph) and exit non-zero on mismatch")
+		smoke       = flag.Bool("smoke", false, "run the bit-equality smoke (tiled vs serial on a seeded graph) and exit non-zero on mismatch")
 		smokePapers = flag.Int("smoke-papers", 10000, "synthetic network size for -smoke")
 
 		impactB      = flag.Bool("impact", false, "run the impact-layer smoke: serve a seeded corpus with -indicators and cross-check every served score and class against an in-process recompute (exits non-zero on mismatch)")
@@ -185,8 +162,6 @@ func main() {
 		err = runCluster(*clusterPapers, *clusterFollowers, *clusterOut, *clusterDur)
 	case *serve:
 		err = runServe(*servePapers, *serveOut, *serveDur)
-	case *sweep:
-		err = runSweep(*sweepPapers, *profile, *sweepOut, *sweepReps)
 	default:
 		err = run(*papers, *profile, *out, *reps)
 	}
@@ -218,7 +193,7 @@ func run(papers int, profile, out string, reps int) error {
 
 	// One-off compilation costs: the operator's concurrent compile
 	// pipeline (normalize ∥ relabel, then tile cutting), with the layout
-	// it produced, plus the retired CSR fused arm's conversion.
+	// it produced.
 	op := core.OperatorFor(net)
 	cs, err := op.PrimeKernel()
 	if err != nil {
@@ -245,9 +220,6 @@ func run(papers int, profile, out string, reps int) error {
 
 	pool := sparse.NewPool(0)
 	defer pool.Close()
-	t0 := time.Now()
-	fused := s.Fused(pool)
-	r.ConvertCSRNS = time.Since(t0).Nanoseconds()
 
 	n := net.N()
 	now := net.MaxYear()
@@ -255,7 +227,6 @@ func run(papers int, profile, out string, reps int) error {
 	rec := core.RecencyVector(net, now, -0.16)
 	x := sparse.Uniform(n)
 	next := make([]float64, n)
-	legacy := s.Parallel(0)
 
 	// The tiled kernel works in relabeled (storage) space: rebuild the
 	// operator's layout at the sparse layer and permute the vectors in
@@ -283,25 +254,13 @@ func run(papers int, profile, out string, reps int) error {
 		}
 		_ = sparse.L1Diff(next, x)
 	})
-	r.IterLegacyNS = best(reps, func() {
-		legacy.MulVec(next, x)
-		for i := range next {
-			next[i] = 0.5*next[i] + 0.3*att[i] + 0.2*rec[i]
-		}
-		_ = sparse.L1Diff(next, x)
-	})
-	r.IterCSRFusedNS = best(reps, func() {
-		fused.Step(next, x, att, rec, 0.5, 0.3, 0.2, pool.Size())
-	})
 	r.IterFusedSerialNS = best(reps, func() {
 		tiled.Step(nextP, xp, attP, recP, 0.5, 0.3, 0.2, 1)
 	})
 	r.IterFusedNS = best(reps, func() {
 		tiled.Step(nextP, xp, attP, recP, 0.5, 0.3, 0.2, pool.Size())
 	})
-	r.FusedVsLegacy = float64(r.IterLegacyNS) / float64(r.IterFusedNS)
 	r.FusedVsSerial = float64(r.IterSerialNS) / float64(r.IterFusedNS)
-	r.TiledVsCSR = float64(r.IterCSRFusedNS) / float64(r.IterFusedNS)
 
 	// Full cold vs warm rank through the operator cache.
 	p := core.Params{Alpha: 0.5, Beta: 0.3, Gamma: 0.2, AttentionYears: 3, W: -0.16, Workers: -1}
@@ -386,11 +345,9 @@ func run(papers int, profile, out string, reps int) error {
 	fmt.Printf("compile: stoch=%s relabel=%s tiles=%s wall=%s (%.2fx pipeline)\n",
 		time.Duration(r.CompileStochasticNS), time.Duration(r.CompileRelabelNS),
 		time.Duration(r.CompileTiledNS), time.Duration(r.CompileWallNS), r.CompilePipelineSpeedup)
-	fmt.Printf("per-iteration: serial=%s legacy=%s csr-fused=%s tiled(1)=%s tiled(%d)=%s\n",
-		time.Duration(r.IterSerialNS), time.Duration(r.IterLegacyNS), time.Duration(r.IterCSRFusedNS),
-		time.Duration(r.IterFusedSerialNS), pool.Size(), time.Duration(r.IterFusedNS))
-	fmt.Printf("tiled speedup: %.2fx vs legacy parallel, %.2fx vs serial, %.2fx vs csr fused\n",
-		r.FusedVsLegacy, r.FusedVsSerial, r.TiledVsCSR)
+	fmt.Printf("per-iteration: serial=%s tiled(1)=%s tiled(%d)=%s\n",
+		time.Duration(r.IterSerialNS), time.Duration(r.IterFusedSerialNS), pool.Size(), time.Duration(r.IterFusedNS))
+	fmt.Printf("tiled speedup: %.2fx vs serial\n", r.FusedVsSerial)
 	fmt.Printf("full rank: cold=%s (%d iters) warm=%s (%d iters)\n",
 		time.Duration(r.RankColdNS), r.RankColdIters, time.Duration(r.RankWarmNS), r.RankWarmIters)
 	fmt.Printf("metrics overhead: instrumented=%s/iter uninstrumented=%s/iter measured %+.2f%% ±%.2f%% noise -> reported %.2f%%\n",

@@ -59,8 +59,8 @@ type Params struct {
 	Start []float64
 	// Workers selects the power-method kernel: 0 keeps the serial CSC
 	// reference kernel (right for small and mid-size networks); any other
-	// value runs the fused parallel kernel with that many nnz-balanced
-	// row partitions (negative = GOMAXPROCS), executed on the compiled
+	// value runs the tiled parallel kernel with that many work-balanced
+	// tile partitions (negative = GOMAXPROCS), executed on the compiled
 	// operator's persistent worker pool. Results are bit-identical either
 	// way. The library default stays serial; attrank-serve defaults its
 	// re-ranks to one partition per core (see its -workers flag).
@@ -151,8 +151,8 @@ var ErrEmptyNetwork = errors.New("core: empty network")
 // (normally net.MaxYear() when net is already the current state C(tN)).
 // It delegates to the compiled operator for the network (see Operator and
 // OperatorFor), so repeated ranks of the same *graph.Network — a live
-// re-rank loop, a parameter sweep — reuse the normalized matrix, the CSR
-// mirror, and the worker pool instead of rebuilding them per call.
+// re-rank loop, a parameter sweep — reuse the normalized matrix, the tiled
+// layout, and the worker pool instead of rebuilding them per call.
 func Rank(net *graph.Network, now int, p Params) (*Result, error) {
 	return OperatorFor(net).Rank(now, p)
 }

@@ -1,89 +1,31 @@
 package core
 
-import (
-	"fmt"
-	"math"
-	"runtime"
-	"time"
+import "time"
 
-	"attrank/internal/sparse"
-)
-
-// DefaultBatchWidth is the block width RankBatch uses when slicing a
-// parameter list into SpMM blocks. Sixteen lanes span two 64-byte cache
-// lines of float64s per gathered matrix column; the kernel processes
-// them as two register-tiled chunks of eight inside the row loop, so
-// the second chunk's matrix bytes come from L1. On the grid-sweep
-// workload width 16 measures consistently a few percent ahead of 8 and
-// clearly ahead of 4 and 32 (see BENCH_sweep.json's width table,
-// re-measured by attrank-bench -sweep).
-const DefaultBatchWidth = 16
-
-// Deflation policy: a lane that converges or exhausts its budget is
-// retired at the end of that iteration, and the block immediately
-// repacks to the surviving width. Measured on the sweep workload the
-// per-step kernel cost is close to linear in the block width (the
-// gather traffic per lane dominates once the block exceeds L2), so
-// carrying a dead lane for even one extra step costs as much as a live
-// one — there is no threshold worth waiting for. Retirement and
-// repacking share one traversal of the block (see retireLanes), which
-// also replaces per-lane strided extraction.
-
-// RankBatch computes AttRank scores for a slice of parameterizations in
-// blocked SpMM passes over the compiled matrix: each block of up to
-// DefaultBatchWidth columns runs its power iterations through one
-// traversal of the nonzeros per step, amortizing the dominant
-// matrix-streaming cost across the block. Every column is bit-identical
-// to op.Rank(now, ps[i]) — scores, residuals, iteration counts and
-// convergence flags — for any mix of α/β/γ/y/w, warm starts, and
-// tolerances.
+// RankBatch computes AttRank scores for a slice of parameterizations —
+// the cells of a parameter sweep — one cell at a time through the same
+// single-vector path as Rank. Every cell is bit-identical to
+// op.Rank(now, ps[i]): scores, residuals, iteration counts and
+// convergence flags, for any mix of α/β/γ/y/w, warm starts, tolerances
+// and Workers settings.
 //
-// Semantics per column:
-//   - ps[i].Workers is resolved exactly as in Rank: 0 delegates the
-//     cell to the serial CSC reference kernel, per cell — the tiled
-//     kernel accumulates its residual in storage (relabeled) row order,
-//     so no block can reproduce the serial residual bits and serial
-//     means serial. Negative uses GOMAXPROCS. Iterating columns with
-//     different resolved partition counts never share a block, because
-//     the partition count shapes the residual reduction tree.
-//   - a column that converges (L1 residual < tol) or exhausts its
-//     iteration budget is retired at the end of that iteration and the
-//     block immediately repacks in place to the surviving width (see
-//     the deflation-policy note above); a block of width one falls back
-//     to the single-vector kernel.
-//   - α = 0 columns take the single-evaluation fast path and never enter
-//     a block; a batch with a single iterating column delegates to Rank.
+// What the batch saves over calling Rank per cell is allocation, not
+// matrix traffic: cells that share (y, w) share one attention and one
+// recency vector, and every iterating cell runs on the same pair of
+// iteration buffers, so each cell allocates only its Scores.
 //
 // Results and errors are parallel to ps: results[i] is nil exactly when
 // errs[i] is non-nil, and one invalid cell does not fail its neighbors.
 // Unlike Rank, Results of the same batch share attention/recency backing
 // arrays when their (y, w) agree — treat those vectors as read-only.
 func (op *Operator) RankBatch(now int, ps []Params) ([]*Result, []error) {
-	return op.RankBatchWidth(now, ps, DefaultBatchWidth)
-}
-
-// RankBatchWidth is RankBatch with an explicit block-width cap; width
-// below one falls back to DefaultBatchWidth. It exists for width studies
-// (the bench's B-sweep) — production callers want RankBatch.
-func (op *Operator) RankBatchWidth(now int, ps []Params, width int) ([]*Result, []error) {
-	if width < 1 {
-		width = DefaultBatchWidth
-	}
 	results := make([]*Result, len(ps))
 	errs := make([]error, len(ps))
 	n := op.net.N()
-	started := time.Now()
-
-	// attShared/recShared hand out one private copy per distinct key for
-	// the whole batch: the kernel reads these directly and the Results
-	// share them.
-	attShared := map[attKey][]float64{}
-	recShared := map[recKey][]float64{}
-
-	// Validate every cell and peel off the ones that never iterate.
-	var pending []int // indices still needing power iterations
-	for i := range ps {
-		p := ps[i]
+	att := map[attKey][]float64{}
+	rec := map[recKey][]float64{}
+	var x, next []float64
+	for i, p := range ps {
 		if err := p.Validate(); err != nil {
 			errs[i] = err
 			continue
@@ -92,327 +34,24 @@ func (op *Operator) RankBatchWidth(now int, ps []Params, width int) ([]*Result, 
 			errs[i] = ErrEmptyNetwork
 			continue
 		}
+		started := time.Now()
 		ak := attKey{now: now, years: p.AttentionYears}
+		if att[ak] == nil {
+			att[ak] = op.attention(now, p.AttentionYears)
+		}
 		rk := recKey{now: now, w: p.W}
-		if _, ok := attShared[ak]; !ok {
-			attShared[ak] = op.attention(now, p.AttentionYears)
+		if rec[rk] == nil {
+			rec[rk] = op.recency(now, p.W)
 		}
-		if _, ok := recShared[rk]; !ok {
-			recShared[rk] = op.recency(now, p.W)
+		if p.Alpha != 0 && x == nil {
+			x, next = make([]float64, n), make([]float64, n)
 		}
-		att, rec := attShared[ak], recShared[rk]
-		if p.Alpha == 0 {
-			// Limit case discussed in §4.4: a single evaluation suffices.
-			scores := make([]float64, n)
-			for j := range scores {
-				scores[j] = p.Beta*att[j] + p.Gamma*rec[j]
-			}
-			res := &Result{
-				Scores: scores, Attention: att, Recency: rec,
-				Iterations: 1, Converged: true, Residuals: []float64{0},
-				Duration: time.Since(started),
-			}
-			results[i] = res
-			op.observeRank(res, p)
+		res := &Result{Attention: att[ak], Recency: rec[rk]}
+		if err := op.rankInto(res, now, p, x, next, started); err != nil {
+			errs[i] = err
 			continue
 		}
-		if p.Workers == 0 {
-			// Serial reference cells never batch (see the contract note
-			// above): run each through Rank's Workers = 0 path.
-			results[i], errs[i] = op.Rank(now, p)
-			continue
-		}
-		pending = append(pending, i)
-	}
-	if len(pending) == 0 {
-		return results, errs
-	}
-	if len(pending) == 1 {
-		i := pending[0]
-		results[i], errs[i] = op.Rank(now, ps[i])
-		return results, errs
-	}
-
-	m, release, err := op.acquireTiledMulti()
-	if err != nil {
-		for _, i := range pending {
-			errs[i] = fmt.Errorf("core: %w", err)
-		}
-		return results, errs
-	}
-	defer release()
-
-	// Group by resolved partition count, preserving input order within
-	// each group, then run blocks of at most DefaultBatchWidth.
-	groups := map[int][]int{}
-	var order []int
-	for _, i := range pending {
-		parts := ps[i].Workers // never 0 here: serial cells were delegated above
-		if parts < 0 {
-			parts = runtime.GOMAXPROCS(0)
-		}
-		if _, ok := groups[parts]; !ok {
-			order = append(order, parts)
-		}
-		groups[parts] = append(groups[parts], i)
-	}
-	// Blocks run sequentially within this call, so one set of iteration
-	// buffers sized for the widest block serves them all — a 250-cell
-	// sweep would otherwise churn ~2·n·width float64s of garbage per
-	// block.
-	var buf *blockBuffers
-	for _, parts := range order {
-		cells := groups[parts]
-		for len(cells) > 0 {
-			w := len(cells)
-			if w > width {
-				w = width
-			}
-			block := cells[:w]
-			cells = cells[w:]
-			if w == 1 {
-				i := block[0]
-				results[i], errs[i] = op.Rank(now, ps[i])
-				continue
-			}
-			if buf == nil {
-				buf = &blockBuffers{
-					x:    make([]float64, n*width),
-					next: make([]float64, n*width),
-				}
-			}
-			op.rankBlock(now, ps, block, parts, m, buf, attShared, recShared, results, errs, started)
-		}
+		results[i] = res
 	}
 	return results, errs
-}
-
-// blockBuffers are the per-call iteration buffers rankBlock slices its
-// working set from; nothing in them outlives the block (retireLanes and
-// finishLane copy scores out), so consecutive blocks reuse them freely.
-type blockBuffers struct {
-	x, next []float64
-}
-
-// blockLane tracks one in-flight column of a block.
-type blockLane struct {
-	cell       int // index into the caller's ps/results
-	slot       int // current stride position in the block
-	p          Params
-	att, rec   []float64 // original id space, exposed via Result
-	attP, recP []float64 // storage (permuted) space, fed to the kernel
-	seed       []float64 // validated warm start; nil means uniform
-	res        *Result
-}
-
-// rankBlock runs one SpMM block to completion. slots[j] is the lane in
-// kernel stride position j; a lane that converges or exhausts its
-// budget is retired at the end of that iteration and the block compacts
-// in place to the surviving width. A lone survivor finishes on the
-// single-vector kernel. The block iterates in storage (permuted) id
-// space; seeds are permuted in and scores permuted back out, so
-// results/errs — written at the cells' original indices — stay in
-// original id space exactly as Rank's.
-func (op *Operator) rankBlock(now int, ps []Params, block []int, parts int, m *sparse.TiledMulti,
-	buf *blockBuffers, attShared map[attKey][]float64, recShared map[recKey][]float64,
-	results []*Result, errs []error, started time.Time) {
-
-	n := op.net.N()
-	perm, inv := op.perm, op.inv
-	slots := make([]*blockLane, 0, len(block))
-
-	// Validate each lane's start vector. Warm starts are copied,
-	// validated, and normalized — the same operations, in the same
-	// order, as Rank — and staged until the single seeding pass below.
-	for _, i := range block {
-		p := ps[i]
-		var seedv []float64
-		if p.Start != nil {
-			if len(p.Start) != n {
-				errs[i] = fmt.Errorf("core: warm start has %d entries for %d papers", len(p.Start), n)
-				continue
-			}
-			seedv = make([]float64, n)
-			copy(seedv, p.Start)
-			bad := false
-			for j, v := range seedv {
-				if v < 0 || math.IsNaN(v) {
-					errs[i] = fmt.Errorf("core: warm start entry %d is %v", j, v)
-					bad = true
-					break
-				}
-			}
-			if bad {
-				continue
-			}
-			sparse.Normalize(seedv)
-		}
-		lane := &blockLane{
-			cell: i,
-			p:    p,
-			att:  attShared[attKey{now: now, years: p.AttentionYears}],
-			rec:  recShared[recKey{now: now, w: p.W}],
-			attP: op.permutedAttention(now, p.AttentionYears),
-			recP: op.permutedRecency(now, p.W),
-			seed: seedv,
-			res:  &Result{},
-		}
-		lane.res.Attention = lane.att
-		lane.res.Recency = lane.rec
-		lane.slot = len(slots)
-		slots = append(slots, lane)
-	}
-	if len(slots) == 0 {
-		return
-	}
-	// The block is built at the surviving width directly; lanes that
-	// failed warm-start validation never occupy a slot. Stale contents
-	// of the reused buffers are harmless: every element of x is written
-	// here and every element of next by the first kernel step.
-	width := len(slots)
-	x := buf.x[:n*width]
-	next := buf.next[:n*width]
-	uni := 1 / float64(n)
-	// Seed in storage order: row r of the block is original paper inv[r].
-	for r := 0; r < n; r++ {
-		base := r * width
-		orig := inv[r]
-		for j, lane := range slots {
-			if lane.seed == nil {
-				x[base+j] = uni
-			} else {
-				x[base+j] = lane.seed[orig]
-			}
-		}
-	}
-	for _, lane := range slots {
-		lane.seed = nil
-	}
-
-	alpha := make([]float64, width)
-	beta := make([]float64, width)
-	gamma := make([]float64, width)
-	resid := make([]float64, width)
-	att := make([][]float64, width)
-	rec := make([][]float64, width)
-	reload := func() {
-		for j, lane := range slots {
-			alpha[j] = lane.p.Alpha
-			beta[j] = lane.p.Beta
-			gamma[j] = lane.p.Gamma
-			att[j] = lane.attP
-			rec[j] = lane.recP
-		}
-	}
-	reload()
-
-	dying := make([]*blockLane, 0, width)
-	for iter := 1; len(slots) > 0; iter++ {
-		if len(slots) == 1 {
-			op.finishLane(slots[0], x, width, parts, iter, perm, started, results, errs)
-			return
-		}
-		m.Step(next, x, att[:width], rec[:width],
-			alpha[:width], beta[:width], gamma[:width], resid[:width], parts)
-		x, next = next, x
-		keep := slots[:0]
-		dying = dying[:0]
-		for _, lane := range slots {
-			r := resid[lane.slot]
-			lane.res.Residuals = append(lane.res.Residuals, r)
-			mIterationResidual.Observe(r)
-			lane.res.Iterations = iter
-			if r < lane.p.tol() {
-				lane.res.Converged = true
-			} else if iter < lane.p.maxIter() {
-				keep = append(keep, lane)
-				continue
-			}
-			dying = append(dying, lane)
-		}
-		if len(dying) == 0 {
-			continue
-		}
-		x, next, width = retireLanes(x, next, n, width, inv, keep, dying)
-		for _, lane := range dying {
-			lane.res.Duration = time.Since(started)
-			results[lane.cell] = lane.res
-			op.observeRank(lane.res, lane.p)
-		}
-		slots = keep
-		reload()
-	}
-}
-
-// retireLanes extracts the scores of the dying lanes — unpermuted back
-// to original id space via inv — and compacts the survivors to a block
-// of width len(keep), all in one row-major traversal — cheaper than one
-// strided pass per retired lane, since each pass streams the whole
-// block through the cache. Both slices list lanes in ascending slot
-// order; within a row the dying slots are read before any compaction
-// write can reach them, and a compaction write at r·newB+j never passes
-// its read at r·oldB+slot (slot ≥ j, oldB > newB), so the operation is
-// safe in place. next only shrinks: the kernel rewrites it in full each
-// step.
-func retireLanes(x, next []float64, n, oldB int, inv []int32, keep, dying []*blockLane) ([]float64, []float64, int) {
-	for _, lane := range dying {
-		lane.res.Scores = make([]float64, n)
-	}
-	newB := len(keep)
-	for r := 0; r < n; r++ {
-		src := r * oldB
-		orig := inv[r]
-		for _, lane := range dying {
-			lane.res.Scores[orig] = x[src+lane.slot]
-		}
-		dst := r * newB
-		for j, lane := range keep {
-			x[dst+j] = x[src+lane.slot]
-		}
-	}
-	for j, lane := range keep {
-		lane.slot = j
-	}
-	return x[:n*newB], next[:n*newB], newB
-}
-
-// finishLane continues a lone surviving lane on the single-vector tiled
-// kernel from iteration iter, exactly as Rank's parallel path would: the
-// tiled kernel at the same partition count is bit-identical lane for
-// lane with the batched kernel, so the switch is invisible in the bits.
-// x is in storage space; the final scores are unpermuted on the way out.
-func (op *Operator) finishLane(lane *blockLane, x []float64, width, parts, iter int, perm []int32, started time.Time,
-	results []*Result, errs []error) {
-	n := len(x) / width
-	xv := make([]float64, n)
-	nv := make([]float64, n)
-	for r := 0; r < n; r++ {
-		xv[r] = x[r*width+lane.slot]
-	}
-	ti, release, err := op.acquireTiled()
-	if err != nil {
-		errs[lane.cell] = fmt.Errorf("core: %w", err)
-		return
-	}
-	defer release()
-	p := lane.p
-	for ; iter <= p.maxIter(); iter++ {
-		r := ti.Step(nv, xv, lane.attP, lane.recP, p.Alpha, p.Beta, p.Gamma, parts)
-		lane.res.Residuals = append(lane.res.Residuals, r)
-		mIterationResidual.Observe(r)
-		xv, nv = nv, xv
-		lane.res.Iterations = iter
-		if r < p.tol() {
-			lane.res.Converged = true
-			break
-		}
-	}
-	scores := make([]float64, n)
-	for i := range scores {
-		scores[i] = xv[perm[i]]
-	}
-	lane.res.Scores = scores
-	lane.res.Duration = time.Since(started)
-	results[lane.cell] = lane.res
-	op.observeRank(lane.res, p)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -9,8 +10,7 @@ import (
 // batchGrid builds a deliberately mixed parameter list: α = 0 fast-path
 // cells, pure-attention (β = 1) and no-attention (β = 0) cells, a cell
 // that cannot converge inside its iteration budget, warm-started cells,
-// duplicate cells, and cells with different Workers settings (which must
-// not share a block).
+// duplicate cells, and cells with different Workers settings.
 func batchGrid(n int, warm []float64) []Params {
 	ps := []Params{
 		{Alpha: 0, Beta: 0.6, Gamma: 0.4, AttentionYears: 2, W: -0.2},
@@ -26,26 +26,24 @@ func batchGrid(n int, warm []float64) []Params {
 		{Alpha: 0.1, Beta: 0.45, Gamma: 0.45, AttentionYears: 5, W: -0.2},
 		{Alpha: 0.25, Beta: 0.5, Gamma: 0.25, AttentionYears: 3, W: -0.3, Start: warm},
 	}
-	// The mixed cells above run as one-partition blocks of the tiled
-	// kernel; Workers = 0 cells would instead delegate to the per-cell
-	// serial reference and never batch.
+	// The mixed cells above run on the tiled kernel at one partition.
 	for i := range ps {
 		ps[i].Workers = 1
 	}
-	// A second Workers group: same cells must still be bit-identical when
+	// Other partition counts: cells must still be bit-identical when
 	// ranked with the parallel kernel at a fixed partition count.
 	for _, w := range []int{2, -1} {
 		p := Params{Alpha: 0.5, Beta: 0.2, Gamma: 0.3, AttentionYears: 2, W: -0.2, Workers: w}
 		ps = append(ps, p)
 	}
-	// And one serial cell: RankBatch must hand it to the reference kernel
+	// And one serial cell: RankBatch must run it on the reference kernel
 	// and return exactly what Rank(Workers = 0) returns.
 	ps = append(ps, Params{Alpha: 0.5, Beta: 0.3, Gamma: 0.2, AttentionYears: 3, W: -0.2})
 	return ps
 }
 
 // TestRankBatchBitIdenticalToRank pins the batched ranking contract:
-// for every column of a mixed grid, RankBatch returns exactly the bits
+// for every cell of a mixed grid, RankBatch returns exactly the bits
 // op.Rank returns — scores, residuals, iteration counts, convergence.
 func TestRankBatchBitIdenticalToRank(t *testing.T) {
 	net := randomNet(t, 901, 400)
@@ -102,43 +100,47 @@ func TestRankBatchBitIdenticalToRank(t *testing.T) {
 	}
 }
 
-// TestRankBatchDeflation forces a full block through the whole deflation
-// ladder — staggered iteration budgets mask lanes one by one, the block
-// repacks several times, and the last survivor finishes on the
-// single-vector kernel — and checks bit-identity at every exit point.
-func TestRankBatchDeflation(t *testing.T) {
-	net := randomNet(t, 902, 300)
-	op := OperatorFor(net)
+// TestRankBatchAllocationPerCell pins what the batch saves over a loop of
+// Rank calls: once the kernel is compiled, K warm-free cells sharing one
+// (y, w) allocate one attention and one recency copy, one pair of
+// iteration buffers and K score vectors — not the five n-vectors per cell
+// a Rank-per-cell loop allocates.
+func TestRankBatchAllocationPerCell(t *testing.T) {
+	net := randomNet(t, 905, 2000)
+	op := Compile(net)
+	defer op.Close()
 	now := net.MaxYear()
+	n := net.N()
+	base := Params{Alpha: 0.5, Beta: 0.3, Gamma: 0.2, AttentionYears: 3, W: -0.2, Workers: 1}
+	if _, err := op.Rank(now, base); err != nil { // compile and fill the vector caches
+		t.Fatal(err)
+	}
+	const k = 12
+	ps := make([]Params, k)
+	for i := range ps {
+		ps[i] = base
+		ps[i].Alpha = 0.1 + 0.05*float64(i)
+		ps[i].Gamma = 1 - ps[i].Alpha - ps[i].Beta
+	}
 
-	var ps []Params
-	for i, maxIter := range []int{2, 4, 6, 8, 10, 12, 0, 0} {
-		alpha := 0.5 - 0.05*float64(i%2) // two convergence speeds at the tail
-		ps = append(ps, Params{
-			Alpha: alpha, Beta: 0.3, Gamma: 1 - alpha - 0.3,
-			AttentionYears: 3, W: -0.2, MaxIter: maxIter, Workers: 1,
-		})
-	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	results, errs := op.RankBatch(now, ps)
-	for i, p := range ps {
-		if errs[i] != nil {
-			t.Fatalf("cell %d: %v", i, errs[i])
-		}
-		want, err := op.Rank(now, p)
+	runtime.ReadMemStats(&after)
+
+	for i, err := range errs {
 		if err != nil {
-			t.Fatal(err)
-		}
-		got := results[i]
-		if got.Iterations != want.Iterations || got.Converged != want.Converged {
-			t.Fatalf("cell %d: iters/converged = %d/%v, want %d/%v",
-				i, got.Iterations, got.Converged, want.Iterations, want.Converged)
-		}
-		for r := range want.Scores {
-			if got.Scores[r] != want.Scores[r] {
-				t.Fatalf("cell %d: score[%d] not bit-identical after deflation", i, r)
-			}
+			t.Fatalf("cell %d: %v", i, err)
 		}
 	}
+	grew := after.TotalAlloc - before.TotalAlloc
+	limit := uint64((k+6)*n*8) + 64<<10
+	if grew > limit {
+		t.Fatalf("RankBatch of %d cells over %d papers allocated %d bytes, want at most %d (%.1f n-vectors per cell)",
+			k, n, grew, limit, float64(grew)/float64(k*n*8))
+	}
+	runtime.KeepAlive(results)
 }
 
 // TestRankBatchPerCellErrors: one bad cell must not fail its neighbors,

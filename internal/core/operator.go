@@ -13,16 +13,16 @@ import (
 )
 
 // Operator is the compiled form of AttRank over one immutable network: it
-// owns the normalized citation matrix (CSC), the CSR mirror with its
-// nnz-balanced row partition, a persistent worker pool, and small caches
-// of the attention and recency vectors. Compile once, then call Rank as
+// owns the normalized citation matrix (CSC), the tiled kernel with its
+// relabeling and work-balanced tile partitions, a persistent worker pool,
+// and small caches of the attention and recency vectors. Compile once, then call Rank as
 // many times as needed — across power iterations, across warm-started
 // re-ranks of a live corpus, and across the cells of a parameter sweep —
 // without ever rebuilding matrix state.
 //
 // Everything heavy is built lazily on first use: an operator compiled for
 // a network that is only ever ranked with α = 0 never assembles a matrix,
-// and the CSR mirror plus worker pool exist only once a parallel rank
+// and the tiled layout plus worker pool exist only once a parallel rank
 // (Params.Workers ≠ 0) runs. All methods are safe for concurrent use;
 // concurrent Rank calls share the matrix read-only and the pool
 // interleaves their row-range tasks.
@@ -32,7 +32,6 @@ type Operator struct {
 	mu    sync.Mutex // guards the lazy state below
 	stoch *sparse.Stochastic
 	tiled *sparse.TiledStochastic
-	tmul  *sparse.TiledMulti
 	pool  *sparse.Pool
 	att   vecCache[attKey]
 	rec   vecCache[recKey]
@@ -143,7 +142,7 @@ func (c *vecCache[K]) put(k K, v []float64) *vecEntry {
 }
 
 // kernelCompiles counts stochastic-matrix compilations process-wide; with
-// sparse.CSRConversions it backs the compile-once regression tests.
+// sparse.TiledBuilds it backs the compile-once regression tests.
 var kernelCompiles atomic.Int64
 
 // vectorComputes counts attention/recency vector computations (cache
@@ -162,7 +161,7 @@ func Compile(net *graph.Network) *Operator {
 }
 
 // operatorCacheSize bounds the process-wide operator cache. Each entry
-// pins its network plus up to two copies of the matrix (CSC + CSR), so
+// pins its network plus up to two copies of the matrix (CSC + tiled), so
 // the cache is deliberately small: big enough for a live service (one
 // corpus), a sweep (one split), and the tests' churn, without keeping
 // every historical epoch alive.
@@ -227,7 +226,6 @@ func (op *Operator) closePoolLocked() {
 		op.pool.Close()
 		op.pool = nil
 		op.tiled = nil
-		op.tmul = nil
 	}
 }
 
@@ -318,7 +316,6 @@ func (op *Operator) buildTiledLocked() error {
 	}
 	tt := time.Now()
 	op.tiled = s.Tiled(op.pool, pr.perm)
-	op.tmul = op.tiled.Multi()
 	tiledNS := time.Since(tt).Nanoseconds()
 	op.perm = op.tiled.Perm()
 	op.inv = sparse.InversePerm(op.perm)
@@ -346,19 +343,6 @@ func (op *Operator) acquireTiled() (*sparse.TiledStochastic, func(), error) {
 	}
 	op.inflight++
 	return op.tiled, op.releaseKernel, nil
-}
-
-// acquireTiledMulti returns the batched SpMM view of the tiled kernel,
-// sharing its layout, pool, and partition cache, with the same
-// in-flight accounting as acquireTiled.
-func (op *Operator) acquireTiledMulti() (*sparse.TiledMulti, func(), error) {
-	op.mu.Lock()
-	defer op.mu.Unlock()
-	if err := op.buildTiledLocked(); err != nil {
-		return nil, nil, err
-	}
-	op.inflight++
-	return op.tmul, op.releaseKernel, nil
 }
 
 func (op *Operator) releaseKernel() {
@@ -479,7 +463,7 @@ func (op *Operator) permutedRecency(now int, w float64) []float64 {
 // Rank computes AttRank scores at time now with the given parameters,
 // reusing every compiled piece of the operator. Params.Workers selects
 // the kernel exactly as in the package-level Rank: 0 runs the serial CSC
-// reference kernel, any other value the fused parallel kernel.
+// reference kernel, any other value the tiled parallel kernel.
 func (op *Operator) Rank(now int, p Params) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -489,14 +473,34 @@ func (op *Operator) Rank(now int, p Params) (*Result, error) {
 		return nil, ErrEmptyNetwork
 	}
 	started := time.Now()
+	res := &Result{Attention: op.attention(now, p.AttentionYears), Recency: op.recency(now, p.W)}
+	var x, next []float64
+	if p.Alpha != 0 {
+		x = make([]float64, n)
+		if p.Workers != 0 {
+			next = make([]float64, n)
+		}
+	}
+	if err := op.rankInto(res, now, p, x, next, started); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
 
-	att := op.attention(now, p.AttentionYears)
-	rec := op.recency(now, p.W)
-
-	res := &Result{Attention: att, Recency: rec}
+// rankInto is the single-vector ranking path Rank and RankBatch share.
+// It ranks one validated cell into res, whose Attention and Recency the
+// caller has set, and records the rank's telemetry. x and next are
+// caller-owned n-vectors the power iterations use: both are unused when
+// α = 0, and next also when Workers = 0, where the reference kernel
+// ping-pongs between the scores and x. Only res.Scores is allocated
+// here, so a caller that reuses one pair of buffers across cells pays one
+// n-vector per cell.
+func (op *Operator) rankInto(res *Result, now int, p Params, x, next []float64, started time.Time) error {
+	n := op.net.N()
+	att, rec := res.Attention, res.Recency
+	scores := make([]float64, n)
 	if p.Alpha == 0 {
 		// Limit case discussed in §4.4: a single evaluation suffices.
-		scores := make([]float64, n)
 		for i := range scores {
 			scores[i] = p.Beta*att[i] + p.Gamma*rec[i]
 		}
@@ -506,106 +510,101 @@ func (op *Operator) Rank(now int, p Params) (*Result, error) {
 		res.Residuals = []float64{0}
 		res.Duration = time.Since(started)
 		op.observeRank(res, p)
-		return res, nil
+		return nil
 	}
 
-	var x []float64
+	// The start vector is built in scores, in original id space.
 	if p.Start != nil {
 		if len(p.Start) != n {
-			return nil, fmt.Errorf("core: warm start has %d entries for %d papers", len(p.Start), n)
+			return fmt.Errorf("core: warm start has %d entries for %d papers", len(p.Start), n)
 		}
-		x = make([]float64, n)
-		copy(x, p.Start)
-		for i, v := range x {
+		copy(scores, p.Start)
+		for i, v := range scores {
 			if v < 0 || math.IsNaN(v) {
-				return nil, fmt.Errorf("core: warm start entry %d is %v", i, v)
+				return fmt.Errorf("core: warm start entry %d is %v", i, v)
 			}
 		}
-		sparse.Normalize(x)
+		sparse.Normalize(scores)
 	} else {
-		x = sparse.Uniform(n)
+		sparse.Fill(scores, 1/float64(n))
 	}
-	next := make([]float64, n)
 	tol := p.tol()
 
 	if p.Workers == 0 {
 		// Serial CSC reference kernel: the bit-level ground truth the
-		// fused kernel is tested against.
+		// tiled kernel is tested against. It iterates in original id
+		// space, between scores and x.
 		s, err := op.stochastic()
 		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
+			return fmt.Errorf("core: %w", err)
 		}
+		cur, nxt := scores, x
 		for iter := 1; iter <= p.maxIter(); iter++ {
-			s.MulVec(next, x)
-			for i := range next {
-				next[i] = p.Alpha*next[i] + p.Beta*att[i] + p.Gamma*rec[i]
+			s.MulVec(nxt, cur)
+			for i := range nxt {
+				nxt[i] = p.Alpha*nxt[i] + p.Beta*att[i] + p.Gamma*rec[i]
 			}
-			resid := sparse.L1Diff(next, x)
+			resid := sparse.L1Diff(nxt, cur)
 			res.Residuals = append(res.Residuals, resid)
 			mIterationResidual.Observe(resid)
-			x, next = next, x
+			cur, nxt = nxt, cur
 			res.Iterations = iter
 			if resid < tol {
 				res.Converged = true
 				break
 			}
 		}
+		if &cur[0] != &scores[0] {
+			copy(scores, cur)
+		}
 	} else {
 		// Parallel path: the tiled kernel iterates in storage (permuted)
-		// id space. The start vector and the attention/recency vectors
-		// cross the boundary here; scores cross back after convergence.
-		// Permuting a vector copies bits, so every iterate is the exact
-		// permutation of the reference iterate (see sparse.TiledStochastic
-		// on the canonical accumulation order).
+		// id space, between x and next. The start vector and the
+		// attention/recency vectors cross the boundary here; scores cross
+		// back after convergence. Permuting a vector copies bits, so every
+		// iterate is the exact permutation of the reference iterate (see
+		// sparse.TiledStochastic on the canonical accumulation order).
 		ti, release, err := op.acquireTiled()
 		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
+			return fmt.Errorf("core: %w", err)
 		}
 		perm := op.perm
 		attP := op.permutedAttention(now, p.AttentionYears)
 		recP := op.permutedRecency(now, p.W)
-		xp := next // reuse the spare buffer as the permuted iterate
-		permuteInto(xp, x, perm)
+		permuteInto(x, scores, perm)
 		// Sharded deployment, when configured: the same chain driven over
 		// the row-block shards (bit-identical at equal partition counts —
 		// DESIGN.md §16). Any failure falls through to the local loop with
 		// res restored, so a dying shard costs one rank of latency only.
-		if fin, ok := op.rankSharded(res, xp, attP, recP, p, tol); ok {
-			copy(xp, fin)
-			release()
-			for i := range x {
-				x[i] = xp[perm[i]]
+		cur, ok := op.rankSharded(res, x, attP, recP, p, tol)
+		if !ok {
+			parts := p.Workers
+			if parts < 0 {
+				parts = runtime.GOMAXPROCS(0)
 			}
-			res.Scores = x
-			res.Duration = time.Since(started)
-			op.observeRank(res, p)
-			return res, nil
-		}
-		nextP := make([]float64, n)
-		parts := p.Workers
-		if parts < 0 {
-			parts = runtime.GOMAXPROCS(0)
-		}
-		for iter := 1; iter <= p.maxIter(); iter++ {
-			resid := ti.Step(nextP, xp, attP, recP, p.Alpha, p.Beta, p.Gamma, parts)
-			res.Residuals = append(res.Residuals, resid)
-			mIterationResidual.Observe(resid)
-			xp, nextP = nextP, xp
-			res.Iterations = iter
-			if resid < tol {
-				res.Converged = true
-				break
+			cur = x
+			nxt := next
+			for iter := 1; iter <= p.maxIter(); iter++ {
+				resid := ti.Step(nxt, cur, attP, recP, p.Alpha, p.Beta, p.Gamma, parts)
+				res.Residuals = append(res.Residuals, resid)
+				mIterationResidual.Observe(resid)
+				cur, nxt = nxt, cur
+				res.Iterations = iter
+				if resid < tol {
+					res.Converged = true
+					break
+				}
 			}
 		}
 		release()
-		for i := range x {
-			x[i] = xp[perm[i]]
+		for i := range scores {
+			scores[i] = cur[perm[i]]
 		}
 	}
-	res.Scores = x
+	res.Scores = scores
 	res.Duration = time.Since(started)
 	op.observeRank(res, p)
-	return res, nil
+	return nil
 }
 
 // observeRank records the per-rank telemetry: iteration count, final

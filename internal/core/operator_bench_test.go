@@ -40,40 +40,9 @@ func benchState(b *testing.B) (*sparse.Stochastic, []float64, []float64, []float
 	return s, sparse.Uniform(n), make([]float64, n), att, rec
 }
 
-// BenchmarkIteration100kLegacy measures one power-method step the way the
-// pre-operator code ran it with Workers: −1: a parallel SpMV that spawns
-// goroutines per call, then three more full-vector sweeps (dangling add is
-// inside MulVec, combine, residual). The matrix conversion is hoisted out,
-// which flatters the legacy path — the old code also re-converted CSC→CSR
-// on every Rank call.
-func BenchmarkIteration100kLegacy(b *testing.B) {
-	s, x, next, att, rec := benchState(b)
-	p := s.Parallel(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.MulVec(next, x)
-		for j := range next {
-			next[j] = 0.5*next[j] + 0.3*att[j] + 0.2*rec[j]
-		}
-		_ = sparse.L1Diff(next, x)
-	}
-}
-
-// BenchmarkIteration100kFused measures the same step through the fused
-// kernel on a persistent pool: one sweep, no goroutine churn.
-func BenchmarkIteration100kFused(b *testing.B) {
-	s, x, next, att, rec := benchState(b)
-	pool := sparse.NewPool(0)
-	defer pool.Close()
-	f := s.Fused(pool)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Step(next, x, att, rec, 0.5, 0.3, 0.2, pool.Size())
-	}
-}
-
 // BenchmarkIteration100kSerialReference is the serial CSC baseline, for
-// placing the fused numbers against the reference kernel.
+// placing the tiled kernel's numbers (iter_fused_ns in BENCH_core.json)
+// against the reference kernel.
 func BenchmarkIteration100kSerialReference(b *testing.B) {
 	s, x, next, att, rec := benchState(b)
 	b.ResetTimer()

@@ -13,7 +13,7 @@ func workerCounts() []int {
 
 // assertBitIdentical runs Rank at every worker count and requires the
 // scores to equal the serial kernel's bit for bit (==, not within an
-// epsilon): the fused kernel mirrors the serial arithmetic exactly.
+// epsilon): the tiled kernel mirrors the serial arithmetic exactly.
 func assertBitIdentical(t *testing.T, n *graph.Network, base Params) {
 	t.Helper()
 	serial, err := Rank(n, n.MaxYear(), base)
@@ -48,7 +48,7 @@ func TestRankParallelMatchesSerial(t *testing.T) {
 }
 
 // danglingNet builds a network where the overwhelming majority of papers
-// cite nothing: almost every column of S is dangling, so the fused
+// cite nothing: almost every column of S is dangling, so the tiled
 // kernel's sequential dangling-mass gather dominates the iteration.
 func danglingNet(t testing.TB, size int) *graph.Network {
 	t.Helper()

@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"attrank/internal/core"
@@ -103,12 +102,11 @@ type AttRankCell struct {
 // cells in grid order with a per-cell error, exactly as the sequential
 // sweep did. Internally the grid is partitioned by shared (y, w) — cells
 // that differ only in α/β/γ share one attention and one recency vector —
-// and each partition runs through the operator's blocked SpMM path: the
-// cells are ordered by ascending α so RankBatch packs blocks whose lanes
-// converge together, and one matrix traversal per power step serves the
-// whole block. Scores per cell are bit-identical to the per-cell
-// op.Rank the sequential sweep performed. Partitions are spread over a
-// fixed pool of GOMAXPROCS workers, each reusing one metrics.Scratch.
+// and each partition runs through one RankBatch, which also reuses one
+// pair of iteration buffers across its cells. Scores per cell are
+// bit-identical to the per-cell op.Rank the sequential sweep performed.
+// Partitions are spread over a fixed pool of GOMAXPROCS workers, each
+// reusing one metrics.Scratch.
 func SweepAttRank(s *Split, truth []float64, grid []core.Params, m Metric) []AttRankCell {
 	op := core.OperatorFor(s.Current)
 	cells := make([]AttRankCell, len(grid))
@@ -133,28 +131,18 @@ func SweepAttRank(s *Split, truth []float64, grid []core.Params, m Metric) []Att
 
 	runWorkers(len(partitions), func(scratch *metrics.Scratch, pi int) {
 		part := partitions[pi]
-		// Ascending α keeps each SpMM block convergence-homogeneous: the
-		// iteration count of the power method grows with α, so lanes of a
-		// block retire together instead of leaving one slow lane to
-		// finish alone. Ties keep grid order.
-		order := make([]int, len(part))
-		copy(order, part)
-		sort.SliceStable(order, func(a, b int) bool {
-			return grid[order[a]].Alpha < grid[order[b]].Alpha
-		})
-		ps := make([]core.Params, len(order))
-		for j, gi := range order {
+		ps := make([]core.Params, len(part))
+		for j, gi := range part {
 			ps[j] = grid[gi]
 			if ps[j].Workers == 0 {
-				// Workers = 0 cells would delegate to the per-cell serial
-				// reference inside RankBatch; one partition of the tiled
-				// kernel ranks the same scores bit for bit and keeps the
-				// block batched. Cells that set Workers keep it.
+				// Workers = 0 cells would run the serial CSC reference; one
+				// partition of the tiled kernel ranks the same scores bit
+				// for bit, faster. Cells that set Workers keep it.
 				ps[j].Workers = 1
 			}
 		}
 		results, errs := op.RankBatch(s.TN, ps)
-		for j, gi := range order {
+		for j, gi := range part {
 			p := grid[gi]
 			if errs[j] != nil {
 				cells[gi] = AttRankCell{Params: p, Err: errs[j]}

@@ -11,7 +11,7 @@ import (
 )
 
 // randomCitationNet builds a random preferential-ish citation network big
-// enough that the batched sweep exercises full blocks, deflation, and
+// enough that the batched sweep exercises multi-cell partitions and
 // partition parallelism.
 func randomCitationNet(t testing.TB, seed int64, size int) *graph.Network {
 	t.Helper()

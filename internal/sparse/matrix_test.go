@@ -16,6 +16,22 @@ func mustMatrix(t *testing.T, rows, cols int, entries []Coord) *Matrix {
 	return m
 }
 
+func randomMatrix(t testing.TB, seed int64, n, nnz int) *Matrix {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	entries := make([]Coord, nnz)
+	for i := range entries {
+		entries[i] = Coord{
+			Row: int32(rng.Intn(n)), Col: int32(rng.Intn(n)), Val: rng.Float64(),
+		}
+	}
+	m, err := NewMatrix(n, n, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestNewMatrixBasic(t *testing.T) {
 	m := mustMatrix(t, 3, 3, []Coord{
 		{Row: 0, Col: 1, Val: 2},

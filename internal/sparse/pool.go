@@ -17,7 +17,7 @@ var liveWorkers atomic.Int64
 func LiveWorkers() int64 { return liveWorkers.Load() }
 
 // Pool is a persistent set of worker goroutines that execute the row-range
-// tasks of the fused power-method kernel. A compiled ranking operator
+// tasks of the tiled power-method kernel. A compiled ranking operator
 // creates one pool and reuses it for every iteration of every rank, so the
 // per-iteration cost is a handful of channel operations instead of
 // spawning and tearing down goroutines on each matrix–vector product.

@@ -6,10 +6,9 @@ import (
 	"sync/atomic"
 )
 
-// tiledBuilds counts tiled-layout compilations process-wide. It is the
-// tiled analogue of csrConversions: the compile-once regression tests
-// use it to prove that repeated ranks of one network cut the layout
-// exactly once.
+// tiledBuilds counts tiled-layout compilations process-wide. The
+// compile-once regression tests use it to prove that repeated ranks of
+// one network cut the layout exactly once.
 var tiledBuilds atomic.Int64
 
 // TiledBuilds reports how many tiled layouts this process has compiled.
@@ -33,10 +32,12 @@ const WindowBits = 16
 const windowSize = 1 << WindowBits
 
 // TiledStochastic is the cache-aware compiled form of a column-stochastic
-// matrix: the same fused power-method step as FusedStochastic, but over a
-// row-blocked, index-compressed layout, optionally under a row/column
-// relabeling (the same permutation applied to both sides, so the matrix
-// stays column-stochastic).
+// matrix for the power-method hot loop. Its Step fuses the four
+// per-iteration passes of the serial reference — SpMV, dangling-mass
+// redistribution, the α/β/γ combine and the L1 residual — into one
+// parallel sweep over a row-blocked, index-compressed layout, optionally
+// under a row/column relabeling (the same permutation applied to both
+// sides, so the matrix stays column-stochastic).
 //
 // Layout. Rows are renumbered by perm (perm[old] = new) and grouped into
 // contiguous blocks of tileRows rows — the unit of parallel partitioning.
@@ -77,7 +78,7 @@ const windowSize = 1 << WindowBits
 // original row, bit for bit. The dangling-mass gather is kept in
 // ascending original-column order for the same reason. Only the L1
 // residual may differ in its final ulps, because per-partition partials
-// group different row subsets; like FusedStochastic, the residual is a
+// group different row subsets and are tree-reduced; the residual is a
 // stopping criterion, not an output.
 type TiledStochastic struct {
 	rows    int
@@ -345,9 +346,6 @@ func (t *TiledStochastic) NNZ() int { return t.nnz }
 // Callers must treat it as read-only.
 func (t *TiledStochastic) Perm() []int32 { return t.perm }
 
-// Multi returns the batched SpMM view sharing all layout state.
-func (t *TiledStochastic) Multi() *TiledMulti { return &TiledMulti{t: t} }
-
 // LayoutStats describes the compiled layout for telemetry and benches.
 type LayoutStats struct {
 	Rows      int     // matrix dimension
@@ -448,9 +446,8 @@ func PartitionTiles(tiles []tileHeader, rowPtr []int32, parts int) []int32 {
 }
 
 // Step computes next = α·S·x + β·att + γ·rec in one tiled pass and
-// returns the L1 residual Σ|next[i] − x[i]|, exactly as
-// FusedStochastic.Step but over the compressed layout. All vectors are
-// in the layout's storage (permuted) space. parts selects the number of
+// returns the L1 residual Σ|next[i] − x[i]|. All vectors are in the
+// layout's storage (permuted) space. parts selects the number of
 // tile ranges; with parts ≤ 1 the pass runs on the calling goroutine.
 // next must not alias x. Safe for concurrent use with distinct next/x.
 func (t *TiledStochastic) Step(next, x, att, rec []float64, alpha, beta, gamma float64, parts int) float64 {
@@ -496,6 +493,19 @@ func (t *TiledStochastic) Step(next, x, att, rec []float64, alpha, beta, gamma f
 	return treeSum(partial)
 }
 
+// treeSum reduces the worker partials by pairwise halving — deterministic
+// for a fixed partition count regardless of worker scheduling.
+func treeSum(p []float64) float64 {
+	switch len(p) {
+	case 0:
+		return 0
+	case 1:
+		return p[0]
+	}
+	mid := len(p) / 2
+	return treeSum(p[:mid]) + treeSum(p[mid:])
+}
+
 // getY leases the per-step y buffer (len rows); putY returns it. The
 // VecPool keeps concurrent Steps on one layout race-free without
 // allocating a fresh vector per iteration.
@@ -504,9 +514,10 @@ func (t *TiledStochastic) getY() []float64 { return t.scratch.Get() }
 func (t *TiledStochastic) putY(y []float64) { t.scratch.Put(y) }
 
 // stepTiles is the per-worker kernel over tiles [tLo, tHi): the fused
-// update plus a partial L1 residual, arithmetic mirrored expression for
-// expression on FusedStochastic.stepRange. y is the premultiplied
-// iterate (uniform layouts only; nil routes to the per-entry fallback).
+// update plus a partial L1 residual, its arithmetic mirroring the serial
+// reference (CSC MulVec + combine loop) expression for expression so
+// scores stay bit-identical. y is the premultiplied iterate (uniform
+// layouts only; nil routes to the per-entry fallback).
 func (t *TiledStochastic) stepTiles(tLo, tHi int, next, x, y, att, rec []float64, alpha, beta, gamma, share float64, hasDangling bool) float64 {
 	if !t.uniform {
 		return t.stepTilesVal(tLo, tHi, next, x, att, rec, alpha, beta, gamma, share, hasDangling)

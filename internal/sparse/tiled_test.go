@@ -6,6 +6,80 @@ import (
 	"testing"
 )
 
+// powerLawStochastic builds a column-stochastic matrix whose in-degree
+// distribution is heavily skewed (a few rows receive most of the entries)
+// and whose tail columns are dangling — the shape of a citation network.
+func powerLawStochastic(t testing.TB, seed int64, n, nnz int) *Stochastic {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	entries := make([]Coord, 0, nnz)
+	for i := 0; i < nnz; i++ {
+		// Quadratic preference: row ~ n·u² concentrates entries on low rows.
+		u := rng.Float64()
+		row := int32(float64(n) * u * u)
+		if int(row) >= n {
+			row = int32(n - 1)
+		}
+		// Only the first 2/3 of the columns cite; the rest stay dangling.
+		col := int32(rng.Intn(2*n/3 + 1))
+		entries = append(entries, Coord{Row: row, Col: col, Val: 1})
+	}
+	m, err := NewMatrix(n, n, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewColumnStochastic(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// referenceStep is the serial three-sweep iteration the tiled kernel must
+// reproduce bit-for-bit: CSC SpMV with uniform dangling redistribution,
+// dense combine, then a separate L1 residual pass.
+func referenceStep(s *Stochastic, next, x, att, rec []float64, alpha, beta, gamma float64) float64 {
+	s.MulVec(next, x)
+	for i := range next {
+		next[i] = alpha*next[i] + beta*att[i] + gamma*rec[i]
+	}
+	return L1Diff(next, x)
+}
+
+func randomVectors(rng *rand.Rand, n int) (x, att, rec []float64) {
+	x = make([]float64, n)
+	att = make([]float64, n)
+	rec = make([]float64, n)
+	for i := 0; i < n; i++ {
+		x[i] = rng.Float64()
+		att[i] = rng.Float64()
+		rec[i] = rng.Float64()
+	}
+	Normalize(x)
+	Normalize(att)
+	Normalize(rec)
+	return x, att, rec
+}
+
+func mustStochastic(t testing.TB, m *Matrix) *Stochastic {
+	t.Helper()
+	s, err := NewColumnStochastic(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// emptySquare returns an n×n matrix with no entries: every column dangling.
+func emptySquare(t testing.TB, n int) *Matrix {
+	t.Helper()
+	m, err := NewMatrix(n, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // randomPerm returns a uniformly random permutation of [0, n).
 func randomPerm(rng *rand.Rand, n int) []int32 {
 	p := make([]int32, n)
@@ -25,10 +99,10 @@ func permuteF64(src []float64, perm []int32) []float64 {
 }
 
 // TestTiledStepBitIdenticalAtIdentity pins the compressed layout against
-// both references at the identity relabeling: scores bit-identical to the
-// serial CSC step and to FusedStochastic.Step for every partition count,
-// residual exactly the serial sum at one partition. Small tile heights
-// force multi-tile layouts even on these tiny matrices.
+// the reference at the identity relabeling: scores bit-identical to the
+// serial CSC step for every partition count, residual exactly the serial
+// sum at one partition. Small tile heights force multi-tile layouts even
+// on these tiny matrices.
 func TestTiledStepBitIdenticalAtIdentity(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
@@ -138,86 +212,13 @@ func TestTiledRelabelingInvariance(t *testing.T) {
 	}
 }
 
-// TestTiledMultiBitIdenticalPerLane: every lane of the batched tiled
-// kernel must reproduce the single-vector tiled kernel bit for bit —
-// scores and residuals — at the same partition count, for block widths
-// exercising all register-chunk shapes (8/4/2/1).
-func TestTiledMultiBitIdenticalPerLane(t *testing.T) {
-	pool := NewPool(4)
-	defer pool.Close()
-	for _, tc := range []struct {
-		name string
-		s    *Stochastic
-	}{
-		{"power-law-dangling", powerLawStochastic(t, 61, 170, 1000)},
-		{"all-dangling", mustStochastic(t, emptySquare(t, 29))},
-	} {
-		s := tc.s
-		n := s.N()
-		rng := rand.New(rand.NewSource(88))
-		perm := randomPerm(rng, n)
-		ti := s.TiledRows(pool, perm, 16)
-		m := ti.Multi()
-		if m.N() != n {
-			t.Fatalf("%s: multi N = %d, want %d", tc.name, m.N(), n)
-		}
-		_, attA, recA := randomVectors(rng, n)
-		_, attB, recB := randomVectors(rng, n)
-		for _, b := range []int{1, 2, 3, 5, 8, 11} {
-			lanes := make([][]float64, b)
-			att := make([][]float64, b)
-			rec := make([][]float64, b)
-			alpha := make([]float64, b)
-			beta := make([]float64, b)
-			gamma := make([]float64, b)
-			for j := 0; j < b; j++ {
-				x, _, _ := randomVectors(rng, n)
-				lanes[j] = x
-				if j%2 == 0 {
-					att[j], rec[j] = attA, recA
-				} else {
-					att[j], rec[j] = attB, recB
-				}
-				alpha[j] = 0.1 + 0.05*float64(j%9)
-				beta[j] = 0.3 * rng.Float64()
-				gamma[j] = 1 - alpha[j] - beta[j]
-			}
-			for _, parts := range []int{1, 4} {
-				x := make([]float64, n*b)
-				for j, lane := range lanes {
-					for i, v := range lane {
-						x[i*b+j] = v
-					}
-				}
-				next := make([]float64, n*b)
-				resid := make([]float64, b)
-				m.Step(next, x, att, rec, alpha, beta, gamma, resid, parts)
-				for j := 0; j < b; j++ {
-					wantNext := make([]float64, n)
-					wantResid := ti.Step(wantNext, lanes[j], att[j], rec[j], alpha[j], beta[j], gamma[j], parts)
-					if resid[j] != wantResid {
-						t.Fatalf("%s b=%d parts=%d lane %d: resid = %v, want exactly %v",
-							tc.name, b, parts, j, resid[j], wantResid)
-					}
-					for i := 0; i < n; i++ {
-						if next[i*b+j] != wantNext[i] {
-							t.Fatalf("%s b=%d parts=%d lane %d: next[%d] not bit-identical",
-								tc.name, b, parts, j, i)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestTiledMultiWindow forces the multi-window path: a 70k-node matrix
+// TestTiledTwoWindows forces the multi-window path: a 70k-node matrix
 // needs two 64Ki column windows, so rows whose entries straddle the
 // window boundary carry a split point and the kernel walks two window
 // runs per row. Scores must match the serial reference bit for bit,
 // under identity and window-aligned random relabelings alike, and a
 // cross-window permutation must be rejected.
-func TestTiledMultiWindow(t *testing.T) {
+func TestTiledTwoWindows(t *testing.T) {
 	const n = 70000
 	entries := []Coord{
 		{Row: 5, Col: 0, Val: 1},
@@ -267,29 +268,6 @@ func TestTiledMultiWindow(t *testing.T) {
 	for i := range want {
 		if gotP[perm[i]] != want[i] {
 			t.Fatalf("relabeled multi-window score of row %d not bit-identical", i)
-		}
-	}
-
-	// Every lane of the batched kernel crosses the window split the same
-	// way the single-vector kernel does.
-	const b = 3
-	xm := make([]float64, n*b)
-	for j := 0; j < b; j++ {
-		for i := 0; i < n; i++ {
-			xm[i*b+j] = xp[i]
-		}
-	}
-	nextM := make([]float64, n*b)
-	residM := make([]float64, b)
-	tp.Multi().Step(nextM, xm,
-		[][]float64{attP, attP, attP}, [][]float64{recP, recP, recP},
-		[]float64{0.5, 0.5, 0.5}, []float64{0.3, 0.3, 0.3}, []float64{0.2, 0.2, 0.2},
-		residM, 1)
-	for j := 0; j < b; j++ {
-		for i := range want {
-			if nextM[int(perm[i])*b+j] != want[i] {
-				t.Fatalf("multi-window SpMM lane %d row %d not bit-identical", j, i)
-			}
 		}
 	}
 

@@ -4,12 +4,13 @@
 # from the repository root.
 #
 #   ./verify.sh         full gate (gofmt + build + vet + race -shuffle=on
-#                       over every package + a one-rep batched-sweep
-#                       smoke so the blocked-SpMM path can't silently rot)
+#                       over every package, then the attrank-bench
+#                       bit-equality smokes: tiled vs serial kernels,
+#                       push reconciliation, impact classes, sharding)
 #   ./verify.sh quick   kernel + durability + overload gate: gofmt +
 #                       build + vet, then a short-mode race pass over the
-#                       ranking hot path (sparse pool/fused/multi kernels,
-#                       core operator/parallel/RankBatch tests, scratch
+#                       ranking hot path (sparse pool/tiled kernel, core
+#                       operator/parallel/RankBatch tests, scratch
 #                       metrics), the ingest WAL tests, the
 #                       admission-control tests, the replication
 #                       follower tests, the impact-indicator suites and
@@ -40,7 +41,7 @@ go vet ./...
 
 if [ "${1:-}" = "quick" ]; then
 	echo "==> go test -race -short (kernel packages)"
-	go test -race -short -run 'Parallel|Fused|Multi|Operator|Pool|Partition|RankBatch|Tiled|RCM|Relabel|Window|Degree' \
+	go test -race -short -run 'Parallel|Operator|Pool|Partition|RankBatch|Tiled|RCM|Relabel|Window|Degree' \
 		./internal/sparse/ ./internal/core/
 	echo "==> go test -race (scratch metrics bit-equality)"
 	go test -race -run 'Scratch|Ordering|Ranks' ./internal/metrics/
@@ -81,11 +82,7 @@ fi
 echo "==> go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
-echo "==> attrank-bench -sweep smoke (one rep, small network)"
-GOMAXPROCS=1 go run ./cmd/attrank-bench -sweep -sweep-papers 20000 -sweep-reps 1 \
-	-sweep-out /tmp/BENCH_sweep_smoke.json
-
-echo "==> attrank-bench -smoke (tiled vs csr fused vs serial bit-equality, seeded 10k graph)"
+echo "==> attrank-bench -smoke (tiled vs serial bit-equality, seeded 10k graph)"
 go run ./cmd/attrank-bench -smoke
 
 echo "==> attrank-bench -ingest smoke (push-vs-exact reconciliation bit-equality, 20k graph)"
