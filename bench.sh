@@ -10,12 +10,8 @@
 # loopback: read throughput per replica added, and follower
 # crash-recovery bit-equality), BENCH_ingest.json (single-citation
 # incremental push re-rank vs a warm full re-rank on the 100k network,
-# with reconciliation bit-equality and staleness-bound checks),
-# BENCH_shard.json (row-partitioned distributed ranking over loopback
-# shard workers at 1/2/4 shards: per-iteration wall clock, boundary
-# bytes exchanged per iteration, per-shard resident footprint, gated on
-# bit-equality with the single-process kernel), and then runs the
-# go-test microbenchmarks for the per-iteration kernels.
+# with reconciliation bit-equality and staleness-bound checks), and then
+# runs the go-test microbenchmarks for the per-iteration kernels.
 #
 # The committed BENCH_core.json is generated at GOMAXPROCS=1 (single-core
 # kernel merit, no scheduler noise). It is re-run at NumCPU as well — not
@@ -40,9 +36,6 @@ go run ./cmd/attrank-bench -cluster -cluster-out BENCH_cluster.json
 echo "==> attrank-bench -ingest, GOMAXPROCS=1 (incremental push vs warm full re-rank -> BENCH_ingest.json)"
 GOMAXPROCS=1 go run ./cmd/attrank-bench -ingest -ingest-out BENCH_ingest.json
 
-echo "==> attrank-bench -shard (sharded ranking over loopback workers -> BENCH_shard.json)"
-go run ./cmd/attrank-bench -shard -shard-out BENCH_shard.json
-
-echo "==> go test -bench (sparse + core kernels + scratch metrics + shard exchange)"
-go test -run XXX -bench 'Iteration|Rank100k|Spearman|NDCG|ShardExchange' -benchtime 10x -benchmem \
-	./internal/sparse/ ./internal/core/ ./internal/metrics/ ./internal/shard/
+echo "==> go test -bench (sparse + core kernels + scratch metrics)"
+go test -run XXX -bench 'Iteration|Rank100k|Spearman|NDCG' -benchtime 10x -benchmem \
+	./internal/sparse/ ./internal/core/ ./internal/metrics/

@@ -140,18 +140,10 @@ func main() {
 		ingestCheck    = flag.Int("ingest-check-every", 50, "push writes between exact-deviation checks in -ingest (0 disables)")
 		ingestLiveWr   = flag.Int("ingest-live-writes", 150, "live rank-per-write Ingester writes per arm in -ingest")
 		ingestPushTol  = flag.Float64("ingest-push-tol", core.DefaultPushTol, "push settle tolerance for -ingest")
-
-		shardB      = flag.Bool("shard", false, "benchmark sharded ranking over in-process loopback shard workers, with a bit-equality gate against the single-process kernel (exits non-zero on the first differing bit)")
-		shardOut    = flag.String("shard-out", "BENCH_shard.json", "output JSON path for -shard")
-		shardPapers = flag.Int("shard-papers", 100000, "synthetic network size for -shard")
-		shardCounts = flag.String("shard-counts", "1,2,4", "comma-separated shard counts for -shard")
-		shardReps   = flag.Int("shard-reps", 5, "timing repetitions per shard count in -shard (best-of)")
 	)
 	flag.Parse()
 	var err error
 	switch {
-	case *shardB:
-		err = runShard(*shardPapers, *profile, *shardOut, *shardCounts, *shardReps)
 	case *smoke:
 		err = runSmoke(*smokePapers, *profile)
 	case *impactB:

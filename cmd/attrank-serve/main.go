@@ -44,21 +44,6 @@
 // pointing at the leader. -max-rps additionally caps the admitted
 // request rate per replica (0 = uncapped).
 //
-// Sharded ranking (-role shard / -shard-peers, see internal/shard and
-// DESIGN.md §16):
-//
-//	attrank-serve -role shard -addr :9001 [-shard-id 1]
-//	attrank-serve -in dblp.tsv -shard-peers http://h1:9001,http://h2:9001
-//
-// A shard worker owns no corpus of its own: it waits for a coordinator
-// to ship it a row block of the compiled ranking matrix over /shard/
-// and then serves per-iteration block steps. A ranking server given
-// -shard-peers partitions every (re-)rank across those workers —
-// boundary scores are exchanged each iteration and the published
-// scores are bit-identical to the local kernel at the same partition
-// count. If any worker fails mid-rank the epoch transparently falls
-// back to the local kernel, so shards add capacity, never risk.
-//
 // Without -wal the server is read-only: it ranks the corpus once at
 // startup and serves it. With -wal it runs the live-ingestion subsystem
 // (internal/ingest): mutations posted to /v1/papers, /v1/citations and
@@ -92,7 +77,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -103,7 +87,6 @@ import (
 	"attrank/internal/ingest"
 	"attrank/internal/replication"
 	"attrank/internal/service"
-	"attrank/internal/shard"
 )
 
 func main() {
@@ -135,29 +118,15 @@ func main() {
 		indicators    = flag.Bool("indicators", false, "serve the multi-indicator impact layer at /v1/impact/ (AttRank popularity, PageRank influence, windowed impulse, citation count, each with C1–C5 classes)")
 		impulseWindow = flag.Int("impulse-window", impact.DefaultImpulseWindow, "impulse indicator: count citations from the most recent N years")
 
-		role   = flag.String("role", "", "replication role: empty (standalone), \"leader\" (requires -wal), \"follower\" (requires -peers and -wal as the local state directory) or \"shard\" (a ranking shard worker: serves /shard/, holds no corpus)")
+		role   = flag.String("role", "", "replication role: empty (standalone), \"leader\" (requires -wal), \"follower\" (requires -peers and -wal as the local state directory)")
 		peers  = flag.String("peers", "", "follower mode: the leader's base URL, e.g. http://leader:8080")
 		maxLag = flag.Int("max-lag", service.DefaultMaxLag, "follower mode: shed reads when more than this many epochs behind the leader")
 		maxRPS = flag.Float64("max-rps", 0, "cap admitted requests per second (0 = uncapped); excess sheds with 429")
-
-		shardID    = flag.Int("shard-id", 0, "shard role: this worker's rank, used only as a log label (the coordinator assigns blocks by peer-list order)")
-		shardPeers = flag.String("shard-peers", "", "partition every (re-)rank across these shard workers (comma-separated base URLs, e.g. http://h1:9001,http://h2:9001); scores stay bit-identical to the local kernel at the same partition count")
 	)
 	flag.Parse()
-	if *role != "" && *role != "leader" && *role != "follower" && *role != "shard" {
-		fmt.Fprintln(os.Stderr, "attrank-serve: -role must be empty, \"leader\", \"follower\" or \"shard\"")
+	if *role != "" && *role != "leader" && *role != "follower" {
+		fmt.Fprintln(os.Stderr, "attrank-serve: -role must be empty, \"leader\" or \"follower\"")
 		os.Exit(2)
-	}
-	if *shardPeers != "" && (*role == "follower" || *role == "shard") {
-		// A follower reproduces the leader's rank bit-for-bit from shipped
-		// scores and never ranks on its own; a shard worker is itself the
-		// far end of the exchange.
-		fmt.Fprintln(os.Stderr, "attrank-serve: -shard-peers cannot be combined with -role", *role)
-		os.Exit(2)
-	}
-	if *role == "shard" {
-		serveShard(*addr, *shardID)
-		return
 	}
 	if *role == "follower" {
 		if *peers == "" || *wal == "" {
@@ -172,11 +141,6 @@ func main() {
 	if *role == "leader" && *wal == "" {
 		fmt.Fprintln(os.Stderr, "attrank-serve: -role leader requires -wal (followers ship the write-ahead log)")
 		os.Exit(2)
-	}
-	if *shardPeers != "" {
-		list := strings.Split(*shardPeers, ",")
-		core.SetShardProvider(shard.Provider(nil, list, log.Printf))
-		log.Printf("attrank-serve: sharding ranks across %d workers: %s", len(list), *shardPeers)
 	}
 	impactCfg := impact.Config{
 		Enabled:       *indicators,
@@ -276,29 +240,6 @@ func main() {
 		}
 	}
 	log.Println("attrank-serve: shut down cleanly")
-}
-
-// serveShard runs a ranking shard worker: an HTTP server whose whole
-// surface is /shard/ (status, block load, rank chains, block steps).
-// It holds no corpus and needs no flags beyond the listen address — a
-// coordinator ships it everything, and a restarted worker is simply
-// reshipped its block on the coordinator's next resume pass.
-func serveShard(addr string, id int) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	wk := shard.NewWorker(log.Printf)
-	// Block loads stream megabytes and a rank chain holds its connection
-	// across many steps: give both directions generous bounds instead of
-	// the query-serving defaults.
-	opts := service.ServeOptions{
-		ReadTimeout:  2 * time.Minute,
-		WriteTimeout: 2 * time.Minute,
-	}
-	log.Printf("attrank-serve: shard worker %d listening on %s", id, addr)
-	if err := service.ServeWith(ctx, addr, wk, opts); err != nil {
-		log.Fatal(err)
-	}
-	log.Println("attrank-serve: shard worker shut down cleanly")
 }
 
 // withPprof mounts the net/http/pprof handlers in front of the service

@@ -54,12 +54,6 @@ type Operator struct {
 	// goes idle, instead of waiting for the finalizer.
 	inflight int
 	evicted  bool
-
-	// The sharded-ranking stepper cache lives under its own lock: the
-	// provider calls back into TiledKernel (op.mu) and eviction holds
-	// op.mu, so sharing the mutex would deadlock (see shard.go).
-	shardMu sync.Mutex
-	stepper ShardStepper
 }
 
 // CompileStats records the cost and shape of the parallel kernel
@@ -572,28 +566,20 @@ func (op *Operator) rankInto(res *Result, now int, p Params, x, next []float64, 
 		attP := op.permutedAttention(now, p.AttentionYears)
 		recP := op.permutedRecency(now, p.W)
 		permuteInto(x, scores, perm)
-		// Sharded deployment, when configured: the same chain driven over
-		// the row-block shards (bit-identical at equal partition counts —
-		// DESIGN.md §16). Any failure falls through to the local loop with
-		// res restored, so a dying shard costs one rank of latency only.
-		cur, ok := op.rankSharded(res, x, attP, recP, p, tol)
-		if !ok {
-			parts := p.Workers
-			if parts < 0 {
-				parts = runtime.GOMAXPROCS(0)
-			}
-			cur = x
-			nxt := next
-			for iter := 1; iter <= p.maxIter(); iter++ {
-				resid := ti.Step(nxt, cur, attP, recP, p.Alpha, p.Beta, p.Gamma, parts)
-				res.Residuals = append(res.Residuals, resid)
-				mIterationResidual.Observe(resid)
-				cur, nxt = nxt, cur
-				res.Iterations = iter
-				if resid < tol {
-					res.Converged = true
-					break
-				}
+		parts := p.Workers
+		if parts < 0 {
+			parts = runtime.GOMAXPROCS(0)
+		}
+		cur, nxt := x, next
+		for iter := 1; iter <= p.maxIter(); iter++ {
+			resid := ti.Step(nxt, cur, attP, recP, p.Alpha, p.Beta, p.Gamma, parts)
+			res.Residuals = append(res.Residuals, resid)
+			mIterationResidual.Observe(resid)
+			cur, nxt = nxt, cur
+			res.Iterations = iter
+			if resid < tol {
+				res.Converged = true
+				break
 			}
 		}
 		release()

@@ -45,9 +45,7 @@ const MaxFramePayload = 1 << 24
 
 // WriteFrame emits one CRC-framed protocol frame:
 // [type byte][u32 payloadLen][u32 crc32(payload)][payload], integers
-// little-endian. The framing is shared beyond replication — the sharded
-// ranking exchange (internal/shard) speaks the same frames over its own
-// endpoints.
+// little-endian.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	var hdr [9]byte
 	hdr[0] = typ
@@ -61,10 +59,11 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 }
 
 // ReadFrame reads one frame, verifying its CRC. The returned payload
-// aliases buf when it fits; callers must copy bytes they keep. The
-// header is read into buf too (a stack header array would escape
-// through the io.Reader interface and allocate per frame, which the
-// sharded exchange's zero-allocation steady state cannot afford).
+// aliases buf when it fits; callers must copy bytes they keep, and
+// thread the returned buffer into the next call. The header is read
+// into buf too (a stack header array would escape through the io.Reader
+// interface), so the follower's stream loop reuses one buffer for the
+// whole segment stream instead of allocating per frame.
 func ReadFrame(r io.Reader, buf []byte) (typ byte, payload []byte, _ []byte, err error) {
 	if cap(buf) < 9 {
 		buf = make([]byte, 64)

@@ -189,45 +189,32 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	return Serve(ctx, addr, s.Handler())
 }
 
-// ServeOptions tunes the http.Server lifecycle. The zero value of any
-// field selects the documented default. The read/write timeouts exist
-// for slow-client protection: without them a client trickling its
-// request (or never reading the response) pins a connection — and under
-// admission control, an in-flight slot — indefinitely.
+// Fixed http.Server lifecycle bounds. The read timeouts exist for
+// slow-client protection: without them a client trickling its request
+// pins a connection — and under admission control, an in-flight slot —
+// indefinitely.
+const (
+	readHeaderTimeout = 5 * time.Second  // reading the request headers
+	readTimeout       = 30 * time.Second // the full request; a write batch may be megabytes
+	idleTimeout       = 2 * time.Minute  // a keep-alive connection sitting idle
+	// shutdownGrace bounds the graceful drain after the context is
+	// cancelled; in-flight requests past it are abandoned.
+	shutdownGrace = 5 * time.Second
+)
+
+// ServeOptions tunes the http.Server lifecycle. A zero field selects
+// its documented default.
 type ServeOptions struct {
-	// ReadHeaderTimeout bounds reading the request headers. Default 5s.
-	ReadHeaderTimeout time.Duration
-	// ReadTimeout bounds reading the full request, body included.
-	// Default 30s (a write batch may legitimately be megabytes).
-	ReadTimeout time.Duration
 	// WriteTimeout bounds writing the response, measured from the end of
 	// the header read. It must comfortably exceed the admission deadline
 	// plus the longest queue wait, or slow-but-admitted requests are
 	// killed mid-response. Default 60s.
 	WriteTimeout time.Duration
-	// IdleTimeout bounds how long a keep-alive connection may sit idle.
-	// Default 2m.
-	IdleTimeout time.Duration
-	// ShutdownGrace bounds the graceful drain after the context is
-	// cancelled; in-flight requests past it are abandoned. Default 5s.
-	ShutdownGrace time.Duration
 }
 
 func (o ServeOptions) withDefaults() ServeOptions {
-	if o.ReadHeaderTimeout <= 0 {
-		o.ReadHeaderTimeout = 5 * time.Second
-	}
-	if o.ReadTimeout <= 0 {
-		o.ReadTimeout = 30 * time.Second
-	}
 	if o.WriteTimeout <= 0 {
 		o.WriteTimeout = 60 * time.Second
-	}
-	if o.IdleTimeout <= 0 {
-		o.IdleTimeout = 2 * time.Minute
-	}
-	if o.ShutdownGrace <= 0 {
-		o.ShutdownGrace = 5 * time.Second
 	}
 	return o
 }
@@ -253,7 +240,7 @@ func ServeWith(ctx context.Context, addr string, handler http.Handler, opts Serv
 // ServeListener runs handler on an existing listener until the context
 // is cancelled, then shuts down gracefully: the listener closes, idle
 // connections are torn down, and in-flight requests drain for up to
-// opts.ShutdownGrace before the server gives up on them. It returns nil
+// shutdownGrace before the server gives up on them. It returns nil
 // on a clean shutdown (every in-flight request got its response). The
 // load-test harness uses the listener form to bind port 0 and learn the
 // real address.
@@ -261,10 +248,10 @@ func ServeListener(ctx context.Context, ln net.Listener, handler http.Handler, o
 	opts = opts.withDefaults()
 	srv := &http.Server{
 		Handler:           handler,
-		ReadHeaderTimeout: opts.ReadHeaderTimeout,
-		ReadTimeout:       opts.ReadTimeout,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
 		WriteTimeout:      opts.WriteTimeout,
-		IdleTimeout:       opts.IdleTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
@@ -272,7 +259,7 @@ func ServeListener(ctx context.Context, ln net.Listener, handler http.Handler, o
 	case err := <-errCh:
 		return err
 	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), opts.ShutdownGrace)
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 		defer cancel()
 		return srv.Shutdown(shutdownCtx)
 	}

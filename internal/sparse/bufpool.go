@@ -2,16 +2,14 @@ package sparse
 
 import "sync"
 
-// VecPool leases float64 vectors of one fixed length. It is the shared
-// scratch-buffer mechanism of the ranking kernels: the tiled kernel's
-// per-step premultiplied iterate and the sharded boundary exchange's
-// receive and window buffers all cycle through one of these instead of
-// allocating per iteration, so a steady-state power iteration performs
-// zero allocations. A small mutex-guarded freelist is used instead of
-// sync.Pool deliberately: Put into a sync.Pool boxes the slice header
-// (one heap allocation per cycle), which would defeat the
-// allocation-free guarantee the exchange benchmark enforces. Get and
-// Put are safe for concurrent use.
+// VecPool leases float64 vectors of one fixed length. It is the tiled
+// kernel's scratch-buffer mechanism: the per-step premultiplied iterate
+// cycles through one of these instead of being allocated per iteration,
+// so a single-partition power-iteration step performs zero allocations
+// (TestTiledStepAllocs pins this). A small mutex-guarded freelist is
+// used instead of sync.Pool deliberately: Put into a sync.Pool boxes the
+// slice header (one heap allocation per cycle), which would break that
+// guarantee. Get and Put are safe for concurrent use.
 type VecPool struct {
 	n    int
 	mu   sync.Mutex
@@ -28,10 +26,7 @@ func NewVecPool(n int) *VecPool {
 	return &VecPool{n: n}
 }
 
-// Len returns the length of the vectors this pool leases.
-func (p *VecPool) Len() int { return p.n }
-
-// Get leases a vector of length Len. Contents are unspecified.
+// Get leases a vector of the pool's length. Contents are unspecified.
 func (p *VecPool) Get() []float64 {
 	p.mu.Lock()
 	if k := len(p.free); k > 0 {

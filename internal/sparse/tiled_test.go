@@ -482,3 +482,49 @@ func TestTiledValueCompression(t *testing.T) {
 		}
 	}
 }
+
+// TestTiledStepAllocs pins the steady-state allocation cost of one
+// tiled power-iteration step. On the calling goroutine (parts=1) a step
+// allocates nothing: the uniform layout's premultiplied iterate cycles
+// through the layout's VecPool. Through the worker pool (parts=2) the
+// dispatch costs a fixed handful — the partials slice, the task closure
+// and its WaitGroup — independent of the matrix size.
+func TestTiledStepAllocs(t *testing.T) {
+	pool := NewPool(2)
+	defer pool.Close()
+	// Unweighted citations with distinct coordinates normalize to uniform
+	// columns; the last third of the columns stays dangling.
+	const n = 3000
+	var cites []Coord
+	for c := 0; c < 2*n/3; c++ {
+		for j := 0; j <= c%5; j++ {
+			cites = append(cites, Coord{Row: int32((c*7919 + j*97) % n), Col: int32(c), Val: 1})
+		}
+	}
+	um, err := NewMatrix(n, n, cites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name        string
+		s           *Stochastic
+		wantUniform bool
+	}{
+		{"uniform", mustStochastic(t, um), true},
+		{"weighted", mustStochastic(t, randomMatrix(t, 92, n, 15000)), false},
+	} {
+		ti := tc.s.TiledRows(pool, nil, 16)
+		if ti.uniform != tc.wantUniform {
+			t.Fatalf("%s: uniform = %v, want %v", tc.name, ti.uniform, tc.wantUniform)
+		}
+		x, att, rec := randomVectors(rand.New(rand.NewSource(93)), n)
+		next := make([]float64, n)
+		for _, c := range []struct{ parts, max int }{{1, 0}, {2, 3}} {
+			step := func() { ti.Step(next, x, att, rec, 0.5, 0.3, 0.2, c.parts) }
+			step() // warm the partition cache and the y pool
+			if got := testing.AllocsPerRun(50, step); got > float64(c.max) {
+				t.Fatalf("%s parts=%d: %.1f allocs/step, want ≤ %d", tc.name, c.parts, got, c.max)
+			}
+		}
+	}
+}

@@ -6,20 +6,23 @@
 #   ./verify.sh         full gate (gofmt + build + vet + race -shuffle=on
 #                       over every package, then the attrank-bench
 #                       bit-equality smokes: tiled vs serial kernels,
-#                       push reconciliation, impact classes, sharding)
+#                       push reconciliation, impact classes)
 #   ./verify.sh quick   kernel + durability + overload gate: gofmt +
 #                       build + vet, then a short-mode race pass over the
 #                       ranking hot path (sparse pool/tiled kernel, core
 #                       operator/parallel/RankBatch tests, scratch
 #                       metrics), the ingest WAL tests, the
 #                       admission-control tests, the replication
-#                       follower tests, the impact-indicator suites and
-#                       the sharded-ranking suites (partition, exchange
-#                       wire, loopback bit-equality, zero-alloc rounds) —
+#                       follower tests and the impact-indicator suites —
 #                       seconds instead of minutes, for tight iteration
 #   ./verify.sh fuzz    short coverage-guided fuzz sessions for the
-#                       dataio readers, HTTP query parsing and the shard
-#                       exchange wire decoders
+#                       dataio readers, HTTP query parsing, the
+#                       replication stream decoders and the WAL record
+#                       decoder
+#
+# Every mode also vets the nested benchmark module, which imports
+# the root module's internal packages: an API deletion here that breaks
+# it fails the gate instead of the next benchmark run.
 #
 # Benchmarks are separate: see bench.sh, which regenerates
 # BENCH_core.json and BENCH_service.json.
@@ -39,6 +42,9 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> go vet ./... (benchmark module)"
+(cd benchmark && go vet ./...)
+
 if [ "${1:-}" = "quick" ]; then
 	echo "==> go test -race -short (kernel packages)"
 	go test -race -short -run 'Parallel|Operator|Pool|Partition|RankBatch|Tiled|RCM|Relabel|Window|Degree' \
@@ -57,9 +63,6 @@ if [ "${1:-}" = "quick" ]; then
 	echo "==> go test -race (impact indicators: classes, PageRank bit-equality, endpoints, replication)"
 	go test -race -run 'Impact|Class|Indicator|PageRank|Threshold|Impulse|NormalizeID|Golden' \
 		./internal/impact/ ./internal/core/ ./internal/ingest/ ./internal/service/ ./internal/replication/
-	echo "==> go test -race (sharded ranking: partition, block extraction, exchange, bit-equality, zero-alloc)"
-	go test -race -run 'Shard|Exchange|Boundary|TileBlock|SessionGuards' \
-		./internal/sparse/ ./internal/shard/
 	echo "verify.sh: quick checks passed"
 	exit 0
 fi
@@ -73,8 +76,10 @@ if [ "${1:-}" = "fuzz" ]; then
 		echo "==> go test -fuzz $target (service)"
 		go test -run "^${target}\$" -fuzz "^${target}\$" -fuzztime 5s ./internal/service/
 	done
-	echo "==> go test -fuzz FuzzShardFrame (shard exchange wire)"
-	go test -run '^FuzzShardFrame$' -fuzz '^FuzzShardFrame$' -fuzztime 5s ./internal/shard/
+	echo "==> go test -fuzz FuzzReplFrame (replication segment stream)"
+	go test -run '^FuzzReplFrame$' -fuzz '^FuzzReplFrame$' -fuzztime 5s ./internal/replication/
+	echo "==> go test -fuzz FuzzDecodeMutation (WAL record decoder)"
+	go test -run '^FuzzDecodeMutation$' -fuzz '^FuzzDecodeMutation$' -fuzztime 5s ./internal/ingest/
 	echo "verify.sh: fuzz sessions passed"
 	exit 0
 fi
@@ -96,13 +101,5 @@ echo "==> attrank-bench -impact smoke (served indicator classes vs in-process re
 # Exits non-zero if any score or C1–C5 class served by /v1/impact differs
 # from an independent recompute through internal/impact.
 go run ./cmd/attrank-bench -impact -impact-papers 2000
-
-echo "==> attrank-bench -shard smoke (2-shard loopback rank vs single-process kernel, 20k graph)"
-# Exits non-zero on the first score or residual bit that differs between
-# the sharded rank (cold and warm-started) and the local tiled kernel at
-# the same partition count, or if the rank silently fell back to the
-# local kernel instead of taking the distributed path.
-go run ./cmd/attrank-bench -shard -shard-papers 20000 -shard-counts 2 -shard-reps 1 \
-	-shard-out /tmp/BENCH_shard_smoke.json
 
 echo "verify.sh: all checks passed"
