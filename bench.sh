@@ -11,7 +11,8 @@
 # crash-recovery bit-equality), BENCH_ingest.json (single-citation
 # incremental push re-rank vs a warm full re-rank on the 100k network,
 # with reconciliation bit-equality and staleness-bound checks), and then
-# runs the go-test microbenchmarks for the per-iteration kernels.
+# runs the go-test microbenchmarks for the per-iteration kernels and
+# the read path (Explain, a /v1/top page).
 #
 # The committed BENCH_core.json is generated at GOMAXPROCS=1 (single-core
 # kernel merit, no scheduler noise). It is re-run at NumCPU as well — not
@@ -36,6 +37,6 @@ go run ./cmd/attrank-bench -cluster -cluster-out BENCH_cluster.json
 echo "==> attrank-bench -ingest, GOMAXPROCS=1 (incremental push vs warm full re-rank -> BENCH_ingest.json)"
 GOMAXPROCS=1 go run ./cmd/attrank-bench -ingest -ingest-out BENCH_ingest.json
 
-echo "==> go test -bench (sparse + core kernels + scratch metrics)"
-go test -run XXX -bench 'Iteration|Rank100k|Spearman|NDCG' -benchtime 10x -benchmem \
-	./internal/sparse/ ./internal/core/ ./internal/metrics/
+echo "==> go test -bench (sparse + core kernels + scratch metrics + read path)"
+go test -run XXX -bench 'Iteration|Rank100k|Spearman|NDCG|Explain|TopHandler' -benchtime 10x -benchmem \
+	./internal/sparse/ ./internal/core/ ./internal/metrics/ ./internal/service/

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"attrank/internal/graph"
@@ -142,6 +143,11 @@ type Result struct {
 	// Duration is the wall-clock time Rank spent, for operational
 	// monitoring (e.g. the live-ingestion /v1/epoch endpoint).
 	Duration time.Duration
+
+	// dangling memoises Explain's dangling mass for one network, so a
+	// read path explaining many papers of one epoch scans the corpus
+	// once. Set lazily; a Result must not be copied after first use.
+	dangling atomic.Pointer[danglingMass]
 }
 
 // ErrEmptyNetwork is returned when ranking a network without papers.

@@ -51,7 +51,11 @@ func (e Explanation) String() string {
 }
 
 // Explain decomposes the score of paper i from a converged Result. The
-// Result must come from Rank on the same network, time and parameters.
+// Result must come from Rank on the same network, time and parameters,
+// and its Scores must not change afterwards: the dangling mass every
+// explanation shares is summed on the first call for a network and
+// cached on the Result, so explaining k papers of one ranking costs one
+// O(N) scan, not k. Explain is safe for concurrent use on one Result.
 func Explain(net *graph.Network, res *Result, p Params, i int32) (Explanation, error) {
 	if err := p.Validate(); err != nil {
 		return Explanation{}, err
@@ -82,13 +86,7 @@ func Explain(net *graph.Network, res *Result, p Params, i int32) (Explanation, e
 				})
 			}
 		})
-		danglingMass := 0.0
-		for j := int32(0); int(j) < net.N(); j++ {
-			if net.OutDegree(j) == 0 {
-				danglingMass += res.Scores[j]
-			}
-		}
-		e.Flow = p.Alpha * danglingMass / float64(net.N())
+		e.Flow = p.Alpha * danglingMassOf(net, res) / float64(net.N())
 		for _, c := range citers {
 			e.Flow += c.Mass
 		}
@@ -99,6 +97,31 @@ func Explain(net *graph.Network, res *Result, p Params, i int32) (Explanation, e
 		e.TopCiters = citers
 	}
 	return e, nil
+}
+
+// danglingMass is Σ Scores[j] over the papers of net without
+// references, the mass the random surfer spreads uniformly.
+type danglingMass struct {
+	net  *graph.Network
+	mass float64
+}
+
+// danglingMassOf returns res's dangling mass on net, computed at most
+// once per (res, net) pair. A cached value for another network is never
+// reused; concurrent first calls may both scan, and both store the same
+// sum, since the loop order is fixed.
+func danglingMassOf(net *graph.Network, res *Result) float64 {
+	if d := res.dangling.Load(); d != nil && d.net == net {
+		return d.mass
+	}
+	mass := 0.0
+	for j := int32(0); int(j) < net.N(); j++ {
+		if net.OutDegree(j) == 0 {
+			mass += res.Scores[j]
+		}
+	}
+	res.dangling.Store(&danglingMass{net: net, mass: mass})
+	return mass
 }
 
 func resultLen(res *Result) int {

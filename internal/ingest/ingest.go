@@ -90,6 +90,11 @@ type Ranking struct {
 	Net *graph.Network
 	// Result holds the AttRank scores and convergence diagnostics.
 	Result *core.Result
+	// Order lists node indices by rank position: Order[k] is the paper
+	// at 0-based position k, by score descending with ties broken by
+	// ascending index (see Index). /v1/top serves its pages as slices
+	// of it. Positions is its inverse.
+	Order []int
 	// Positions maps node index → 0-based rank position.
 	Positions []int
 	// Stats is Net.ComputeStats(), computed once per epoch so serving it
@@ -112,6 +117,18 @@ type Ranking struct {
 	// forward: classes are as-of that epoch, with staleness advertised
 	// by Incremental/Staleness above.
 	Impact *impact.Epoch
+}
+
+// Index returns a ranking's order (node indices by score descending,
+// ties by ascending index) and its inverse, the 0-based position of
+// every node: the two read-side indexes every published Ranking carries.
+func Index(scores []float64) (order, positions []int) {
+	order = metrics.Ordering(scores)
+	positions = make([]int, len(order))
+	for pos, idx := range order {
+		positions[idx] = pos
+	}
+	return order, positions
 }
 
 // Status reports the ingester's operational state for monitoring.
@@ -503,6 +520,16 @@ func (ing *Ingester) validate(m Mutation) applyVerdict {
 		if ing.hasPaper(m.Paper.ID) {
 			return applyDuplicate
 		}
+		// A paper the WAL cannot encode would fail the whole batch at
+		// append time; reject it as an item instead. A citation needs
+		// no such check: both endpoints are known, hence loggable, IDs.
+		rec, err := m.encode(nil)
+		if err != nil {
+			return applyError("%v", err)
+		}
+		if len(rec) > walRecordMax {
+			return applyError("paper record of %d bytes exceeds the %d-byte WAL record limit", len(rec), walRecordMax)
+		}
 		return applyOK
 	case KindCitation:
 		c := m.Citation
@@ -749,14 +776,12 @@ func (ing *Ingester) rerank(forceFull bool) error {
 	if err != nil {
 		return err
 	}
-	positions := make([]int, net.N())
-	for pos, idx := range metrics.Ordering(res.Scores) {
-		positions[idx] = pos
-	}
+	order, positions := Index(res.Scores)
 	r := &Ranking{
 		Epoch:     e,
 		Net:       net,
 		Result:    res,
+		Order:     order,
 		Positions: positions,
 		Stats:     net.ComputeStats(),
 		RankedAt:  now,
@@ -907,10 +932,7 @@ func (ing *Ingester) tryPushLocked(now, upTo int, started time.Time) bool {
 	bound := pu.Bound()
 	ing.mu.Unlock()
 
-	positions := make([]int, len(scores))
-	for pos, idx := range metrics.Ordering(scores) {
-		positions[idx] = pos
-	}
+	order, positions := Index(scores)
 	// Stats: last full epoch's, with the edge counters advanced for the
 	// whole pushed backlog (degree-distribution fields stay as compacted;
 	// the reconciling full epoch recomputes everything exactly).
@@ -932,6 +954,7 @@ func (ing *Ingester) tryPushLocked(now, upTo int, started time.Time) bool {
 		Epoch:       e,
 		Net:         lastFull.Net,
 		Result:      res,
+		Order:       order,
 		Positions:   positions,
 		Stats:       stats,
 		RankedAt:    now,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -210,6 +211,12 @@ func TestValidationErrors(t *testing.T) {
 		{"unknown cited", citeMut("old", "ghost")},
 		{"half citation", Mutation{Kind: KindCitation, Citation: CitationMut{Citing: "old"}}},
 		{"unknown kind", Mutation{Kind: 42}},
+		// Fields the WAL encoding cannot hold are item errors, not a
+		// systemic append failure that would sink the whole batch.
+		{"id past u16", paperMut(strings.Repeat("x", 1<<16), 2000, nil, "")},
+		{"author past u16", paperMut("a", 2000, []string{strings.Repeat("x", 1<<16)}, "")},
+		{"authors past u16", paperMut("a", 2000, make([]string, 1<<16), "")},
+		{"year past int32", paperMut("a", 1<<40, nil, "")},
 	}
 	for _, c := range cases {
 		res, err := ing.ApplyBatch([]Mutation{c.mut})
@@ -222,6 +229,10 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if st := ing.Status(); st.Pending != 0 {
 		t.Errorf("rejected mutations left pending state: %+v", st)
+	}
+	res, err := ing.ApplyBatch([]Mutation{paperMut(strings.Repeat("x", 1<<16), 2000, nil, ""), paperMut("ok", 2000, nil, "")})
+	if err != nil || res.Accepted != 1 || len(res.Errors) != 1 || res.Errors[0].Index != 0 {
+		t.Errorf("batch with one unloggable paper: %+v, %v; want the other paper accepted", res, err)
 	}
 }
 

@@ -118,6 +118,9 @@ func (m Mutation) encode(buf []byte) ([]byte, error) {
 		if err := putStr(p.ID); err != nil {
 			return nil, err
 		}
+		if int(int32(p.Year)) != p.Year {
+			return nil, fmt.Errorf("ingest: year %d outside the 32-bit range", p.Year)
+		}
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(p.Year)))
 		if len(p.Authors) > 0xFFFF {
 			return nil, fmt.Errorf("ingest: %d authors exceeds 65535", len(p.Authors))

@@ -76,8 +76,8 @@ func orderingInto(order []int, scores []float64) {
 // a pinned part of the contract — TopK(s, k) always equals the k-prefix
 // of Ordering(s), so paginated reads over score plateaus are stable —
 // and it holds without sorting the full vector. It runs in O(N log k) via
-// bounded-heap selection, which is what the top-k serving hot path
-// (/v1/top) and OverlapAtK need on large corpora. k is clamped to
+// bounded-heap selection, which is what OverlapAtK and one-off top-k
+// queries through the public API need on large corpora. k is clamped to
 // len(scores).
 func TopK(scores []float64, k int) []int {
 	n := len(scores)

@@ -8,10 +8,11 @@ import (
 
 // The tie-break contract for TopK is pinned here: equal scores order by
 // ascending index, exactly as Ordering does, so TopK(s, k) is always the
-// k-prefix of Ordering(s). Callers (the /v1/top handler, OverlapAtK,
-// evaluation sweeps) rely on this for deterministic, pagination-stable
-// output on score plateaus — which real rankings have in bulk, because
-// dangling papers all share the same score floor.
+// k-prefix of Ordering(s). Callers (OverlapAtK, evaluation sweeps) rely
+// on this for deterministic, pagination-stable output on score plateaus —
+// which real rankings have in bulk, because dangling papers all share the
+// same score floor — and /v1/top pages, sliced from the epoch's Ordering,
+// equal TopK selections because of it.
 
 // TestTopKAllTied: on a constant vector the top-k must be the first k
 // indices, in order.
@@ -60,8 +61,8 @@ func TestTopKMatchesOrderingPrefixUnderTies(t *testing.T) {
 }
 
 // TestTopKStableUnderPagination: fetching the top-k in two pages via a
-// larger TopK must agree with the one-shot answer — the property the
-// /v1/top offset parameter depends on.
+// larger TopK must agree with the one-shot answer — pages sliced from a
+// larger selection never shear.
 func TestTopKStableUnderPagination(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	scores := make([]float64, 120)

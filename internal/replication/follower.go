@@ -21,7 +21,6 @@ import (
 	"attrank/internal/graph"
 	"attrank/internal/impact"
 	"attrank/internal/ingest"
-	"attrank/internal/metrics"
 )
 
 // errNoState distinguishes "first start, nothing on disk" from damaged
@@ -553,10 +552,7 @@ func (f *Follower) applyMarker(mark ingest.EpochMark) error {
 	if err != nil {
 		return fmt.Errorf("ranking epoch %d: %w", mark.Epoch, err)
 	}
-	positions := make([]int, net.N())
-	for pos, idx := range metrics.Ordering(res.Scores) {
-		positions[idx] = pos
-	}
+	order, positions := ingest.Index(res.Scores)
 	f.base, f.delta = net, nil
 	f.applied, f.pusher = 0, nil
 	f.epochV, f.rankedAt = mark.Epoch, mark.RankedAt
@@ -565,6 +561,7 @@ func (f *Follower) applyMarker(mark ingest.EpochMark) error {
 		Epoch:     mark.Epoch,
 		Net:       net,
 		Result:    res,
+		Order:     order,
 		Positions: positions,
 		Stats:     net.ComputeStats(),
 		RankedAt:  mark.RankedAt,
@@ -625,10 +622,7 @@ func (f *Follower) applyPushMarker(mark ingest.EpochMark) error {
 	}
 	scores := f.pusher.CopyScores()
 	bound := f.pusher.Bound()
-	positions := make([]int, len(scores))
-	for pos, idx := range metrics.Ordering(scores) {
-		positions[idx] = pos
-	}
+	order, positions := ingest.Index(scores)
 	f.applied = len(f.delta)
 	f.epochV = mark.Epoch
 	// Mirror the leader's push publication (ingest.tryPushLocked) so the
@@ -649,6 +643,7 @@ func (f *Follower) applyPushMarker(mark ingest.EpochMark) error {
 			Attention:  f.lastFull.Result.Attention,
 			Recency:    f.lastFull.Result.Recency,
 		},
+		Order:       order,
 		Positions:   positions,
 		Stats:       stats,
 		RankedAt:    mark.RankedAt,

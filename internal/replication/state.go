@@ -12,7 +12,6 @@ import (
 	"attrank/internal/graph"
 	"attrank/internal/impact"
 	"attrank/internal/ingest"
-	"attrank/internal/metrics"
 )
 
 // Follower durable state, all under FollowerConfig.Dir:
@@ -177,10 +176,7 @@ func (f *Follower) seedChain(net *graph.Network, wp wireParams, scores, att, rec
 		return err
 	}
 	res := &core.Result{Scores: scores, Attention: att, Recency: rec, Converged: true}
-	positions := make([]int, net.N())
-	for pos, idx := range metrics.Ordering(scores) {
-		positions[idx] = pos
-	}
+	order, positions := ingest.Index(scores)
 	f.base, f.delta, f.tracker = net, nil, tracker
 	f.applied, f.pusher = 0, nil
 	f.wp = wp
@@ -190,6 +186,7 @@ func (f *Follower) seedChain(net *graph.Network, wp wireParams, scores, att, rec
 		Epoch:     epoch,
 		Net:       net,
 		Result:    res,
+		Order:     order,
 		Positions: positions,
 		Stats:     net.ComputeStats(),
 		RankedAt:  rankedAt,

@@ -15,7 +15,7 @@ import (
 	"attrank/internal/ingest"
 )
 
-func liveSeed(t *testing.T) *graph.Network {
+func liveSeed(t testing.TB) *graph.Network {
 	t.Helper()
 	b := graph.NewBuilder()
 	add := func(id string, year int, authors []string, venue string) {
@@ -39,7 +39,7 @@ func liveSeed(t *testing.T) *graph.Network {
 
 // liveServer starts an ingester-backed server with background re-ranking
 // debounced out of the way; tests drive epochs with /v1/refresh.
-func liveServer(t *testing.T, seed *graph.Network, cfg ingest.Config) (*Server, *ingest.Ingester) {
+func liveServer(t testing.TB, seed *graph.Network, cfg ingest.Config) (*Server, *ingest.Ingester) {
 	t.Helper()
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()

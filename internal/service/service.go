@@ -51,7 +51,6 @@ import (
 	"attrank/internal/graph"
 	"attrank/internal/impact"
 	"attrank/internal/ingest"
-	"attrank/internal/metrics"
 	"attrank/internal/obs"
 )
 
@@ -164,16 +163,14 @@ func (s *Server) refreshStatic() error {
 	if err != nil {
 		return err
 	}
-	positions := make([]int, s.net.N())
-	for pos, idx := range metrics.Ordering(res.Scores) {
-		positions[idx] = pos
-	}
+	order, positions := ingest.Index(res.Scores)
 	s.staticEpoch++
 	s.staticLastDur = time.Since(started)
 	s.staticView.Store(&ingest.Ranking{
 		Epoch:     s.staticEpoch,
 		Net:       s.net,
 		Result:    res,
+		Order:     order,
 		Positions: positions,
 		Stats:     s.net.ComputeStats(),
 		RankedAt:  s.now,
@@ -437,6 +434,10 @@ func (s *Server) paperBody(v *ingest.Ranking, idx int32) (paperBody, error) {
 	return b, nil
 }
 
+// handleTop serves one page of the ranking (GET /v1/top?n=20&offset=0):
+// the slice [offset, offset+n) of the epoch's published order, each
+// entry rendered like /v1/paper. Nothing here scans the corpus; the
+// order was sorted once when the epoch was published.
 func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.writeError(w, http.StatusMethodNotAllowed, "GET only")
@@ -465,14 +466,11 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 		}
 		offset = val
 	}
-	// Select offset+n and slice: still O(N log(offset+n)) and the offset
-	// cap bounds the allocation regardless of what the client asks for.
-	top := metrics.TopK(v.Result.Scores, offset+n)
-	if offset > len(top) {
-		offset = len(top)
-	}
-	out := []paperBody{}
-	for _, idx := range top[offset:] {
+	// O(n) per request whatever the corpus size; a page past the end
+	// of the corpus is empty, not an error.
+	start, end := min(offset, len(v.Order)), min(offset+n, len(v.Order))
+	out := make([]paperBody, 0, end-start)
+	for _, idx := range v.Order[start:end] {
 		b, err := s.paperBody(v, int32(idx))
 		if err != nil {
 			s.writeError(w, http.StatusInternalServerError, "explain: %v", err)

@@ -10,15 +10,15 @@
 #   ./verify.sh quick   kernel + durability + overload gate: gofmt +
 #                       build + vet, then a short-mode race pass over the
 #                       ranking hot path (sparse pool/tiled kernel, core
-#                       operator/parallel/RankBatch tests, scratch
+#                       operator/parallel/RankBatch/Explain tests, scratch
 #                       metrics), the ingest WAL tests, the
 #                       admission-control tests, the replication
 #                       follower tests and the impact-indicator suites —
 #                       seconds instead of minutes, for tight iteration
 #   ./verify.sh fuzz    short coverage-guided fuzz sessions for the
-#                       dataio readers, HTTP query parsing, the
-#                       replication stream decoders and the WAL record
-#                       decoder
+#                       dataio readers, HTTP query parsing, the write
+#                       endpoints' bodies, the replication stream
+#                       decoders and the WAL record decoder
 #
 # Every mode also vets the nested benchmark module, which imports
 # the root module's internal packages: an API deletion here that breaks
@@ -47,14 +47,14 @@ echo "==> go vet ./... (benchmark module)"
 
 if [ "${1:-}" = "quick" ]; then
 	echo "==> go test -race -short (kernel packages)"
-	go test -race -short -run 'Parallel|Operator|Pool|Partition|RankBatch|Tiled|RCM|Relabel|Window|Degree' \
+	go test -race -short -run 'Parallel|Operator|Pool|Partition|RankBatch|Tiled|RCM|Relabel|Window|Degree|Explain|TopPage' \
 		./internal/sparse/ ./internal/core/
 	echo "==> go test -race (scratch metrics bit-equality)"
 	go test -race -run 'Scratch|Ordering|Ranks' ./internal/metrics/
 	echo "==> go test -race -run WAL (ingest durability + replication log)"
 	go test -race -run 'WAL|WireSize|ReplState' ./internal/ingest/
-	echo "==> go test -race (admission control + replica serving policy)"
-	go test -race -run 'Admission|Backpressure|Deadline|Replica|RateLimiter|MaxRPS' ./internal/service/
+	echo "==> go test -race (admission control, replica serving policy, top pages)"
+	go test -race -run 'Admission|Backpressure|Deadline|Replica|RateLimiter|MaxRPS|Explain|TopPage' ./internal/service/
 	echo "==> go test -race -short (replication follower)"
 	go test -race -short -run 'Follower' ./internal/replication/
 	echo "==> go test -race (incremental push path: kernel, overlay, metamorphic, ingest, replication)"
@@ -72,7 +72,7 @@ if [ "${1:-}" = "fuzz" ]; then
 		echo "==> go test -fuzz $target (dataio)"
 		go test -run "^${target}\$" -fuzz "^${target}\$" -fuzztime 5s ./internal/dataio/
 	done
-	for target in FuzzTopQuery FuzzCompareQuery FuzzPaperID FuzzImpactID FuzzImpactBatch; do
+	for target in FuzzTopQuery FuzzCompareQuery FuzzPaperID FuzzImpactID FuzzImpactBatch FuzzWriteBody; do
 		echo "==> go test -fuzz $target (service)"
 		go test -run "^${target}\$" -fuzz "^${target}\$" -fuzztime 5s ./internal/service/
 	done
