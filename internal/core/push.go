@@ -15,15 +15,16 @@ import (
 //
 //	x = α·S·x + β·a + γ·t            (Eq. 4)
 //
-// each accepted mutation perturbs S (a citation renormalizes the citing
-// paper's column), a (a window citation shifts attention mass) or t (a
-// new paper renormalizes recency). The Pusher expresses every sparse
-// part of those perturbations as residual seeds and settles them locally;
-// every dense-but-tiny part (renormalizations, dangling uniform columns)
-// goes to the kernel's L1 ledger so Bound() stays an honest bound on
-// ‖x − x*‖₁. When a batch is too global — the clock advances, budgets
-// blow, the attention window was empty — the updater refuses with
-// ErrNeedFull and the caller reconciles with the full power method.
+// each accepted citation perturbs S (it renormalizes the citing paper's
+// column) and, when the citing paper is in the attention window, a (it
+// shifts attention mass). New papers are never pushed: a batch holding
+// one takes the full path. The Pusher expresses every sparse part of
+// those perturbations as residual seeds and settles them locally; every
+// dense-but-tiny part (renormalizations, dangling uniform columns) goes
+// to the kernel's L1 ledger so Bound() stays an honest bound on
+// ‖x − x*‖₁. When a batch is too global — budgets blow, the attention
+// window was empty — the updater refuses with ErrNeedFull and the
+// caller reconciles with the full power method.
 //
 // Everything here is deterministic and serial: two Pushers fed the same
 // event sequence produce bit-identical scores, which is what lets a
@@ -119,8 +120,6 @@ type Pusher struct {
 	from int // attention window start, now−y+1
 
 	attTotal float64 // citations made by window papers (T of Eq. 2)
-	recSum   float64 // Σ exp(w·age) over current nodes (Z of Eq. 3)
-	recReady bool    // recSum computed (lazily, on the first AddPaper)
 
 	applied int
 }
@@ -171,9 +170,6 @@ func (pu *Pusher) Now() int { return pu.now }
 // Applied returns how many mutations have been absorbed since seeding.
 func (pu *Pusher) Applied() int { return pu.applied }
 
-// N returns the current node count (base plus overlay papers).
-func (pu *Pusher) N() int { return pu.ov.N() }
-
 // Bound returns the current ‖x − x*‖₁ bound.
 func (pu *Pusher) Bound() float64 { return pu.eng.Bound() }
 
@@ -184,8 +180,8 @@ func (pu *Pusher) Scores() []float64 { return pu.eng.Scores() }
 // CopyScores snapshots the current approximate scores.
 func (pu *Pusher) CopyScores() []float64 { return pu.eng.CopyScores() }
 
-// AddCitation absorbs one citation edge citing→cited (overlay node
-// indices). The perturbation has two parts: the α·S column
+// AddCitation absorbs one citation edge citing→cited (node indices of
+// the base network). The perturbation has two parts: the α·S column
 // renormalization of the citing paper, and — when the citing paper
 // publishes inside the attention window — the β·a attention shift.
 // Errors (self-citation, duplicate, out of range) leave the state
@@ -254,46 +250,6 @@ func (pu *Pusher) AddCitation(citing, cited int32) error {
 	}
 	pu.applied++
 	return nil
-}
-
-// AddPaper absorbs one new (danging, so far uncited) paper and returns
-// its overlay node index. A paper from the future would advance the
-// ranking clock and rescale every age — that is a full re-rank, reported
-// as ErrNeedFull before any state changes.
-func (pu *Pusher) AddPaper(year int) (int32, error) {
-	if year > pu.now {
-		return -1, fmt.Errorf("core: paper year %d advances the clock past %d: %w", year, pu.now, ErrNeedFull)
-	}
-	idx := pu.ov.AddPaper(year)
-	pu.eng.Grow()
-	n1 := float64(pu.ov.N())
-	if pu.p.Gamma > 0 {
-		if !pu.recReady {
-			// Z of Eq. 3 over the pre-existing nodes, one deterministic
-			// pass, paid once on the first new paper.
-			for i := int32(0); int(i) < int(idx); i++ {
-				pu.recSum += math.Exp(pu.p.W * float64(pu.now-pu.ov.Year(i)))
-			}
-			pu.recReady = true
-		}
-		wp := math.Exp(pu.p.W * float64(pu.now-year))
-		pu.recSum += wp
-		// t rescales by Z_old/Z_new (ledger) and gains w_p/Z_new at the
-		// new paper (exact sparse seed).
-		pu.eng.AddResidual(idx, pu.p.Gamma*wp/pu.recSum)
-		pu.eng.AddLedger(pu.p.Gamma * wp / pu.recSum)
-	}
-	if pu.p.Beta > 0 && pu.p.AttentionYears > 0 && pu.attTotal == 0 {
-		// Uniform attention fallback resizes from n to n+1 entries.
-		pu.eng.AddLedger(2 * pu.p.Beta / n1)
-	}
-	if pu.p.Alpha > 0 {
-		// Every dangling column's uniform spread resizes 1/n → 1/(n+1);
-		// total perturbation ≤ α·(Σ dangling x)·2/(n+1) ≤ α·2/(n+1)·(1+bound).
-		pu.eng.AddLedger(pu.p.Alpha * 2 / n1 * (1 + pu.eng.Bound()))
-	}
-	pu.applied++
-	return idx, nil
 }
 
 // Settle drains the seeded residual down to cfg.Tol and checks the

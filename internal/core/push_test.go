@@ -20,37 +20,21 @@ func unboundedPush(tol float64) PushConfig {
 	return PushConfig{Tol: tol, MaxResidual: -1, MaxTouchedFrac: -1, MaxPushes: -1}
 }
 
-// pushMut is one recorded mutation, replayable against a Pusher and
+// pushMut is one recorded citation, replayable against a Pusher and
 // against a compacting builder.
 type pushMut struct {
-	paper  bool
-	year   int
 	citing int32
 	cited  int32
 }
 
-// applyRandomMuts drives pu through a random mix of valid new papers and
-// citations and returns the accepted sequence.
+// applyRandomMuts drives pu through random valid citations and returns
+// the accepted sequence.
 func applyRandomMuts(t *testing.T, pu *Pusher, rng *rand.Rand, count int) []pushMut {
 	t.Helper()
-	base := pu.Base()
-	n := int32(pu.N())
+	n := pu.Base().N()
 	var muts []pushMut
 	for tries := 0; len(muts) < count && tries < 100*count; tries++ {
-		if rng.Intn(5) == 0 {
-			year := base.MaxYear() - rng.Intn(4)
-			idx, err := pu.AddPaper(year)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n++
-			if idx != n-1 {
-				t.Fatalf("AddPaper index %d, want %d", idx, n-1)
-			}
-			muts = append(muts, pushMut{paper: true, year: year})
-			continue
-		}
-		citing, cited := int32(rng.Intn(int(n))), int32(rng.Intn(int(n)))
+		citing, cited := int32(rng.Intn(n)), int32(rng.Intn(n))
 		if err := pu.AddCitation(citing, cited); err != nil {
 			continue // invalid pick (self/dup/…): state untouched, try again
 		}
@@ -62,21 +46,12 @@ func applyRandomMuts(t *testing.T, pu *Pusher, rng *rand.Rand, count int) []push
 	return muts
 }
 
-// compactMuts rebuilds base+muts through the builder, mirroring the
-// overlay's index assignment.
+// compactMuts rebuilds base+muts through the builder.
 func compactMuts(t *testing.T, base *graph.Network, muts []pushMut) *graph.Network {
 	t.Helper()
 	b := graph.NewBuilderFrom(base)
-	extra := 0
 	for _, m := range muts {
-		if m.paper {
-			if _, err := b.AddPaper(fmt.Sprintf("push-extra-%d", extra), m.year, nil, ""); err != nil {
-				t.Fatal(err)
-			}
-			extra++
-		} else {
-			b.AddEdgeByIndex(m.citing, m.cited)
-		}
+		b.AddEdgeByIndex(m.citing, m.cited)
 	}
 	net, err := b.Build()
 	if err != nil {
@@ -157,11 +132,7 @@ func TestPushDeterministicReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range muts {
-		if m.paper {
-			if _, err := b.AddPaper(m.year); err != nil {
-				t.Fatal(err)
-			}
-		} else if err := b.AddCitation(m.citing, m.cited); err != nil {
+		if err := b.AddCitation(m.citing, m.cited); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,8 +150,8 @@ func TestPushDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestPushAdversarialBatches: dangling citers, empty attention windows,
-// papers added then immediately cited — the structurally nasty cases.
+// TestPushAdversarialBatches: dangling citers and empty attention
+// windows — the structurally nasty cases.
 func TestPushAdversarialBatches(t *testing.T) {
 	p := pushParams()
 
@@ -263,44 +234,9 @@ func TestPushAdversarialBatches(t *testing.T) {
 			t.Fatalf("deviation %.3g exceeds bound %.3g", dev, st.Bound)
 		}
 	})
-
-	t.Run("new-paper-then-cite-it", func(t *testing.T) {
-		base := randomNet(t, 5, 40)
-		now := base.MaxYear()
-		exact0, err := Rank(base, now, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pu, err := NewPusher(base, now, p, unboundedPush(1e-10), exact0.Scores)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx, err := pu.AddPaper(now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		muts := []pushMut{{paper: true, year: now}, {citing: idx, cited: 0}, {citing: 1, cited: idx}}
-		for _, m := range muts[1:] {
-			if err := pu.AddCitation(m.citing, m.cited); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st, err := pu.Settle()
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact, err := Rank(compactMuts(t, base, muts), now, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dev := l1(pu.Scores(), exact.Scores); dev > st.Bound+1e-9 {
-			t.Fatalf("deviation %.3g exceeds bound %.3g", dev, st.Bound)
-		}
-	})
 }
 
-// TestPushRejections: invalid mutations error without corrupting state,
-// and out-of-scope ones report ErrNeedFull.
+// TestPushRejections: invalid citations error without corrupting state.
 func TestPushRejections(t *testing.T) {
 	base := randomNet(t, 1, 30)
 	now := base.MaxYear()
@@ -318,9 +254,6 @@ func TestPushRejections(t *testing.T) {
 	}
 	if err := pu.AddCitation(0, 9999); err == nil {
 		t.Error("out-of-range citation accepted")
-	}
-	if _, err := pu.AddPaper(now + 1); !errors.Is(err, ErrNeedFull) {
-		t.Errorf("future paper: err = %v, want ErrNeedFull", err)
 	}
 	// Find one existing edge and replay it: must be rejected.
 	var dupFrom, dupTo int32 = -1, -1

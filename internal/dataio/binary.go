@@ -113,21 +113,27 @@ func ReadBinary(r io.Reader) (*graph.Network, error) {
 		return string(buf), nil
 	}
 
-	authorNames := make([]string, numAuthors)
-	for i := range authorNames {
-		s, err := readStr()
-		if err != nil {
-			return nil, fmt.Errorf("dataio: binary author %d: %w", i, err)
+	// The header's counts are claims, not data: the name tables grow as
+	// names arrive, so a few corrupt header bytes cannot demand
+	// gigabytes before the first read fails.
+	readNames := func(what string, count uint32) ([]string, error) {
+		names := make([]string, 0, min(count, 1<<12))
+		for i := uint32(0); i < count; i++ {
+			s, err := readStr()
+			if err != nil {
+				return nil, fmt.Errorf("dataio: binary %s %d: %w", what, i, err)
+			}
+			names = append(names, s)
 		}
-		authorNames[i] = s
+		return names, nil
 	}
-	venueNames := make([]string, numVenues)
-	for i := range venueNames {
-		s, err := readStr()
-		if err != nil {
-			return nil, fmt.Errorf("dataio: binary venue %d: %w", i, err)
-		}
-		venueNames[i] = s
+	authorNames, err := readNames("author", numAuthors)
+	if err != nil {
+		return nil, err
+	}
+	venueNames, err := readNames("venue", numVenues)
+	if err != nil {
+		return nil, err
 	}
 
 	b := graph.NewBuilder()

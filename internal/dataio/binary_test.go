@@ -2,9 +2,11 @@ package dataio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -80,6 +82,32 @@ func TestBinaryRejectsTruncation(t *testing.T) {
 		}
 		if _, err := ReadBinary(bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
+		}
+	}
+}
+
+// TestBinaryHeaderCountsAreNotAllocations: a 24-byte body whose header
+// claims the maximum author and venue counts used to allocate their
+// name tables up front — 4 GiB each — before the first read failed.
+// It must fail cheaply instead.
+func TestBinaryHeaderCountsAreNotAllocations(t *testing.T) {
+	for _, counts := range [][2]uint32{{1 << 28, 0}, {0, 1 << 28}} {
+		var b bytes.Buffer
+		b.WriteString(binaryMagic)
+		for _, v := range []any{uint32(0), counts[0], counts[1], uint64(0)} {
+			if err := binary.Write(&b, binary.LittleEndian, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		size := b.Len()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ReadBinary(&b); err == nil {
+			t.Fatalf("counts %v with no names accepted", counts)
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("counts %v: rejecting a %d-byte body allocated %d bytes", counts, size, grew)
 		}
 	}
 }

@@ -83,9 +83,6 @@ var (
 	cache   = make(map[string]Dataset)
 )
 
-// DatasetNames lists the dataset names in the paper's order.
-func DatasetNames() []string { return []string{"hep-th", "aps", "pmc", "dblp"} }
-
 // TestRatios lists the §4.1 test ratios.
 func TestRatios() []float64 { return []float64{1.2, 1.4, 1.6, 1.8, 2.0} }
 

@@ -68,9 +68,6 @@ func NewBuilderFrom(net *Network) *Builder {
 	return b
 }
 
-// NumPapers returns the number of papers added so far.
-func (b *Builder) NumPapers() int { return len(b.papers) }
-
 // AddPaper registers a paper with named authors and venue ("" for none).
 // It returns the node index, or an error for a duplicate ID.
 func (b *Builder) AddPaper(id string, year int, authorNames []string, venueName string) (int32, error) {

@@ -4,54 +4,9 @@ import "sort"
 
 // Co-citation and bibliographic coupling are the two classic relatedness
 // measures on citation networks (Small 1973; Kessler 1963). They power
-// "related papers" features: two papers are related when they are often
-// cited together (co-citation) or cite the same prior work (coupling).
-
-// CoCitation returns the number of papers that cite both a and b.
-func (n *Network) CoCitation(a, b int32) int {
-	return countCommon(n.citers[n.citPtr[a]:n.citPtr[a+1]], n.citers[n.citPtr[b]:n.citPtr[b+1]])
-}
-
-// Coupling returns the number of papers referenced by both a and b
-// (bibliographic coupling strength).
-func (n *Network) Coupling(a, b int32) int {
-	ra := n.refs[n.refPtr[a]:n.refPtr[a+1]]
-	rb := n.refs[n.refPtr[b]:n.refPtr[b+1]]
-	// Reference lists are not sorted; use a set over the smaller one.
-	if len(ra) > len(rb) {
-		ra, rb = rb, ra
-	}
-	set := make(map[int32]struct{}, len(ra))
-	for _, r := range ra {
-		set[r] = struct{}{}
-	}
-	count := 0
-	for _, r := range rb {
-		if _, ok := set[r]; ok {
-			count++
-		}
-	}
-	return count
-}
-
-// countCommon intersects two citer slices. Citers are sorted by year then
-// index, not by index, so use a set.
-func countCommon(a, b []int32) int {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	set := make(map[int32]struct{}, len(a))
-	for _, x := range a {
-		set[x] = struct{}{}
-	}
-	count := 0
-	for _, x := range b {
-		if _, ok := set[x]; ok {
-			count++
-		}
-	}
-	return count
-}
+// the "related papers" feature: two papers are related when they are
+// often cited together (co-citation) or cite the same prior work
+// (coupling).
 
 // Related scores one paper's relatedness to others.
 type Related struct {

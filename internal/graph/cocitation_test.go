@@ -32,39 +32,6 @@ func relNet(t *testing.T) *Network {
 	return n
 }
 
-func TestCoCitation(t *testing.T) {
-	n := relNet(t)
-	a, _ := n.Lookup("a")
-	b, _ := n.Lookup("b")
-	r3, _ := n.Lookup("r3")
-	if got := n.CoCitation(a, b); got != 2 {
-		t.Errorf("CoCitation(a,b) = %d, want 2", got)
-	}
-	if got := n.CoCitation(a, r3); got != 0 {
-		t.Errorf("CoCitation(a,r3) = %d, want 0", got)
-	}
-	// Symmetry.
-	if n.CoCitation(a, b) != n.CoCitation(b, a) {
-		t.Error("co-citation not symmetric")
-	}
-}
-
-func TestCoupling(t *testing.T) {
-	n := relNet(t)
-	r1, _ := n.Lookup("r1")
-	r2, _ := n.Lookup("r2")
-	r3, _ := n.Lookup("r3")
-	if got := n.Coupling(r1, r2); got != 2 {
-		t.Errorf("Coupling(r1,r2) = %d, want 2", got)
-	}
-	if got := n.Coupling(r1, r3); got != 1 { // share only "a"
-		t.Errorf("Coupling(r1,r3) = %d, want 1", got)
-	}
-	if n.Coupling(r1, r2) != n.Coupling(r2, r1) {
-		t.Error("coupling not symmetric")
-	}
-}
-
 func TestRelatedPapers(t *testing.T) {
 	n := relNet(t)
 	a, _ := n.Lookup("a")

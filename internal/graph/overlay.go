@@ -3,24 +3,23 @@ package graph
 import "fmt"
 
 // Overlay is a mutable out-adjacency view over an immutable base Network
-// plus an uncompacted fringe: extra citation edges and extra papers that
-// have been accepted by the ingester but not yet compacted by
-// NewBuilderFrom + Build. It implements sparse.PushGraph, giving the
-// incremental-ranking push kernel (DESIGN.md §14) the current graph
-// without paying a compaction per write.
+// plus an uncompacted fringe of extra citation edges that have been
+// accepted by the ingester but not yet compacted by NewBuilderFrom +
+// Build. It implements sparse.PushGraph, giving the incremental-ranking
+// push kernel (DESIGN.md §14) the current graph without paying a
+// compaction per write.
 //
-// Node indexing matches what the eventual compaction will produce:
-// base papers keep their indices (NewBuilderFrom appends, never
-// renumbers) and overlay papers take base.N(), base.N()+1, … in arrival
-// order. Reference iteration order is deterministic — base references
-// first (CSR order), then fringe edges in arrival order — which the
-// replication follower relies on to replay pushes bit-for-bit.
+// The overlay adds no papers — a batch with a new paper takes the full
+// path — so node indices are the base's, which the eventual compaction
+// keeps (NewBuilderFrom appends, never renumbers). Reference iteration
+// order is deterministic — base references first (CSR order), then
+// fringe edges in arrival order — which the replication follower relies
+// on to replay pushes bit-for-bit.
 //
 // An Overlay is not safe for concurrent use; like the Pusher that owns
 // it, it lives on the ingest scheduler goroutine.
 type Overlay struct {
 	base  *Network
-	years []int             // overlay papers, node index base.N()+k
 	extra map[int32][]int32 // per-node fringe references, arrival order
 	edges int
 }
@@ -33,38 +32,22 @@ func NewOverlay(base *Network) *Overlay {
 // Base returns the underlying immutable network.
 func (o *Overlay) Base() *Network { return o.base }
 
-// N returns the node count including overlay papers.
-func (o *Overlay) N() int { return o.base.N() + len(o.years) }
-
-// ExtraPapers returns the number of uncompacted papers in the fringe.
-func (o *Overlay) ExtraPapers() int { return len(o.years) }
+// N returns the node count (the base's: the fringe holds edges only).
+func (o *Overlay) N() int { return o.base.N() }
 
 // ExtraEdges returns the number of uncompacted edges in the fringe.
 func (o *Overlay) ExtraEdges() int { return o.edges }
 
-// Year returns the publication year of node i (base or overlay).
-func (o *Overlay) Year(i int32) int {
-	if int(i) < o.base.N() {
-		return o.base.Year(i)
-	}
-	return o.years[int(i)-o.base.N()]
-}
+// Year returns the publication year of node i.
+func (o *Overlay) Year(i int32) int { return o.base.Year(i) }
 
 // OutDegree returns node i's reference count, fringe included.
-func (o *Overlay) OutDegree(i int32) int {
-	d := len(o.extra[i])
-	if int(i) < o.base.N() {
-		d += o.base.OutDegree(i)
-	}
-	return d
-}
+func (o *Overlay) OutDegree(i int32) int { return o.base.OutDegree(i) + len(o.extra[i]) }
 
 // References calls fn for every reference of node i: the base CSR
 // segment first, then fringe edges in arrival order.
 func (o *Overlay) References(i int32, fn func(ref int32)) {
-	if int(i) < o.base.N() {
-		o.base.References(i, fn)
-	}
+	o.base.References(i, fn)
 	for _, ref := range o.extra[i] {
 		fn(ref)
 	}
@@ -72,7 +55,7 @@ func (o *Overlay) References(i int32, fn func(ref int32)) {
 
 // HasEdge reports whether citing→cited exists in the base or the fringe.
 func (o *Overlay) HasEdge(citing, cited int32) bool {
-	if int(citing) < o.base.N() && int(cited) < o.base.N() && o.base.HasEdge(citing, cited) {
+	if o.base.HasEdge(citing, cited) {
 		return true
 	}
 	for _, ref := range o.extra[citing] {
@@ -81,12 +64,6 @@ func (o *Overlay) HasEdge(citing, cited int32) bool {
 		}
 	}
 	return false
-}
-
-// AddPaper appends an overlay paper and returns its node index.
-func (o *Overlay) AddPaper(year int) int32 {
-	o.years = append(o.years, year)
-	return int32(o.N() - 1)
 }
 
 // AddEdge appends a fringe edge citing→cited. Self-citations, duplicate

@@ -15,7 +15,6 @@ import (
 	"attrank/internal/dataio"
 	"attrank/internal/graph"
 	"attrank/internal/impact"
-	"attrank/internal/metrics"
 )
 
 // Default debounce and snapshot policy, used when Config leaves the
@@ -117,18 +116,6 @@ type Ranking struct {
 	// forward: classes are as-of that epoch, with staleness advertised
 	// by Incremental/Staleness above.
 	Impact *impact.Epoch
-}
-
-// Index returns a ranking's order (node indices by score descending,
-// ties by ascending index) and its inverse, the 0-based position of
-// every node: the two read-side indexes every published Ranking carries.
-func Index(scores []float64) (order, positions []int) {
-	order = metrics.Ordering(scores)
-	positions = make([]int, len(order))
-	for pos, idx := range order {
-		positions[idx] = pos
-	}
-	return order, positions
 }
 
 // Status reports the ingester's operational state for monitoring.
@@ -752,41 +739,15 @@ func (ing *Ingester) rerank(forceFull bool) error {
 	cur := ing.storeCursor()
 	ing.mu.Unlock()
 
-	net := base
-	if upTo > 0 {
-		b := graph.NewBuilderFrom(base)
-		for _, m := range deltaPrefix {
-			switch m.Kind {
-			case KindPaper:
-				if _, err := b.AddPaper(m.Paper.ID, m.Paper.Year, m.Paper.Authors, m.Paper.Venue); err != nil {
-					return fmt.Errorf("compacting: %w", err)
-				}
-			case KindCitation:
-				b.AddEdge(m.Citation.Citing, m.Citation.Cited)
-			}
-		}
-		var err error
-		net, err = b.Build()
-		if err != nil {
-			return fmt.Errorf("compacting: %w", err)
-		}
+	net, err := Compact(base, deltaPrefix)
+	if err != nil {
+		return fmt.Errorf("compacting: %w", err)
 	}
-
 	res, err := ing.tracker.Update(net, now)
 	if err != nil {
 		return err
 	}
-	order, positions := Index(res.Scores)
-	r := &Ranking{
-		Epoch:     e,
-		Net:       net,
-		Result:    res,
-		Order:     order,
-		Positions: positions,
-		Stats:     net.ComputeStats(),
-		RankedAt:  now,
-		Impact:    impact.ForRanking(net, res.Scores, now, ing.cfg.Impact, ing.logf),
-	}
+	r := FullRanking(e, net, res, now, ing.cfg.Impact, ing.logf)
 
 	ing.mu.Lock()
 	ing.base = net
@@ -891,20 +852,11 @@ func (ing *Ingester) tryPushLocked(now, upTo int, started time.Time) bool {
 			return false
 		}
 	}
-	for _, m := range newMuts {
-		ci, okc := ing.base.Lookup(m.Citation.Citing)
-		ti, okt := ing.base.Lookup(m.Citation.Cited)
-		if !okc || !okt {
-			ing.pusher = nil
-			mPushFallbacksTotal.Inc()
-			return false
-		}
-		if err := pu.AddCitation(ci, ti); err != nil {
-			ing.logf("ingest: push apply: %v", err)
-			ing.pusher = nil
-			mPushFallbacksTotal.Inc()
-			return false
-		}
+	if err := PushCitations(pu, ing.base, newMuts); err != nil {
+		ing.logf("ingest: push apply: %v", err)
+		ing.pusher = nil
+		mPushFallbacksTotal.Inc()
+		return false
 	}
 	st, err := pu.Settle()
 	if err != nil {
@@ -928,40 +880,12 @@ func (ing *Ingester) tryPushLocked(now, upTo int, started time.Time) bool {
 	ing.pushed = upTo
 	ing.pushStreak++
 	ing.firstPending = time.Time{}
-	scores := pu.CopyScores()
-	bound := pu.Bound()
 	ing.mu.Unlock()
 
-	order, positions := Index(scores)
-	// Stats: last full epoch's, with the edge counters advanced for the
-	// whole pushed backlog (degree-distribution fields stay as compacted;
-	// the reconciling full epoch recomputes everything exactly).
-	stats := lastFull.Stats
-	stats.Edges = lastFull.Stats.Edges + upTo
-	if stats.Papers > 0 {
-		stats.MeanOutDeg = float64(stats.Edges) / float64(stats.Papers)
-	}
-	res := &core.Result{
-		Scores:     scores,
-		Iterations: st.Pushes,
-		Converged:  true,
-		Residuals:  []float64{bound},
-		Attention:  lastFull.Result.Attention,
-		Recency:    lastFull.Result.Recency,
-		Duration:   time.Since(started),
-	}
-	r := &Ranking{
-		Epoch:       e,
-		Net:         lastFull.Net,
-		Result:      res,
-		Order:       order,
-		Positions:   positions,
-		Stats:       stats,
-		RankedAt:    now,
-		Incremental: true,
-		Staleness:   bound,
-		Impact:      lastFull.Impact,
-	}
+	// The scheduler goroutine is pu's only user, so it is read unlocked.
+	r := lastFull.Pushed(e, pu, st.Pushes, upTo)
+	r.Result.Duration = time.Since(started)
+	bound := r.Staleness
 	mPushEpochsTotal.Inc()
 	mPushSeconds.ObserveSince(started)
 	mPushPushes.Observe(float64(st.Pushes))

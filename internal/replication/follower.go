@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -17,7 +16,6 @@ import (
 	"time"
 
 	"attrank/internal/core"
-	"attrank/internal/dataio"
 	"attrank/internal/graph"
 	"attrank/internal/impact"
 	"attrank/internal/ingest"
@@ -345,30 +343,12 @@ func (f *Follower) bootstrap() error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("bootstrap: leader answered %s", resp.Status)
 	}
-	br := bufio.NewReaderSize(resp.Body, 1<<16)
-	line, err := br.ReadBytes('\n')
+	hdr, net, vecs, err := readState(bufio.NewReaderSize(resp.Body, 1<<16))
 	if err != nil {
-		return fmt.Errorf("bootstrap header: %w", err)
-	}
-	var hdr stateHeader
-	if err := json.Unmarshal(line, &hdr); err != nil {
-		return fmt.Errorf("bootstrap header: %w", err)
+		return fmt.Errorf("bootstrap %w", err)
 	}
 	if f.cfg.Expect != nil && !wireParamsOf(*f.cfg.Expect).equalRanking(hdr.Params) {
 		return fmt.Errorf("bootstrap: leader params %+v differ from expected %+v", hdr.Params, wireParamsOf(*f.cfg.Expect))
-	}
-	net, err := dataio.ReadBinary(br)
-	if err != nil {
-		return fmt.Errorf("bootstrap corpus: %w", err)
-	}
-	if net.N() != hdr.Papers {
-		return fmt.Errorf("bootstrap: corpus has %d papers, header says %d", net.N(), hdr.Papers)
-	}
-	vecs := make([][]float64, 3)
-	for i := range vecs {
-		if vecs[i], err = readVector(br, net.N()); err != nil {
-			return fmt.Errorf("bootstrap vectors: %w", err)
-		}
 	}
 	f.impactCfg = hdr.Impact.config(f.cfg.Workers)
 	if err := f.seedChain(net, hdr.Params, vecs[0], vecs[1], vecs[2], hdr.Epoch, hdr.RankedAt); err != nil {
@@ -530,49 +510,30 @@ func (f *Follower) applyMarker(mark ingest.EpochMark) error {
 	if int(mark.Count) != len(f.delta)-f.applied {
 		return resyncf("marker for epoch %d covers %d mutations, %d buffered", mark.Epoch, mark.Count, len(f.delta)-f.applied)
 	}
-	net := f.base
-	if len(f.delta) > 0 {
-		b := graph.NewBuilderFrom(f.base)
-		for _, m := range f.delta {
-			switch m.Kind {
-			case ingest.KindPaper:
-				if _, err := b.AddPaper(m.Paper.ID, m.Paper.Year, m.Paper.Authors, m.Paper.Venue); err != nil {
-					return resyncf("compacting shipped mutations: %v", err)
-				}
-			case ingest.KindCitation:
-				b.AddEdge(m.Citation.Citing, m.Citation.Cited)
-			}
-		}
-		var err error
-		if net, err = b.Build(); err != nil {
-			return resyncf("compacting shipped mutations: %v", err)
-		}
+	net, err := ingest.Compact(f.base, f.delta)
+	if err != nil {
+		return resyncf("compacting shipped mutations: %v", err)
 	}
 	res, err := f.tracker.Update(net, mark.RankedAt)
 	if err != nil {
 		return fmt.Errorf("ranking epoch %d: %w", mark.Epoch, err)
 	}
-	order, positions := ingest.Index(res.Scores)
 	f.base, f.delta = net, nil
 	f.applied, f.pusher = 0, nil
 	f.epochV, f.rankedAt = mark.Epoch, mark.RankedAt
 	f.markerLeaderOff, f.markerLocalOff = f.streamOff, f.localWALOff
-	r := &ingest.Ranking{
-		Epoch:     mark.Epoch,
-		Net:       net,
-		Result:    res,
-		Order:     order,
-		Positions: positions,
-		Stats:     net.ComputeStats(),
-		RankedAt:  mark.RankedAt,
-		Impact:    impact.ForRanking(net, res.Scores, mark.RankedAt, f.impactCfg, f.logf),
-	}
-	f.lastFull = r
-	f.ranking.Store(r)
-	f.localEpochA.Store(mark.Epoch)
+	f.publishFull(ingest.FullRanking(mark.Epoch, net, res, mark.RankedAt, f.impactCfg, f.logf))
 	mEpochsApplied.Inc()
 	f.observeLag()
 	return nil
+}
+
+// publishFull publishes a full (exact) epoch and makes it the anchor of
+// the push replay that may follow.
+func (f *Follower) publishFull(r *ingest.Ranking) {
+	f.lastFull = r
+	f.ranking.Store(r)
+	f.localEpochA.Store(r.Epoch)
 }
 
 // applyPushMarker replays one incremental (push) epoch: feed the new
@@ -603,54 +564,16 @@ func (f *Follower) applyPushMarker(mark ingest.EpochMark) error {
 		}
 		f.pusher = pu
 	}
-	for _, m := range newMuts {
-		if m.Kind != ingest.KindCitation {
-			return resyncf("push marker for epoch %d covers a non-citation mutation", mark.Epoch)
-		}
-		ci, okc := f.base.Lookup(m.Citation.Citing)
-		ti, okt := f.base.Lookup(m.Citation.Cited)
-		if !okc || !okt {
-			return resyncf("push epoch %d cites unknown paper %q→%q", mark.Epoch, m.Citation.Citing, m.Citation.Cited)
-		}
-		if err := f.pusher.AddCitation(ci, ti); err != nil {
-			return resyncf("push epoch %d: %v", mark.Epoch, err)
-		}
+	if err := ingest.PushCitations(f.pusher, f.base, newMuts); err != nil {
+		return resyncf("push epoch %d: %v", mark.Epoch, err)
 	}
 	st, err := f.pusher.Settle()
 	if err != nil {
 		return resyncf("push epoch %d settle: %v", mark.Epoch, err)
 	}
-	scores := f.pusher.CopyScores()
-	bound := f.pusher.Bound()
-	order, positions := ingest.Index(scores)
 	f.applied = len(f.delta)
 	f.epochV = mark.Epoch
-	// Mirror the leader's push publication (ingest.tryPushLocked) so the
-	// whole Ranking — not just the scores — matches.
-	stats := f.lastFull.Stats
-	stats.Edges = f.lastFull.Stats.Edges + f.applied
-	if stats.Papers > 0 {
-		stats.MeanOutDeg = float64(stats.Edges) / float64(stats.Papers)
-	}
-	f.ranking.Store(&ingest.Ranking{
-		Epoch: mark.Epoch,
-		Net:   f.lastFull.Net,
-		Result: &core.Result{
-			Scores:     scores,
-			Iterations: st.Pushes,
-			Converged:  true,
-			Residuals:  []float64{bound},
-			Attention:  f.lastFull.Result.Attention,
-			Recency:    f.lastFull.Result.Recency,
-		},
-		Order:       order,
-		Positions:   positions,
-		Stats:       stats,
-		RankedAt:    mark.RankedAt,
-		Incremental: true,
-		Staleness:   bound,
-		Impact:      f.lastFull.Impact,
-	})
+	f.ranking.Store(f.lastFull.Pushed(mark.Epoch, f.pusher, st.Pushes, f.applied))
 	f.localEpochA.Store(mark.Epoch)
 	mEpochsApplied.Inc()
 	mPushEpochsApplied.Inc()

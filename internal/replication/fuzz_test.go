@@ -1,8 +1,11 @@
 package replication
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"io"
+	"net/http"
 	"testing"
 )
 
@@ -69,6 +72,48 @@ func FuzzReplFrame(f *testing.F) {
 			}
 			if used := payload[:len(payload)-vr.Len()]; !bytes.Equal(re.Bytes(), used) {
 				t.Fatalf("vector re-encodes to %x, consumed %x", re.Bytes(), used)
+			}
+		}
+	})
+}
+
+// FuzzReplState throws arbitrary bytes at the /repl/state decoder the
+// follower bootstraps from (readState: header line, .anb corpus, three
+// CRC-framed vectors). It must never panic, and an accepted body must
+// be self-consistent: a corpus of exactly the header's paper count and
+// three vectors of one value per paper. Seeded with a real leader's
+// body and truncations of it. Wired into verify.sh's fuzz mode.
+func FuzzReplState(f *testing.F) {
+	_, srv := startLeader(f)
+	resp, err := http.Get(srv.URL + statePath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		f.Fatalf("GET %s: %s, %v", statePath, resp.Status, err)
+	}
+	if _, _, _, err := readState(bufio.NewReader(bytes.NewReader(body))); err != nil {
+		f.Fatalf("a real leader's state body does not decode: %v", err)
+	}
+	f.Add(body)
+	header := bytes.IndexByte(body, '\n') + 1
+	for _, cut := range []int{0, header - 1, header, header + 8, len(body) - 40, len(body) - 4, len(body) - 1} {
+		f.Add(body[:cut])
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hdr, net, vecs, err := readState(bufio.NewReader(bytes.NewReader(data)))
+		if err != nil {
+			return
+		}
+		if net.N() != hdr.Papers {
+			t.Fatalf("accepted a corpus of %d papers under a header saying %d", net.N(), hdr.Papers)
+		}
+		for i, v := range vecs {
+			if len(v) != net.N() {
+				t.Fatalf("accepted vector %d with %d values for %d papers", i, len(v), net.N())
 			}
 		}
 	})

@@ -85,6 +85,7 @@ func TestFollowerReplaysImpactClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(f.Kill) // a failing test must not leave the stream open
 
 	// Bootstrap: the seeded boundary recomputes impact from shipped
 	// exact scores.
@@ -152,6 +153,7 @@ func TestImpactConfigSurvivesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(f.Kill) // a failing test must not leave the stream open
 	assertImpactIdentical(t, ing, f)
 	if err := f.Close(); err != nil { // clean shutdown persists state.json
 		t.Fatal(err)

@@ -124,6 +124,7 @@ func TestFollowerRecoversPushChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(f.Kill) // a failing test must not leave the stream open
 
 	leaderPush(t, ing, "s150", "s3")
 	leaderPush(t, ing, "s165", "s8")

@@ -19,7 +19,7 @@ func testParams() core.Params {
 	return core.Params{Alpha: 0.3, Beta: 0.4, Gamma: 0.3, AttentionYears: 3, W: -0.3}
 }
 
-func seedNet(t *testing.T) *graph.Network {
+func seedNet(t testing.TB) *graph.Network {
 	t.Helper()
 	b := graph.NewBuilder()
 	add := func(id string, year int, authors []string, venue string) {
@@ -44,7 +44,7 @@ func seedNet(t *testing.T) *graph.Network {
 // startLeader opens a live ingester over a fresh directory and serves
 // its replication endpoints. Debounce is pushed far out so tests drive
 // epochs explicitly with Flush.
-func startLeader(t *testing.T) (*ingest.Ingester, *httptest.Server) {
+func startLeader(t testing.TB) (*ingest.Ingester, *httptest.Server) {
 	t.Helper()
 	ing, err := ingest.Open(seedNet(t), ingest.Config{
 		Dir:         t.TempDir(),
@@ -92,8 +92,12 @@ func leaderWrite(t *testing.T, ing *ingest.Ingester, tag string, n int) {
 }
 
 // assertIdentical requires the follower's view at the leader's current
-// epoch to be bit-identical: same papers, same scores (==, not ≈), same
-// positions, same effective ranking time.
+// epoch to be the leader's Ranking, field for field: same papers, same
+// scores (==, not ≈), same positions and order (mapped through paper
+// IDs), same effective ranking time, corpus statistics, push flag,
+// staleness bound and impact presence, and — on every epoch the
+// follower replayed rather than seeded — the same convergence
+// diagnostics.
 func assertIdentical(t *testing.T, ing *ingest.Ingester, f *Follower) {
 	t.Helper()
 	lead := ing.Ranking()
@@ -123,6 +127,47 @@ func assertIdentical(t *testing.T, ing *ingest.Ingester, f *Follower) {
 			t.Fatalf("paper %q: leader rank %d, follower rank %d", id, lp, fp)
 		}
 	}
+	if len(loc.Order) != len(lead.Order) {
+		t.Fatalf("epoch %d: follower order has %d entries, leader %d", lead.Epoch, len(loc.Order), len(lead.Order))
+	}
+	for k := range lead.Order {
+		if lid, fid := lead.Net.Paper(int32(lead.Order[k])).ID, loc.Net.Paper(int32(loc.Order[k])).ID; lid != fid {
+			t.Fatalf("epoch %d position %d: leader paper %q, follower paper %q", lead.Epoch, k, lid, fid)
+		}
+	}
+	if loc.Stats != lead.Stats {
+		t.Fatalf("epoch %d: follower stats %+v, leader %+v", lead.Epoch, loc.Stats, lead.Stats)
+	}
+	if loc.Incremental != lead.Incremental || loc.Staleness != lead.Staleness {
+		t.Fatalf("epoch %d: follower Incremental=%v Staleness=%v, leader Incremental=%v Staleness=%v",
+			lead.Epoch, loc.Incremental, loc.Staleness, lead.Incremental, lead.Staleness)
+	}
+	if (loc.Impact == nil) != (lead.Impact == nil) {
+		t.Fatalf("epoch %d: follower has impact state %v, leader %v", lead.Epoch, loc.Impact != nil, lead.Impact != nil)
+	}
+	lr, fr := lead.Result, loc.Result
+	if !loc.Incremental && fr.Iterations == 0 {
+		// A bootstrap- or recovery-seeded epoch: /repl/state and the
+		// saved state ship vectors but no iteration count or residual
+		// trace, so the follower reports 0 iterations and no residuals
+		// there. Every replayed full epoch iterates at least once.
+		if !fr.Converged || fr.Residuals != nil {
+			t.Fatalf("epoch %d: seeded follower result Converged=%v Residuals=%v", lead.Epoch, fr.Converged, fr.Residuals)
+		}
+		return
+	}
+	if fr.Iterations != lr.Iterations || fr.Converged != lr.Converged {
+		t.Fatalf("epoch %d: follower %d iterations (converged %v), leader %d (converged %v)",
+			lead.Epoch, fr.Iterations, fr.Converged, lr.Iterations, lr.Converged)
+	}
+	if len(fr.Residuals) != len(lr.Residuals) {
+		t.Fatalf("epoch %d: follower %d residuals, leader %d", lead.Epoch, len(fr.Residuals), len(lr.Residuals))
+	}
+	for k := range lr.Residuals {
+		if fr.Residuals[k] != lr.Residuals[k] {
+			t.Fatalf("epoch %d residual %d: follower %v, leader %v", lead.Epoch, k, fr.Residuals[k], lr.Residuals[k])
+		}
+	}
 }
 
 func TestFollowerTracksLeaderBitIdentical(t *testing.T) {
@@ -150,6 +195,7 @@ func TestFollowerCrashRecoveryResumesWithoutResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(f.Kill) // a failing test must not leave the stream open
 	leaderWrite(t, ing, "before", 3)
 	assertIdentical(t, ing, f)
 	f.Kill() // crash: no state save
@@ -175,6 +221,7 @@ func TestFollowerGracefulRestartResumesWithoutResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(f.Kill) // a failing test must not leave the stream open
 	leaderWrite(t, ing, "a", 2)
 	assertIdentical(t, ing, f)
 	if err := f.Close(); err != nil {
@@ -301,6 +348,7 @@ func TestFollowerSurvivesStreamCutAtEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(f.Kill) // a failing test must not leave the stream open
 		leaderWrite(t, ing, fmt.Sprintf("cut%d", budget), 2)
 		assertIdentical(t, ing, f)
 		if got := f.Info().FullResyncs; got != 0 {

@@ -175,28 +175,16 @@ func (f *Follower) seedChain(net *graph.Network, wp wireParams, scores, att, rec
 	if err := tracker.Seed(net, scores); err != nil {
 		return err
 	}
-	res := &core.Result{Scores: scores, Attention: att, Recency: rec, Converged: true}
-	order, positions := ingest.Index(scores)
 	f.base, f.delta, f.tracker = net, nil, tracker
 	f.applied, f.pusher = 0, nil
 	f.wp = wp
 	f.params.Store(&params)
 	f.epochV, f.rankedAt = epoch, rankedAt
-	r := &ingest.Ranking{
-		Epoch:     epoch,
-		Net:       net,
-		Result:    res,
-		Order:     order,
-		Positions: positions,
-		Stats:     net.ComputeStats(),
-		RankedAt:  rankedAt,
-		Impact:    impact.ForRanking(net, scores, rankedAt, f.impactCfg, f.logf),
-	}
 	// The seeded state is always a full (exact) boundary: ReplState
 	// anchors bootstraps there, and saveState anchors recovery there.
-	f.lastFull = r
-	f.ranking.Store(r)
-	f.localEpochA.Store(epoch)
+	// Neither ships an iteration count, so the seeded Result reports 0.
+	res := &core.Result{Scores: scores, Attention: att, Recency: rec, Converged: true}
+	f.publishFull(ingest.FullRanking(epoch, net, res, rankedAt, f.impactCfg, f.logf))
 	return nil
 }
 

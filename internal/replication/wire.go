@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -9,6 +10,8 @@ import (
 	"math"
 
 	"attrank/internal/core"
+	"attrank/internal/dataio"
+	"attrank/internal/graph"
 	"attrank/internal/impact"
 )
 
@@ -209,6 +212,33 @@ func (wi *wireImpact) config(workersOverride int) impact.Config {
 
 func writeHeader(w io.Writer, hdr stateHeader) error {
 	return json.NewEncoder(w).Encode(hdr) // one line, '\n'-terminated
+}
+
+// readState parses a /repl/state body: the header line, the corpus
+// (whose size must match the header's Papers) and the scores,
+// attention and recency vectors, one value per paper each. br must
+// buffer at least 4 KiB, so that dataio.ReadBinary reads through it
+// rather than wrapping it and buffering past the corpus.
+func readState(br *bufio.Reader) (hdr stateHeader, net *graph.Network, vecs [3][]float64, err error) {
+	line, err := br.ReadBytes('\n')
+	if err != nil {
+		return hdr, nil, vecs, fmt.Errorf("header: %w", err)
+	}
+	if err := json.Unmarshal(line, &hdr); err != nil {
+		return hdr, nil, vecs, fmt.Errorf("header: %w", err)
+	}
+	if net, err = dataio.ReadBinary(br); err != nil {
+		return hdr, nil, vecs, fmt.Errorf("corpus: %w", err)
+	}
+	if net.N() != hdr.Papers {
+		return hdr, nil, vecs, fmt.Errorf("corpus has %d papers, header says %d", net.N(), hdr.Papers)
+	}
+	for i := range vecs {
+		if vecs[i], err = readVector(br, net.N()); err != nil {
+			return hdr, nil, vecs, fmt.Errorf("vectors: %w", err)
+		}
+	}
+	return hdr, net, vecs, nil
 }
 
 // writeVector emits one float64 vector as u32 length, the raw values

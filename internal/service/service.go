@@ -163,19 +163,9 @@ func (s *Server) refreshStatic() error {
 	if err != nil {
 		return err
 	}
-	order, positions := ingest.Index(res.Scores)
 	s.staticEpoch++
 	s.staticLastDur = time.Since(started)
-	s.staticView.Store(&ingest.Ranking{
-		Epoch:     s.staticEpoch,
-		Net:       s.net,
-		Result:    res,
-		Order:     order,
-		Positions: positions,
-		Stats:     s.net.ComputeStats(),
-		RankedAt:  s.now,
-		Impact:    impact.ForRanking(s.net, res.Scores, s.now, s.impactCfg, s.logf),
-	})
+	s.staticView.Store(ingest.FullRanking(s.staticEpoch, s.net, res, s.now, s.impactCfg, s.logf))
 	return nil
 }
 

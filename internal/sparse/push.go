@@ -92,9 +92,6 @@ func NewPusher(g PushGraph, alpha float64, scores []float64) (*Pusher, error) {
 	return p, nil
 }
 
-// N returns the current node count.
-func (p *Pusher) N() int { return len(p.x) }
-
 // X returns the current approximate score of node i.
 func (p *Pusher) X(i int32) float64 { return p.x[i] }
 
@@ -124,17 +121,6 @@ func (p *Pusher) Bound() float64 {
 		return math.Inf(1)
 	}
 	return (p.sumAbs + p.ledger) / (1 - p.alpha)
-}
-
-// Grow extends the state by one node (x = r = 0) and returns its index.
-// The caller grows the PushGraph first (graph.Overlay.AddPaper); the two
-// must agree on N before the next push.
-func (p *Pusher) Grow() int32 {
-	p.x = append(p.x, 0)
-	p.r = append(p.r, 0)
-	p.inQ = append(p.inQ, false)
-	p.touched = append(p.touched, false)
-	return int32(len(p.x) - 1)
 }
 
 func (p *Pusher) touch(i int32) {

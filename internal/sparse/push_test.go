@@ -219,33 +219,6 @@ func TestPushDanglingLedger(t *testing.T) {
 	}
 }
 
-// TestPushGrow: residual work at a node added after seeding must behave
-// like any other node.
-func TestPushGrow(t *testing.T) {
-	g := &pushTestGraph{refs: [][]int32{{1}, nil}}
-	p, err := NewPusher(g, 0.5, []float64{0.2, 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.refs = append(g.refs, []int32{0}) // new node 2 citing node 0
-	p.Grow()
-	p.AddResidual(2, 0.4)
-	if _, err := p.Settle(1e-12, 1<<20); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.X(2); math.Abs(got-0.4) > 1e-12 {
-		t.Fatalf("x[2] = %v, want ≈0.4", got)
-	}
-	// Node 2's push spread 0.5·0.4 to node 0, which cascades 0.5 of that
-	// to node 1 and so on; just require the invariant-level check.
-	if p.SumAbs() > 1e-12 {
-		t.Fatalf("sumAbs %.3g not drained", p.SumAbs())
-	}
-	if p.X(0) <= 0.2 {
-		t.Fatalf("x[0] = %v did not receive pushed mass", p.X(0))
-	}
-}
-
 // TestPusherValidation: constructor argument errors.
 func TestPusherValidation(t *testing.T) {
 	g := &pushTestGraph{refs: [][]int32{nil}}

@@ -17,8 +17,8 @@
 #                       seconds instead of minutes, for tight iteration
 #   ./verify.sh fuzz    short coverage-guided fuzz sessions for the
 #                       dataio readers, HTTP query parsing, the write
-#                       endpoints' bodies, the replication stream
-#                       decoders and the WAL record decoder
+#                       endpoints' bodies, the replication stream and
+#                       bootstrap decoders and the WAL record decoder
 #
 # Every mode also vets the nested benchmark module, which imports
 # the root module's internal packages: an API deletion here that breaks
@@ -78,6 +78,8 @@ if [ "${1:-}" = "fuzz" ]; then
 	done
 	echo "==> go test -fuzz FuzzReplFrame (replication segment stream)"
 	go test -run '^FuzzReplFrame$' -fuzz '^FuzzReplFrame$' -fuzztime 5s ./internal/replication/
+	echo "==> go test -fuzz FuzzReplState (replication bootstrap body)"
+	go test -run '^FuzzReplState$' -fuzz '^FuzzReplState$' -fuzztime 5s ./internal/replication/
 	echo "==> go test -fuzz FuzzDecodeMutation (WAL record decoder)"
 	go test -run '^FuzzDecodeMutation$' -fuzz '^FuzzDecodeMutation$' -fuzztime 5s ./internal/ingest/
 	echo "verify.sh: fuzz sessions passed"
