@@ -10,6 +10,7 @@ import (
 	"net/http"
 
 	"attrank/internal/core"
+	"attrank/internal/graph"
 	"attrank/internal/impact"
 	"attrank/internal/service"
 	"attrank/internal/synth"
@@ -184,4 +185,25 @@ func checkImpactBatch(base string, lookup func(string) (int32, bool), want *impa
 		}
 	}
 	return len(out.Results), nil
+}
+
+// sampleIDs picks up to k evenly spaced paper IDs from the corpus for
+// the impact checks.
+func sampleIDs(n *graph.Network, k int) []string {
+	total := n.N()
+	if total == 0 {
+		return nil
+	}
+	if k > total {
+		k = total
+	}
+	ids := make([]string, 0, k)
+	step := total / k
+	if step == 0 {
+		step = 1
+	}
+	for i := 0; i < total && len(ids) < k; i += step {
+		ids = append(ids, n.Paper(int32(i)).ID)
+	}
+	return ids
 }

@@ -1,27 +1,20 @@
 // Command attrank-bench measures the ranking hot path on a synthetic
-// power-law citation network and writes the results as JSON (the
-// BENCH_core.json committed at the repo root is its output).
-//
-// Usage:
+// power-law citation network and writes the results as JSON. It has four
+// modes:
 //
 //	attrank-bench [-papers 100000] [-profile dblp] [-out BENCH_core.json] [-reps 20]
-//	attrank-bench -serve [-serve-papers 20000] [-serve-dur 3s] [-serve-out BENCH_service.json]
+//	attrank-bench -smoke [-smoke-papers 10000]
+//	attrank-bench -impact [-impact-papers 2000]
+//	attrank-bench -ingest [-ingest-papers 100000] [-ingest-out BENCH_ingest.json]
 //
-// With -serve it instead benchmarks the HTTP serving path: it starts an
-// in-process live server (internal/service + internal/ingest) over a
-// seeded synthetic corpus and drives the closed-loop load harness
-// (internal/load) against it at 1×/2×/4× of the admission limit,
-// reporting sustained RPS, accepted-request latency quantiles and shed
-// rates, then verifies graceful shutdown drains every in-flight request
-// (BENCH_service.json).
-//
-// It times, per power-method iteration: the serial CSC reference kernel
-// (three sweeps) and the production tiled kernel (RCM-relabeled,
-// compressed 16-bit tiles) at one partition and at one partition per
-// core. It also reports the layout's compression (bytes per nonzero,
-// tile shape), the one-off compile pipeline costs the operator cache
-// amortizes (normalization and relabeling run concurrently, then tile
-// cutting) and a full cold-vs-warm Rank comparison.
+// The default mode writes BENCH_core.json. It times, per power-method
+// iteration: the serial CSC reference kernel (three sweeps) and the
+// production tiled kernel (RCM-relabeled, compressed 16-bit tiles) at
+// one partition and at one partition per core. It also reports the
+// layout's compression (bytes per nonzero, tile shape), the one-off
+// compile pipeline costs the operator cache amortizes (normalization and
+// relabeling run concurrently, then tile cutting) and a full
+// cold-vs-warm Rank comparison.
 //
 // With -smoke it runs the bit-equality gate instead: on a seeded 10k
 // synthetic graph the tiled kernel (under its RCM relabeling) and the
@@ -34,6 +27,11 @@
 // C1–C5 class cross-checked bit-for-bit against an independent
 // in-process recompute through internal/impact. Exits non-zero on any
 // mismatch.
+//
+// With -ingest it writes BENCH_ingest.json: single-citation incremental
+// push re-ranks against warm full re-ranks, with reconciliation
+// bit-equality and staleness-bound gates (see ingest.go). Exits non-zero
+// on any violation.
 package main
 
 import (
@@ -115,22 +113,11 @@ func main() {
 		out     = flag.String("out", "BENCH_core.json", "output JSON path")
 		reps    = flag.Int("reps", 20, "timing repetitions per kernel (best-of)")
 
-		serve       = flag.Bool("serve", false, "benchmark the HTTP serving path under closed-loop load instead of the ranking kernels")
-		serveOut    = flag.String("serve-out", "BENCH_service.json", "output JSON path for -serve")
-		serveDur    = flag.Duration("serve-dur", 3*time.Second, "duration of each -serve load level")
-		servePapers = flag.Int("serve-papers", 20000, "corpus size for -serve")
-
 		smoke       = flag.Bool("smoke", false, "run the bit-equality smoke (tiled vs serial on a seeded graph) and exit non-zero on mismatch")
 		smokePapers = flag.Int("smoke-papers", 10000, "synthetic network size for -smoke")
 
 		impactB      = flag.Bool("impact", false, "run the impact-layer smoke: serve a seeded corpus with -indicators and cross-check every served score and class against an in-process recompute (exits non-zero on mismatch)")
 		impactPapers = flag.Int("impact-papers", 2000, "corpus size for -impact")
-
-		cluster          = flag.Bool("cluster", false, "benchmark a replicated cluster (leader + followers over loopback): read scaling per replica and crash-recovery bit-equality")
-		clusterOut       = flag.String("cluster-out", "BENCH_cluster.json", "output JSON path for -cluster")
-		clusterDur       = flag.Duration("cluster-dur", 3*time.Second, "duration of each -cluster load level")
-		clusterPapers    = flag.Int("cluster-papers", 20000, "corpus size for -cluster")
-		clusterFollowers = flag.Int("cluster-followers", 3, "follower count for -cluster (min 3)")
 
 		ingestB        = flag.Bool("ingest", false, "benchmark the incremental-ranking push path against warm full re-ranks, with exactness and bit-equality gates (exits non-zero on any violation)")
 		ingestOut      = flag.String("ingest-out", "BENCH_ingest.json", "output JSON path for -ingest")
@@ -150,10 +137,6 @@ func main() {
 		err = runImpactSmoke(*impactPapers, *profile)
 	case *ingestB:
 		err = runIngest(*ingestPapers, *ingestWrites, *ingestFullReps, *ingestCheck, *ingestLiveWr, *profile, *ingestOut, *ingestPushTol)
-	case *cluster:
-		err = runCluster(*clusterPapers, *clusterFollowers, *clusterOut, *clusterDur)
-	case *serve:
-		err = runServe(*servePapers, *serveOut, *serveDur)
 	default:
 		err = run(*papers, *profile, *out, *reps)
 	}

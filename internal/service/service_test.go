@@ -4,9 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -346,6 +349,94 @@ func TestListenAndServeGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("server did not shut down")
+	}
+}
+
+// TestServeListenerDrainsInFlight pins the graceful half of the
+// shutdown contract: requests already inside the handler when the
+// context is cancelled still get their complete responses, and
+// ServeListener reports the clean drain as nil.
+func TestServeListenerDrainsInFlight(t *testing.T) {
+	const inFlight = 8
+	const body = "drained"
+	entered := make(chan struct{}, inFlight)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
+	defer releaseAll() // unblocks the handlers if the test fails early
+	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		entered <- struct{}{}
+		<-release
+		fmt.Fprint(w, body)
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- ServeListener(ctx, ln, handler, ServeOptions{}) }()
+
+	type result struct {
+		status int
+		body   string
+		err    error
+	}
+	results := make(chan result, inFlight)
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	for i := 0; i < inFlight; i++ {
+		go func() {
+			resp, err := client.Get("http://" + addr + "/")
+			if err != nil {
+				results <- result{err: err}
+				return
+			}
+			b, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			results <- result{status: resp.StatusCode, body: string(b), err: err}
+		}()
+	}
+	for i := 0; i < inFlight; i++ {
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d requests reached the handler", i, inFlight)
+		}
+	}
+
+	// Cancel, and release the handlers only once shutdown has closed
+	// the listener, so every request is still in flight when the drain
+	// begins.
+	cancel()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			break
+		}
+		conn.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("listener still accepting after cancel")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	releaseAll()
+
+	for i := 0; i < inFlight; i++ {
+		r := <-results
+		if r.err != nil || r.status != http.StatusOK || r.body != body {
+			t.Errorf("request %d: status %d body %q err %v, want 200 %q", i, r.status, r.body, r.err, body)
+		}
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("ServeListener returned %v after a clean drain", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ServeListener did not return")
 	}
 }
 

@@ -24,8 +24,9 @@
 # the root module's internal packages: an API deletion here that breaks
 # it fails the gate instead of the next benchmark run.
 #
-# Benchmarks are separate: see bench.sh, which regenerates
-# BENCH_core.json and BENCH_service.json.
+# Benchmarks are separate: bench.sh regenerates BENCH_core.json and
+# BENCH_ingest.json, and bash benchmark/run.sh runs the end-to-end
+# benchmark.
 set -eu
 
 echo "==> gofmt -l"
@@ -53,8 +54,8 @@ if [ "${1:-}" = "quick" ]; then
 	go test -race -run 'Scratch|Ordering|Ranks' ./internal/metrics/
 	echo "==> go test -race -run WAL (ingest durability + replication log)"
 	go test -race -run 'WAL|WireSize|ReplState' ./internal/ingest/
-	echo "==> go test -race (admission control, replica serving policy, top pages)"
-	go test -race -run 'Admission|Backpressure|Deadline|Replica|RateLimiter|MaxRPS|Explain|TopPage' ./internal/service/
+	echo "==> go test -race (admission control, replica serving policy, top pages, shutdown drain)"
+	go test -race -run 'Admission|Backpressure|Deadline|Replica|RateLimiter|MaxRPS|Explain|TopPage|ServeListener' ./internal/service/
 	echo "==> go test -race -short (replication follower)"
 	go test -race -short -run 'Follower' ./internal/replication/
 	echo "==> go test -race (incremental push path: kernel, overlay, metamorphic, ingest, replication)"
