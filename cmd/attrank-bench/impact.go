@@ -35,7 +35,7 @@ func runImpactSmoke(papers int, profile string) error {
 	}
 
 	params := core.Params{Alpha: 0.5, Beta: 0.3, Gamma: 0.2, AttentionYears: 3, W: -0.16, Workers: -1}
-	icfg := impact.Config{Enabled: true, Workers: -1}.WithDefaults()
+	icfg := impact.Config{Enabled: true}.WithDefaults()
 	now := corpus.MaxYear()
 
 	// The independent expectation: the same corpus ranked and classified

@@ -9,8 +9,8 @@
 //
 // The default mode writes BENCH_core.json. It times, per power-method
 // iteration: the serial CSC reference kernel (three sweeps) and the
-// production tiled kernel (RCM-relabeled, compressed 16-bit tiles) at
-// one partition and at one partition per core. It also reports the
+// production tiled kernel (RCM-relabeled, compressed 16-bit tiles) on
+// one worker and on one worker per core. It also reports the
 // layout's compression (bytes per nonzero, tile shape), the one-off
 // compile pipeline costs the operator cache amortizes (normalization and
 // relabeling run concurrently, then tile cutting) and a full
@@ -18,9 +18,10 @@
 //
 // With -smoke it runs the bit-equality gate instead: on a seeded 10k
 // synthetic graph the tiled kernel (under its RCM relabeling) and the
-// serial CSC reference must produce bit-identical iterates, and the
-// operator's parallel path must match its serial path bit-for-bit.
-// Exits non-zero on any mismatch.
+// serial CSC reference must produce bit-identical iterates, the tiled
+// residual must carry the same bits on one worker as on the whole pool,
+// and the operator's parallel path must match its serial path
+// bit-for-bit. Exits non-zero on any mismatch.
 //
 // With -impact it runs the impact-layer smoke: an in-process server with
 // -indicators over a seeded corpus, every served indicator score and

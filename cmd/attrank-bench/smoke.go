@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 
 	"attrank/internal/core"
 	"attrank/internal/sparse"
@@ -10,11 +11,13 @@ import (
 
 // runSmoke is the bit-equality gate verify.sh ends with: on a seeded
 // synthetic graph, the production tiled kernel under its RCM relabeling,
-// partitioned across the pool, must reproduce the serial CSC reference
-// (three sweeps) through the same power iterations, every score of every
-// iteration compared bitwise. It then cross-checks the operator's
-// parallel Rank against its serial Rank the same way. Any mismatch is an
-// error, which main turns into a non-zero exit.
+// run across the pool, must reproduce the serial CSC reference (three
+// sweeps) through the same power iterations, every score of every
+// iteration compared bitwise, and return the same residual bits on one
+// worker as on the whole pool. It then cross-checks the operator's
+// parallel Rank against its serial Rank the same way, and its Rank on
+// one worker against Rank on every core, residuals included. Any
+// mismatch is an error, which main turns into a non-zero exit.
 func runSmoke(papers int, profile string) error {
 	prof, err := synth.ProfileByName(profile)
 	if err != nil {
@@ -57,6 +60,7 @@ func runSmoke(papers int, profile string) error {
 	want := make([]float64, n)
 	xp := make([]float64, n)
 	nextP := make([]float64, n)
+	inline := make([]float64, n)
 	permute(xp, x)
 	const iters = 25
 	for it := 0; it < iters; it++ {
@@ -65,9 +69,13 @@ func runSmoke(papers int, profile string) error {
 		for i := range want {
 			want[i] = alpha*want[i] + beta*att[i] + gamma*rec[i]
 		}
-		// Tiled kernel in relabeled space, one partition per pool worker;
-		// compare through the permutation.
-		tiled.Step(nextP, xp, attP, recP, alpha, beta, gamma, pool.Size())
+		// Tiled kernel in relabeled space, on one worker and on the
+		// whole pool; compare through the permutation.
+		r1 := tiled.Step(inline, xp, attP, recP, alpha, beta, gamma, 1)
+		rp := tiled.Step(nextP, xp, attP, recP, alpha, beta, gamma, pool.Size())
+		if math.Float64bits(r1) != math.Float64bits(rp) {
+			return fmt.Errorf("smoke: iter %d: tiled residual %v on 1 worker, %v on %d", it, r1, rp, pool.Size())
+		}
 		for i := range want {
 			if nextP[perm[i]] != want[i] {
 				return fmt.Errorf("smoke: iter %d: tiled score[%d] = %v, serial %v (not bit-identical)",
@@ -92,6 +100,19 @@ func runSmoke(papers int, profile string) error {
 	if err != nil {
 		return err
 	}
+	p.Workers = 1
+	one, err := op.Rank(now, p)
+	if err != nil {
+		return err
+	}
+	if len(one.Residuals) != len(par.Residuals) {
+		return fmt.Errorf("smoke: rank %d residuals on 1 worker, %d on every core", len(one.Residuals), len(par.Residuals))
+	}
+	for i, r := range one.Residuals {
+		if math.Float64bits(r) != math.Float64bits(par.Residuals[i]) {
+			return fmt.Errorf("smoke: rank residual %d = %v on 1 worker, %v on every core", i, r, par.Residuals[i])
+		}
+	}
 	if par.Iterations != ser.Iterations || par.Converged != ser.Converged {
 		return fmt.Errorf("smoke: rank iters/converged %d/%v parallel vs %d/%v serial",
 			par.Iterations, par.Converged, ser.Iterations, ser.Converged)
@@ -102,7 +123,7 @@ func runSmoke(papers int, profile string) error {
 				i, par.Scores[i], ser.Scores[i])
 		}
 	}
-	fmt.Printf("smoke: OK — %d iterations × %d papers bit-identical across serial and tiled kernels; parallel Rank == serial Rank (%d iters)\n",
+	fmt.Printf("smoke: OK — %d iterations × %d papers bit-identical across serial and tiled kernels, tiled residuals independent of workers; parallel Rank == serial Rank (%d iters)\n",
 		iters, n, ser.Iterations)
 	return nil
 }

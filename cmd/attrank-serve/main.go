@@ -99,7 +99,7 @@ func main() {
 		y       = flag.Int("y", 3, "attention window in years")
 		w       = flag.Float64("w", 0, "recency exponent (0 = fit from data)")
 		now     = flag.Int("now", 0, "current time tN (default: newest year)")
-		workers = flag.Int("workers", -1, "power-iteration partitions per (re-)rank: negative = one per CPU core (default — a server should rank as fast as the machine allows), N > 0 = exactly N, 0 = the serial reference kernel; scores are bit-identical either way")
+		workers = flag.Int("workers", -1, "power-iteration workers per (re-)rank: negative = one per CPU core (default — a server should rank as fast as the machine allows), N > 0 = at most N, 0 = the serial reference kernel; scores are bit-identical either way, and every nonzero value gives the same ranking. Followers take the kernel from the leader and rank on their own cores")
 
 		pprofOn = flag.Bool("pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/")
 
@@ -145,7 +145,6 @@ func main() {
 	impactCfg := impact.Config{
 		Enabled:       *indicators,
 		ImpulseWindow: *impulseWindow,
-		Workers:       *workers,
 	}
 	var (
 		srv *service.Server
@@ -160,20 +159,11 @@ func main() {
 			// rather than being set locally.
 			log.Printf("attrank-serve: -indicators is inherited from the leader in follower mode")
 		}
-		// Only an explicit -workers overrides the leader's partition
-		// count (overriding voids the bit-equality guarantee).
-		followerWorkers := 0
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "workers" {
-				followerWorkers = *workers
-			}
-		})
 		var fol *replication.Follower
 		fol, err = replication.StartFollower(replication.FollowerConfig{
-			Leader:  *peers,
-			Dir:     *wal,
-			Workers: followerWorkers,
-			Logf:    log.Printf,
+			Leader: *peers,
+			Dir:    *wal,
+			Logf:   log.Printf,
 		})
 		if err == nil {
 			defer func() {

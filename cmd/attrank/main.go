@@ -42,7 +42,7 @@ func main() {
 		iters   = flag.Int("iters", 4, "WSDM iteration count")
 		explain = flag.Bool("explain", false, "decompose each top paper's AttRank score (AR methods only)")
 		csvOut  = flag.String("csv", "", "also write the complete ranking as CSV to this file")
-		workers = flag.Int("workers", 0, "AttRank power-iteration parallelism: 0 = serial reference kernel, N > 0 = tiled kernel with N work-balanced partitions, negative = one per CPU core; scores are bit-identical either way")
+		workers = flag.Int("workers", 0, "AttRank power-iteration parallelism: 0 = serial reference kernel, N > 0 = tiled kernel on at most N workers, negative = one per CPU core; scores are bit-identical either way, and every nonzero value gives the same result")
 	)
 	flag.Parse()
 	if *in == "" {

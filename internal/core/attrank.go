@@ -60,11 +60,14 @@ type Params struct {
 	Start []float64
 	// Workers selects the power-method kernel: 0 keeps the serial CSC
 	// reference kernel (right for small and mid-size networks); any other
-	// value runs the tiled parallel kernel with that many work-balanced
-	// tile partitions (negative = GOMAXPROCS), executed on the compiled
-	// operator's persistent worker pool. Results are bit-identical either
-	// way. The library default stays serial; attrank-serve defaults its
-	// re-ranks to one partition per core (see its -workers flag).
+	// value runs the tiled parallel kernel on at most that many workers
+	// (negative = GOMAXPROCS) of the compiled operator's persistent
+	// pool. The tiled kernel's Result — scores, residuals, iterations,
+	// convergence — is the same for every nonzero Workers. Its scores
+	// are bit-identical to the reference's iterate for iterate; only the
+	// residual, a different reduction, may differ in its last ulps. The
+	// library default stays serial; attrank-serve defaults its re-ranks
+	// to one worker per core (see its -workers flag).
 	Workers int
 }
 

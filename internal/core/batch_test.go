@@ -26,12 +26,12 @@ func batchGrid(n int, warm []float64) []Params {
 		{Alpha: 0.1, Beta: 0.45, Gamma: 0.45, AttentionYears: 5, W: -0.2},
 		{Alpha: 0.25, Beta: 0.5, Gamma: 0.25, AttentionYears: 3, W: -0.3, Start: warm},
 	}
-	// The mixed cells above run on the tiled kernel at one partition.
+	// The mixed cells above run on the tiled kernel on one worker.
 	for i := range ps {
 		ps[i].Workers = 1
 	}
-	// Other partition counts: cells must still be bit-identical when
-	// ranked with the parallel kernel at a fixed partition count.
+	// Other worker counts: cells must still be bit-identical when
+	// ranked with the parallel kernel at a fixed worker count.
 	for _, w := range []int{2, -1} {
 		p := Params{Alpha: 0.5, Beta: 0.2, Gamma: 0.3, AttentionYears: 2, W: -0.2, Workers: w}
 		ps = append(ps, p)

@@ -14,8 +14,8 @@ import (
 
 // Operator is the compiled form of AttRank over one immutable network: it
 // owns the normalized citation matrix (CSC), the tiled kernel with its
-// relabeling and work-balanced tile partitions, a persistent worker pool,
-// and small caches of the attention and recency vectors. Compile once, then call Rank as
+// relabeling, a persistent worker pool, and small caches of the
+// attention and recency vectors. Compile once, then call Rank as
 // many times as needed — across power iterations, across warm-started
 // re-ranks of a live corpus, and across the cells of a parameter sweep —
 // without ever rebuilding matrix state.
@@ -23,9 +23,11 @@ import (
 // Everything heavy is built lazily on first use: an operator compiled for
 // a network that is only ever ranked with α = 0 never assembles a matrix,
 // and the tiled layout plus worker pool exist only once a parallel rank
-// (Params.Workers ≠ 0) runs. All methods are safe for concurrent use;
-// concurrent Rank calls share the matrix read-only and the pool
-// interleaves their row-range tasks.
+// (Params.Workers ≠ 0) runs. A parallel Rank returns the same Result
+// for every nonzero Workers: the count only caps how many pool tasks
+// claim tiles (see sparse.TiledStochastic.Step). All methods are safe
+// for concurrent use; concurrent Rank calls share the matrix read-only
+// and the pool interleaves their tile-claiming tasks.
 type Operator struct {
 	net *graph.Network
 

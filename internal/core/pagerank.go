@@ -17,7 +17,8 @@ const DefaultPageRankMaxIter = 500
 // PageRankParams configures Operator.PageRank. The zero value of Tol and
 // MaxIter selects DefaultTol and DefaultPageRankMaxIter; Workers selects
 // the kernel exactly as Params.Workers does (0 = serial CSC reference,
-// negative = GOMAXPROCS partitions).
+// nonzero = tiled kernel on at most that many workers, negative =
+// GOMAXPROCS).
 type PageRankParams struct {
 	// Alpha is the damping factor, in [0, 1).
 	Alpha   float64
@@ -76,10 +77,11 @@ func (p PageRankParams) maxIter() int {
 //
 // Like Rank, a budget exhaustion is reported via Result.Converged =
 // false rather than an error, so callers can still use the final
-// iterate. The residual is an L1 tree-reduction over partitions on the
-// parallel path, so — exactly as for AttRank — the iteration count is
-// deterministic for a fixed Workers value but may differ across
-// partition counts in the last ulp of the stopping test.
+// iterate. On the tiled path the residual is an L1 tree-reduction over
+// per-tile partials, so — exactly as for AttRank — the whole Result is
+// the same for every nonzero Workers. It may differ from the serial
+// reference's only in the residual's last ulps, and through them in
+// the iteration the stopping test picks.
 func (op *Operator) PageRank(p PageRankParams) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

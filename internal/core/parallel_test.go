@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"attrank/internal/graph"
+	"attrank/internal/synth"
 )
 
 func workerCounts() []int {
@@ -105,6 +106,72 @@ func TestRankParallelAlphaZeroFastPath(t *testing.T) {
 			if res.Scores[i] != want {
 				t.Fatalf("workers=%d: score %d = %v, want %v", workers, i, res.Scores[i], want)
 			}
+		}
+	}
+}
+
+// TestParallelRankIndependentOfWorkers pins the tiled kernel's contract:
+// the worker count only caps how many pool tasks claim tiles, so Rank
+// and PageRank return == Scores, Iterations, Converged and every
+// Residuals entry at any nonzero Workers. The 20k corpus is 10 tiles in
+// one column window; the 100k corpus (two windows, the stepTileW2
+// kernel) runs outside -short.
+func TestParallelRankIndependentOfWorkers(t *testing.T) {
+	profiles := []synth.Profile{synth.DBLP()}
+	if !testing.Short() {
+		profiles = append(profiles, synth.DBLP().Scale(5))
+	}
+	for _, prof := range profiles {
+		net, err := synth.Generate(prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op := Compile(net)
+		rank := func(workers int) *Result {
+			p := Params{Alpha: 0.5, Beta: 0.3, Gamma: 0.2, AttentionYears: 3, W: -0.16, Workers: workers}
+			res, err := op.Rank(net.MaxYear(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		pageRank := func(workers int) *Result {
+			res, err := op.PageRank(PageRankParams{Alpha: 0.5, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		for _, kernel := range []struct {
+			name string
+			run  func(workers int) *Result
+		}{{"Rank", rank}, {"PageRank", pageRank}} {
+			base := kernel.run(1)
+			for _, workers := range []int{2, 3, 4, 7, -1} {
+				assertSameResult(t, net.N(), kernel.name, workers, kernel.run(workers), base)
+			}
+		}
+	}
+}
+
+// assertSameResult requires got to equal want bit for bit in every
+// field the worker count could reach.
+func assertSameResult(t *testing.T, n int, kernel string, workers int, got, want *Result) {
+	t.Helper()
+	if got.Iterations != want.Iterations || got.Converged != want.Converged {
+		t.Fatalf("n=%d %s workers=%d: iterations/converged = %d/%v, workers=1 %d/%v",
+			n, kernel, workers, got.Iterations, got.Converged, want.Iterations, want.Converged)
+	}
+	for i := range want.Residuals {
+		if got.Residuals[i] != want.Residuals[i] {
+			t.Fatalf("n=%d %s workers=%d: residual %d = %v, workers=1 %v",
+				n, kernel, workers, i, got.Residuals[i], want.Residuals[i])
+		}
+	}
+	for i := range want.Scores {
+		if got.Scores[i] != want.Scores[i] {
+			t.Fatalf("n=%d %s workers=%d: score %d = %v, workers=1 %v",
+				n, kernel, workers, i, got.Scores[i], want.Scores[i])
 		}
 	}
 }

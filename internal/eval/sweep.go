@@ -135,9 +135,9 @@ func SweepAttRank(s *Split, truth []float64, grid []core.Params, m Metric) []Att
 		for j, gi := range part {
 			ps[j] = grid[gi]
 			if ps[j].Workers == 0 {
-				// Workers = 0 cells would run the serial CSC reference; one
-				// partition of the tiled kernel ranks the same scores bit
-				// for bit, faster. Cells that set Workers keep it.
+				// Workers = 0 cells would run the serial CSC reference; the
+				// tiled kernel on one worker ranks the same scores bit for
+				// bit, faster. Cells that set Workers keep it.
 				ps[j].Workers = 1
 			}
 		}

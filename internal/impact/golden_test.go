@@ -65,7 +65,7 @@ func goldenOf(e *Epoch, n int) goldenEpoch {
 // Regenerate deliberately with: go test ./internal/impact -run Golden -update
 func TestGoldenEpoch(t *testing.T) {
 	net := randomNet(t, 1234, 120)
-	e := computeEpoch(t, net, Config{Workers: 2})
+	e := computeEpoch(t, net, Config{})
 	got := goldenOf(e, net.N())
 
 	path := filepath.Join("testdata", "epoch_small.json")

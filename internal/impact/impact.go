@@ -49,9 +49,10 @@ const (
 
 // Config configures per-epoch indicator computation. It is part of the
 // replication determinism contract: a leader ships its (defaulted)
-// Config at bootstrap and followers compute with exactly those values —
-// including Workers, because the PageRank stopping residual is a tree
-// reduction over kernel partitions (see core.PageRankParams).
+// Config at bootstrap and followers compute with exactly those values.
+// The influence PageRank always runs on the tiled kernel, whose Result
+// does not depend on the worker count (see core.PageRankParams), so no
+// worker setting is part of it.
 type Config struct {
 	// Enabled turns indicator computation on. The zero Config disables
 	// it: rankings publish with a nil Impact and the /v1/impact
@@ -68,9 +69,6 @@ type Config struct {
 	// (core.DefaultTol / core.DefaultPageRankMaxIter if zero).
 	PRTol     float64
 	PRMaxIter int
-	// Workers selects the PageRank kernel exactly as core.Params.Workers
-	// (0 = serial reference).
-	Workers int
 }
 
 // WithDefaults returns cfg with zero fields resolved, so the exact
@@ -237,8 +235,9 @@ func NormalizeID(id string) string {
 // Compute derives the full indicator epoch for a ranked network.
 // attrank must be the published AttRank score vector of the SAME full
 // epoch (len == net.N()); rankedAt the epoch's effective ranking time.
-// The result is deterministic: equal inputs produce bit-identical
-// scores, thresholds and classes on every replica.
+// The influence PageRank runs on the tiled kernel on every core. The
+// result is deterministic: equal inputs produce bit-identical scores,
+// thresholds and classes on every replica, whatever its core count.
 func Compute(net *graph.Network, attrank []float64, rankedAt int, cfg Config) (*Epoch, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -256,7 +255,7 @@ func Compute(net *graph.Network, attrank []float64, rankedAt int, cfg Config) (*
 	e.scores[Popularity] = attrank
 
 	pr, err := core.OperatorFor(net).PageRank(core.PageRankParams{
-		Alpha: cfg.PRAlpha, Tol: cfg.PRTol, MaxIter: cfg.PRMaxIter, Workers: cfg.Workers,
+		Alpha: cfg.PRAlpha, Tol: cfg.PRTol, MaxIter: cfg.PRMaxIter, Workers: -1,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("impact: influence: %w", err)

@@ -201,15 +201,15 @@ func TestImpulseBruteForce(t *testing.T) {
 }
 
 // TestEpochRelabelingStability: the full epoch — every indicator's
-// scores, thresholds and classes — is bit-identical across worker
-// counts of the same partitioning and across runs, the property
-// follower replay relies on (the cross-layout guarantee is pinned in
-// core's relabeling suites; here we pin Compute's end-to-end
-// determinism for a fixed Config).
+// scores, thresholds and classes — is bit-identical across runs, the
+// property follower replay relies on (the cross-layout and
+// cross-worker-count guarantees are pinned in core's relabeling and
+// parallel suites; here we pin Compute's end-to-end determinism for a
+// fixed Config).
 func TestEpochRelabelingStability(t *testing.T) {
 	net := randomNet(t, 77, 500)
 	scores := rankedScores(t, net)
-	cfg := Config{Enabled: true, Workers: 2}
+	cfg := Config{Enabled: true}
 	base, err := Compute(net, scores, net.MaxYear(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -238,25 +238,28 @@ func TestEpochRelabelingStability(t *testing.T) {
 	}
 }
 
-// TestInfluenceMatchesSerialReference: the influence indicator under a
-// parallel Config is bit-identical to the serial (Workers=0) epoch —
-// the impact-level restatement of core's parallel-matches-serial suite.
+// TestInfluenceMatchesSerialReference: the influence indicator, which
+// Compute runs on the tiled kernel, is bit-identical to the serial CSC
+// reference PageRank (Workers=0) — the impact-level restatement of
+// core's parallel-matches-serial suite.
 func TestInfluenceMatchesSerialReference(t *testing.T) {
 	net := randomNet(t, 55, 350)
 	scores := rankedScores(t, net)
-	serial, err := Compute(net, scores, net.MaxYear(), Config{Enabled: true})
+	e, err := Compute(net, scores, net.MaxYear(), Config{Enabled: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, -1} {
-		par, err := Compute(net, scores, net.MaxYear(), Config{Enabled: true, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range serial.Scores(Influence) {
-			if par.Scores(Influence)[i] != serial.Scores(Influence)[i] {
-				t.Fatalf("workers=%d: influence %d not bit-identical to serial", workers, i)
-			}
+	serial, err := core.OperatorFor(net).PageRank(core.PageRankParams{Alpha: DefaultPRAlpha})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.PRIterations != serial.Iterations || e.PRConverged != serial.Converged {
+		t.Fatalf("influence iterations/converged = %d/%v, serial %d/%v",
+			e.PRIterations, e.PRConverged, serial.Iterations, serial.Converged)
+	}
+	for i, want := range serial.Scores {
+		if got := e.Scores(Influence)[i]; got != want {
+			t.Fatalf("influence %d = %v, serial %v (not bit-identical)", i, got, want)
 		}
 	}
 }

@@ -107,8 +107,7 @@ func (ing *Ingester) PushTol() float64 { return ing.cfg.PushTol }
 
 // ImpactConfig returns the (defaults-resolved) indicator configuration.
 // The replication leader ships it to followers so their per-epoch impact
-// recompute uses identical parameters — including Workers, which pins
-// the PageRank residual reduction shape — and stays bit-identical.
+// recompute uses identical parameters and stays bit-identical.
 func (ing *Ingester) ImpactConfig() impact.Config { return ing.cfg.Impact }
 
 // ReadWALAt copies durable log bytes from generation gen at offset off

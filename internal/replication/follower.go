@@ -41,10 +41,6 @@ type FollowerConfig struct {
 	Leader string
 	// Dir holds the follower's durable state (created if missing).
 	Dir string
-	// Workers overrides the leader's ranking partition count. Leave 0
-	// to adopt the leader's — any other value voids the bit-equality
-	// guarantee (see wireParams).
-	Workers int
 	// Expect, when non-nil, pins the ranking parameters: a leader
 	// shipping different ones is an operator error, reported and
 	// retried rather than silently adopted.
@@ -350,7 +346,7 @@ func (f *Follower) bootstrap() error {
 	if f.cfg.Expect != nil && !wireParamsOf(*f.cfg.Expect).equalRanking(hdr.Params) {
 		return fmt.Errorf("bootstrap: leader params %+v differ from expected %+v", hdr.Params, wireParamsOf(*f.cfg.Expect))
 	}
-	f.impactCfg = hdr.Impact.config(f.cfg.Workers)
+	f.impactCfg = hdr.Impact.config()
 	if err := f.seedChain(net, hdr.Params, vecs[0], vecs[1], vecs[2], hdr.Epoch, hdr.RankedAt); err != nil {
 		return fmt.Errorf("bootstrap: %w", err)
 	}
@@ -558,7 +554,7 @@ func (f *Follower) applyPushMarker(mark ingest.EpochMark) error {
 		if f.applied != 0 || f.lastFull == nil || f.lastFull.Net != f.base {
 			return resyncf("push marker for epoch %d without a full-epoch anchor", mark.Epoch)
 		}
-		pu, err := core.NewPusher(f.base, f.rankedAt, f.wp.params(f.cfg.Workers), core.ReplayPushConfig(f.pushTol), f.lastFull.Result.Scores)
+		pu, err := core.NewPusher(f.base, f.rankedAt, f.wp.params(), core.ReplayPushConfig(f.pushTol), f.lastFull.Result.Scores)
 		if err != nil {
 			return resyncf("push seed for epoch %d: %v", mark.Epoch, err)
 		}

@@ -46,9 +46,15 @@ func seedNet(t testing.TB) *graph.Network {
 // epochs explicitly with Flush.
 func startLeader(t testing.TB) (*ingest.Ingester, *httptest.Server) {
 	t.Helper()
+	return startLeaderParams(t, testParams())
+}
+
+// startLeaderParams is startLeader ranking with the given parameters.
+func startLeaderParams(t testing.TB, params core.Params) (*ingest.Ingester, *httptest.Server) {
+	t.Helper()
 	ing, err := ingest.Open(seedNet(t), ingest.Config{
 		Dir:         t.TempDir(),
-		Params:      testParams(),
+		Params:      params,
 		RerankAfter: 1 << 20,
 		RerankEvery: time.Hour,
 	})
@@ -261,29 +267,56 @@ func TestFollowerFullResyncOnWALRotation(t *testing.T) {
 	}
 }
 
+// TestFollowerRejectsUnexpectedParams: Expect pins every parameter that
+// shapes the Result. Of the worker count only the kernel choice counts:
+// serial (0) against tiled (nonzero) is a mismatch, one tiled count
+// against another is not.
 func TestFollowerRejectsUnexpectedParams(t *testing.T) {
-	_, srv := startLeader(t)
-	cfg := followerConfig(t, srv.URL)
-	wrong := testParams()
-	wrong.Alpha, wrong.Beta = wrong.Beta, wrong.Alpha
-	cfg.Expect = &wrong
-	f, err := StartFollower(cfg)
-	if err != nil {
-		t.Fatal(err)
+	withWorkers := func(p core.Params, workers int) core.Params {
+		p.Workers = workers
+		return p
 	}
-	defer f.Kill()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if le := f.Info().LastError; strings.Contains(le, "differ") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no params-mismatch error; info = %+v", f.Info())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if f.Ranking() != nil {
-		t.Error("follower published a ranking despite the params mismatch")
+	swapped := testParams()
+	swapped.Alpha, swapped.Beta = swapped.Beta, swapped.Alpha
+	for _, tc := range []struct {
+		name           string
+		leader, expect core.Params
+		reject         bool
+	}{
+		{"coefficients", testParams(), swapped, true},
+		{"kernel", testParams(), withWorkers(testParams(), -1), true},
+		{"count", withWorkers(testParams(), 3), withWorkers(testParams(), 1), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ing, srv := startLeaderParams(t, tc.leader)
+			cfg := followerConfig(t, srv.URL)
+			cfg.Expect = &tc.expect
+			f, err := StartFollower(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Kill()
+			if !tc.reject {
+				assertIdentical(t, ing, f)
+				if le := f.Info().LastError; le != "" {
+					t.Fatalf("follower reported %q for params that differ only in worker count", le)
+				}
+				return
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				if le := f.Info().LastError; strings.Contains(le, "differ") {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("no params-mismatch error; info = %+v", f.Info())
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			if f.Ranking() != nil {
+				t.Error("follower published a ranking despite the params mismatch")
+			}
+		})
 	}
 }
 

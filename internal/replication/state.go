@@ -127,10 +127,7 @@ func (f *Follower) recover() error {
 			return err
 		}
 	}
-	// The saved Impact already has the Workers override applied (it is
-	// the config in effect when the state was written), so no override
-	// here.
-	f.impactCfg = st.Impact.config(0)
+	f.impactCfg = st.Impact.config()
 	if err := f.seedChain(net, st.Params, vecs[0], vecs[1], vecs[2], st.Epoch, st.RankedAt); err != nil {
 		return err
 	}
@@ -167,7 +164,7 @@ func (f *Follower) recover() error {
 // state at the given epoch: corpus published, tracker seeded with the
 // scores so the next Update continues the leader's warm-start chain.
 func (f *Follower) seedChain(net *graph.Network, wp wireParams, scores, att, rec []float64, epoch uint64, rankedAt int) error {
-	params := wp.params(f.cfg.Workers)
+	params := wp.params()
 	tracker, err := core.NewTracker(params)
 	if err != nil {
 		return err

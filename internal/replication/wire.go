@@ -111,11 +111,11 @@ func parseHeartbeat(p []byte) (epoch uint64, offset int64, ok bool) {
 }
 
 // wireParams is the parameter fingerprint exchanged at bootstrap. It
-// excludes Start (the tracker owns warm starts) but includes Workers:
-// per-score arithmetic is partition-independent, yet the stopping
-// residual is a tree reduction over worker partials, so a different
-// partition count can flip the last iteration in the last ulp. A
-// follower adopts the leader's value unless explicitly overridden.
+// excludes Start (the tracker owns warm starts). Workers rides along
+// only to select the kernel: 0 is the serial reference, whose residual
+// is a different reduction from the tiled kernel's, so the two can stop
+// at different iterations. Any nonzero count gives the same tiled
+// Result, so a follower ranks a tiled leader's epochs on its own cores.
 type wireParams struct {
 	Alpha          float64 `json:"alpha"`
 	Beta           float64 `json:"beta"`
@@ -133,23 +133,28 @@ func wireParamsOf(p core.Params) wireParams {
 		Workers: p.Workers}
 }
 
-// params materializes core.Params. workersOverride replaces the leader's
-// partition count when nonzero — at the cost of the bit-equality
-// guarantee, see the type comment.
-func (wp wireParams) params(workersOverride int) core.Params {
-	w := wp.Workers
-	if workersOverride != 0 {
-		w = workersOverride
-	}
+// params materializes core.Params, running the leader's kernel on every
+// local core.
+func (wp wireParams) params() core.Params {
+	wp = wp.kernel()
 	return core.Params{Alpha: wp.Alpha, Beta: wp.Beta, Gamma: wp.Gamma,
 		AttentionYears: wp.AttentionYears, W: wp.W, Tol: wp.Tol, MaxIter: wp.MaxIter,
-		Workers: w}
+		Workers: wp.Workers}
+}
+
+// kernel returns wp with any nonzero worker count mapped to −1 (tiled,
+// one worker per core): the count is not part of the Result.
+func (wp wireParams) kernel() wireParams {
+	if wp.Workers != 0 {
+		wp.Workers = -1
+	}
+	return wp
 }
 
 // equalRanking reports whether two parameter sets produce the same
-// scores (everything but the partition count must match; Workers is
-// compared too because of the residual tie-break above).
-func (wp wireParams) equalRanking(other wireParams) bool { return wp == other }
+// Result: every field must match, and of the worker count only the
+// kernel choice (zero or not).
+func (wp wireParams) equalRanking(other wireParams) bool { return wp.kernel() == other.kernel() }
 
 // stateHeader is the JSON line that precedes the bootstrap payload.
 // The bootstrap is always anchored at a FULL epoch boundary (see
@@ -176,15 +181,14 @@ type stateHeader struct {
 }
 
 // wireImpact is the defaults-resolved impact.Config exchanged at
-// bootstrap; presence implies Enabled. Workers rides along for the same
-// reason wireParams carries it: the influence PageRank's stopping
-// residual is partition-shaped.
+// bootstrap; presence implies Enabled. It carries no worker count: the
+// influence PageRank's Result does not depend on one, and decoding
+// ignores the "workers" field older leaders still send.
 type wireImpact struct {
 	ImpulseWindow int     `json:"impulse_window"`
 	PRAlpha       float64 `json:"pr_alpha"`
 	PRTol         float64 `json:"pr_tol"`
 	PRMaxIter     int     `json:"pr_max_iter"`
-	Workers       int     `json:"workers,omitempty"`
 }
 
 func wireImpactOf(cfg impact.Config) *wireImpact {
@@ -193,21 +197,16 @@ func wireImpactOf(cfg impact.Config) *wireImpact {
 	}
 	cfg = cfg.WithDefaults()
 	return &wireImpact{ImpulseWindow: cfg.ImpulseWindow, PRAlpha: cfg.PRAlpha,
-		PRTol: cfg.PRTol, PRMaxIter: cfg.PRMaxIter, Workers: cfg.Workers}
+		PRTol: cfg.PRTol, PRMaxIter: cfg.PRMaxIter}
 }
 
-// config materializes impact.Config; workersOverride mirrors
-// wireParams.params, with the same bit-equality caveat.
-func (wi *wireImpact) config(workersOverride int) impact.Config {
+// config materializes impact.Config.
+func (wi *wireImpact) config() impact.Config {
 	if wi == nil {
 		return impact.Config{}
 	}
-	w := wi.Workers
-	if workersOverride != 0 {
-		w = workersOverride
-	}
 	return impact.Config{Enabled: true, ImpulseWindow: wi.ImpulseWindow,
-		PRAlpha: wi.PRAlpha, PRTol: wi.PRTol, PRMaxIter: wi.PRMaxIter, Workers: w}
+		PRAlpha: wi.PRAlpha, PRTol: wi.PRTol, PRMaxIter: wi.PRMaxIter}
 }
 
 func writeHeader(w io.Writer, hdr stateHeader) error {

@@ -4,12 +4,13 @@ import "sync"
 
 // VecPool leases float64 vectors of one fixed length. It is the tiled
 // kernel's scratch-buffer mechanism: the per-step premultiplied iterate
-// cycles through one of these instead of being allocated per iteration,
-// so a single-partition power-iteration step performs zero allocations
-// (TestTiledStepAllocs pins this). A small mutex-guarded freelist is
-// used instead of sync.Pool deliberately: Put into a sync.Pool boxes the
-// slice header (one heap allocation per cycle), which would break that
-// guarantee. Get and Put are safe for concurrent use.
+// and the per-tile residual partials cycle through these instead of
+// being allocated per iteration, so an inline power-iteration step
+// performs zero allocations (TestTiledStepAllocs pins this). A small
+// mutex-guarded freelist is used instead of sync.Pool deliberately: Put
+// into a sync.Pool boxes the slice header (one heap allocation per
+// cycle), which would break that guarantee. Get and Put are safe for
+// concurrent use.
 type VecPool struct {
 	n    int
 	mu   sync.Mutex

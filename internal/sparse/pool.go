@@ -16,11 +16,12 @@ var liveWorkers atomic.Int64
 // running in this process. Diagnostic hook for tests.
 func LiveWorkers() int64 { return liveWorkers.Load() }
 
-// Pool is a persistent set of worker goroutines that execute the row-range
-// tasks of the tiled power-method kernel. A compiled ranking operator
-// creates one pool and reuses it for every iteration of every rank, so the
-// per-iteration cost is a handful of channel operations instead of
-// spawning and tearing down goroutines on each matrix–vector product.
+// Pool is a persistent set of worker goroutines that execute the
+// tile-claiming tasks of the tiled power-method kernel. A compiled
+// ranking operator creates one pool and reuses it for every iteration of
+// every rank, so the per-iteration cost is a handful of channel
+// operations instead of spawning and tearing down goroutines on each
+// matrix–vector product.
 type Pool struct {
 	tasks chan poolTask
 	stop  chan struct{}

@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -18,7 +17,7 @@ func TiledBuilds() int64 { return tiledBuilds.Load() }
 // DefaultTileRows is the row-block height of the tiled layout. 2048 rows
 // keep a tile's slice of the output vector L1-resident (16KB of next)
 // while leaving dozens of tiles even on mid-sized corpora, so the
-// nnz-balanced tile partitioner has granularity to work with.
+// workers claiming tiles have granularity to balance with.
 const DefaultTileRows = 2048
 
 // WindowBits fixes the column-window width of the tiled layout: columns
@@ -40,7 +39,7 @@ const windowSize = 1 << WindowBits
 // sides, so the matrix stays column-stochastic).
 //
 // Layout. Rows are renumbered by perm (perm[old] = new) and grouped into
-// contiguous blocks of tileRows rows — the unit of parallel partitioning.
+// contiguous blocks of tileRows rows — the unit a worker claims.
 // Entries are stored row-major in one flat val array; within a row they
 // are ordered by ascending ORIGINAL column id, which segments them into
 // runs per column window (window = original id >> WindowBits; the
@@ -76,10 +75,11 @@ const windowSize = 1 << WindowBits
 // vector is a copy, not an arithmetic transform), so every score in
 // permuted space equals the identity-layout score of the corresponding
 // original row, bit for bit. The dangling-mass gather is kept in
-// ascending original-column order for the same reason. Only the L1
-// residual may differ in its final ulps, because per-partition partials
-// group different row subsets and are tree-reduced; the residual is a
-// stopping criterion, not an output.
+// ascending original-column order for the same reason. The L1 residual
+// is summed per tile in row order and the tile partials are tree-reduced
+// in tile order, so it too is fixed by the layout, whatever the worker
+// count. It differs from the serial reference's one sequential sum in
+// its final ulps; the residual is a stopping criterion, not an output.
 type TiledStochastic struct {
 	rows    int
 	nnz     int
@@ -105,15 +105,14 @@ type TiledStochastic struct {
 	perm     []int32 // old → new (shared, read-only; identity if nil given)
 	pool     *Pool
 
-	mu    sync.Mutex
-	parts map[int][]int32 // partition count → tile-range boundaries
-
-	scratch *VecPool // len-rows vectors, the per-step y buffer
+	scratch  *VecPool // len-rows vectors, the per-step y buffer
+	partials *VecPool // len-tiles vectors, the per-step residual partials
 
 	occupiedRow int // rows with ≥1 entry (for occupancy telemetry)
 }
 
-// tileHeader is one row block — the unit the partitioner schedules.
+// tileHeader is one row block — the unit a worker claims and the
+// residual's summation unit.
 type tileHeader struct {
 	rowLo, rowHi int32 // permuted row range [rowLo, rowHi)
 }
@@ -129,7 +128,7 @@ func (s *Stochastic) Tiled(pool *Pool, perm []int32) *TiledStochastic {
 
 // TiledRows is Tiled with an explicit tile height, exposed for layout
 // studies and the boundary-shape tests (single-tile graphs, many-tile
-// partitions via tiny heights).
+// layouts via tiny heights).
 func (s *Stochastic) TiledRows(pool *Pool, perm []int32, tileRows int) *TiledStochastic {
 	if tileRows < 1 {
 		tileRows = DefaultTileRows
@@ -158,7 +157,6 @@ func (s *Stochastic) TiledRows(pool *Pool, perm []int32, tileRows int) *TiledSto
 		wbase:   make([]int32, w),
 		perm:    perm,
 		pool:    pool,
-		parts:   make(map[int][]int32),
 		scratch: NewVecPool(n),
 	}
 	// Probe for the uniform-column property (every entry of a column
@@ -254,6 +252,7 @@ probe:
 		}
 		t.tiles = append(t.tiles, tileHeader{rowLo: int32(lo), rowHi: int32(hi)})
 	}
+	t.partials = NewVecPool(len(t.tiles))
 	for r := 0; r < n; r++ {
 		if t.rowPtr[r+1] > t.rowPtr[r] {
 			t.occupiedRow++
@@ -392,64 +391,14 @@ func (t *TiledStochastic) Stats() LayoutStats {
 	return st
 }
 
-// partition returns (building and caching on first use) the tile-range
-// boundaries for the given partition count.
-func (t *TiledStochastic) partition(parts int) []int32 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if b, ok := t.parts[parts]; ok {
-		return b
-	}
-	b := PartitionTiles(t.tiles, t.rowPtr, parts)
-	t.parts[parts] = b
-	return b
-}
-
-// PartitionTiles splits tiles into at most parts contiguous ranges of
-// near-equal work (entries + rows). It never returns an empty range:
-// when parts exceeds the number of tiles — or a handful of tiles hold
-// all the work — the boundary list is compacted, so len(bounds)−1 is the
-// true partition count.
-func PartitionTiles(tiles []tileHeader, rowPtr []int32, parts int) []int32 {
-	nt := len(tiles)
-	if parts > nt {
-		parts = nt
-	}
-	if parts < 1 {
-		parts = 1
-	}
-	// work[i] = cumulative entries+rows before tile i.
-	work := make([]int64, nt+1)
-	for i, h := range tiles {
-		work[i+1] = work[i] + int64(rowPtr[h.rowHi]-rowPtr[h.rowLo]) + int64(h.rowHi-h.rowLo)
-	}
-	total := work[nt]
-	bounds := make([]int32, 1, parts+1)
-	prev := 0
-	for k := 1; k < parts; k++ {
-		target := total * int64(k) / int64(parts)
-		b := prev
-		for b < nt && work[b] < target {
-			b++
-		}
-		if b > prev { // skip would-be empty ranges
-			bounds = append(bounds, int32(b))
-			prev = b
-		}
-	}
-	if nt > 0 && prev == nt {
-		// The last recorded cut already reached the end; the final range
-		// would be empty. Drop the duplicate boundary.
-		bounds = bounds[:len(bounds)-1]
-	}
-	return append(bounds, int32(nt))
-}
-
 // Step computes next = α·S·x + β·att + γ·rec in one tiled pass and
 // returns the L1 residual Σ|next[i] − x[i]|. All vectors are in the
-// layout's storage (permuted) space. parts selects the number of
-// tile ranges; with parts ≤ 1 the pass runs on the calling goroutine.
-// next must not alias x. Safe for concurrent use with distinct next/x.
+// layout's storage (permuted) space. Each tile sums its rows' residual
+// in row order and the per-tile partials are tree-summed in tile order,
+// so the residual — like every score — depends on the layout alone.
+// parts only caps how many pool tasks claim tiles; with parts ≤ 1 the
+// pass runs on the calling goroutine. next must not alias x. Safe for
+// concurrent use with distinct next/x.
 func (t *TiledStochastic) Step(next, x, att, rec []float64, alpha, beta, gamma float64, parts int) float64 {
 	// Dangling mass first, sequentially, in ascending original-column
 	// order (see the accumulation-order note on the type).
@@ -469,32 +418,36 @@ func (t *TiledStochastic) Step(next, x, att, rec []float64, alpha, beta, gamma f
 	// the hot loop stops streaming 8 bytes of value per entry.
 	var y []float64
 	if t.uniform {
-		y = t.getY()
+		y = t.scratch.Get()
 		cv := t.colVal
 		for i, xi := range x[:len(cv)] {
 			y[i] = cv[i] * xi
 		}
-		defer t.putY(y)
+		defer t.scratch.Put(y)
 	}
+	partial := t.partials.Get()
+	defer t.partials.Put(partial)
 	if parts <= 1 || t.pool == nil {
-		return t.stepTiles(0, len(t.tiles), next, x, y, att, rec, alpha, beta, gamma, share, hasDangling)
+		for ti := range partial {
+			partial[ti] = t.stepTile(ti, next, x, y, att, rec, alpha, beta, gamma, share, hasDangling)
+		}
+		return treeSum(partial)
 	}
-	// Even a single compacted range goes through the pool: treeSum of one
-	// partial is that partial, so the bits match the direct call, and a
-	// caller that asked for parallelism always exercises the workers
-	// (small graphs collapse to one tile, and the pool-lifecycle tests
-	// rely on parallel ranks scheduling them).
-	bounds := t.partition(parts)
-	partial := make([]float64, len(bounds)-1)
-	t.pool.Run(len(partial), func(i int) {
-		partial[i] = t.stepTiles(int(bounds[i]), int(bounds[i+1]),
-			next, x, y, att, rec, alpha, beta, gamma, share, hasDangling)
+	// Even a single task goes through the pool, so a caller that asked
+	// for parallelism always exercises the workers (small graphs collapse
+	// to one tile, and the pool-lifecycle tests rely on parallel ranks
+	// scheduling them).
+	var claimed atomic.Int64
+	t.pool.Run(min(parts, len(partial)), func(int) {
+		for ti := int(claimed.Add(1) - 1); ti < len(partial); ti = int(claimed.Add(1) - 1) {
+			partial[ti] = t.stepTile(ti, next, x, y, att, rec, alpha, beta, gamma, share, hasDangling)
+		}
 	})
 	return treeSum(partial)
 }
 
-// treeSum reduces the worker partials by pairwise halving — deterministic
-// for a fixed partition count regardless of worker scheduling.
+// treeSum reduces the per-tile partials by pairwise halving in tile
+// order — one fixed summation tree per layout.
 func treeSum(p []float64) float64 {
 	switch len(p) {
 	case 0:
@@ -506,74 +459,65 @@ func treeSum(p []float64) float64 {
 	return treeSum(p[:mid]) + treeSum(p[mid:])
 }
 
-// getY leases the per-step y buffer (len rows); putY returns it. The
-// VecPool keeps concurrent Steps on one layout race-free without
-// allocating a fresh vector per iteration.
-func (t *TiledStochastic) getY() []float64 { return t.scratch.Get() }
-
-func (t *TiledStochastic) putY(y []float64) { t.scratch.Put(y) }
-
-// stepTiles is the per-worker kernel over tiles [tLo, tHi): the fused
-// update plus a partial L1 residual, its arithmetic mirroring the serial
-// reference (CSC MulVec + combine loop) expression for expression so
-// scores stay bit-identical. y is the premultiplied iterate (uniform
-// layouts only; nil routes to the per-entry fallback).
-func (t *TiledStochastic) stepTiles(tLo, tHi int, next, x, y, att, rec []float64, alpha, beta, gamma, share float64, hasDangling bool) float64 {
+// stepTile is the kernel over one tile: the fused update of its rows
+// plus their L1 residual, summed in row order, its arithmetic mirroring
+// the serial reference (CSC MulVec + combine loop) expression for
+// expression so scores stay bit-identical. y is the premultiplied
+// iterate (uniform layouts only; nil routes to the per-entry fallback).
+func (t *TiledStochastic) stepTile(ti int, next, x, y, att, rec []float64, alpha, beta, gamma, share float64, hasDangling bool) float64 {
+	h := t.tiles[ti]
 	if !t.uniform {
-		return t.stepTilesVal(tLo, tHi, next, x, att, rec, alpha, beta, gamma, share, hasDangling)
+		return t.stepTileVal(h, next, x, att, rec, alpha, beta, gamma, share, hasDangling)
 	}
 	if t.rows < windowSize {
-		return t.stepTilesSmall(tLo, tHi, next, x, y, att, rec, alpha, beta, gamma, share, hasDangling)
+		return t.stepTileSmall(h, next, x, y, att, rec, alpha, beta, gamma, share, hasDangling)
 	}
 	if t.windows == 2 {
-		return t.stepTilesW2(tLo, tHi, next, x, y, att, rec, alpha, beta, gamma, share, hasDangling)
+		return t.stepTileW2(h, next, x, y, att, rec, alpha, beta, gamma, share, hasDangling)
 	}
 	resid := 0.0
 	rowPtr, colw := t.rowPtr, t.cols
-	for ti := tLo; ti < tHi; ti++ {
-		h := &t.tiles[ti]
-		for r := int(h.rowLo); r < int(h.rowHi); r++ {
-			k := int(rowPtr[r])
-			end := int(rowPtr[r+1])
-			s := 0.0
-			for j := 0; j < len(t.wbase); j++ {
-				segEnd := end
-				if j < len(t.splits) {
-					segEnd = int(t.splits[j][r])
+	for r := int(h.rowLo); r < int(h.rowHi); r++ {
+		k := int(rowPtr[r])
+		end := int(rowPtr[r+1])
+		s := 0.0
+		for j := 0; j < len(t.wbase); j++ {
+			segEnd := end
+			if j < len(t.splits) {
+				segEnd = int(t.splits[j][r])
+			}
+			if segEnd > k {
+				// A fixed-length 64Ki view of y: the uint16 word
+				// indexes it with the bounds check compiled away.
+				yw := y[t.wbase[j]:]
+				yw = yw[:windowSize:windowSize]
+				cs := colw[k:segEnd]
+				for _, c := range cs {
+					s += yw[c]
 				}
-				if segEnd > k {
-					// A fixed-length 64Ki view of y: the uint16 word
-					// indexes it with the bounds check compiled away.
-					yw := y[t.wbase[j]:]
-					yw = yw[:windowSize:windowSize]
-					cs := colw[k:segEnd]
-					for _, c := range cs {
-						s += yw[c]
-					}
-					k = segEnd
-				}
+				k = segEnd
 			}
-			if hasDangling {
-				s += share
-			}
-			v := alpha*s + beta*att[r] + gamma*rec[r]
-			next[r] = v
-			d := v - x[r]
-			if d < 0 {
-				d = -d
-			}
-			resid += d
 		}
+		if hasDangling {
+			s += share
+		}
+		v := alpha*s + beta*att[r] + gamma*rec[r]
+		next[r] = v
+		d := v - x[r]
+		if d < 0 {
+			d = -d
+		}
+		resid += d
 	}
 	return resid
 }
 
-// stepTilesW2 is the two-window specialization — the common shape for
+// stepTileW2 is the two-window specialization — the common shape for
 // corpora between 64Ki and 128Ki papers (the benchmark's 100k network).
 // The window views of y and the single split plane hoist out of the row
 // loop, so each row runs two back-to-back bounds-check-free gather-add
 // loops with nothing rebuilt in between.
-func (t *TiledStochastic) stepTilesW2(tLo, tHi int, next, x, y, att, rec []float64, alpha, beta, gamma, share float64, hasDangling bool) float64 {
+func (t *TiledStochastic) stepTileW2(h tileHeader, next, x, y, att, rec []float64, alpha, beta, gamma, share float64, hasDangling bool) float64 {
 	resid := 0.0
 	rowPtr, colw := t.rowPtr, t.cols
 	yw0 := y[t.wbase[0]:]
@@ -581,114 +525,70 @@ func (t *TiledStochastic) stepTilesW2(tLo, tHi int, next, x, y, att, rec []float
 	yw1 := y[t.wbase[1]:]
 	yw1 = yw1[:windowSize:windowSize]
 	split := t.splits[0]
-	for ti := tLo; ti < tHi; ti++ {
-		h := &t.tiles[ti]
-		for r := int(h.rowLo); r < int(h.rowHi); r++ {
-			a, m, b := rowPtr[r], split[r], rowPtr[r+1]
-			s := 0.0
-			for _, c := range colw[a:m] {
-				s += yw0[c]
-			}
-			for _, c := range colw[m:b] {
-				s += yw1[c]
-			}
-			if hasDangling {
-				s += share
-			}
-			v := alpha*s + beta*att[r] + gamma*rec[r]
-			next[r] = v
-			d := v - x[r]
-			if d < 0 {
-				d = -d
-			}
-			resid += d
+	for r := int(h.rowLo); r < int(h.rowHi); r++ {
+		a, m, b := rowPtr[r], split[r], rowPtr[r+1]
+		s := 0.0
+		for _, c := range colw[a:m] {
+			s += yw0[c]
 		}
+		for _, c := range colw[m:b] {
+			s += yw1[c]
+		}
+		if hasDangling {
+			s += share
+		}
+		v := alpha*s + beta*att[r] + gamma*rec[r]
+		next[r] = v
+		d := v - x[r]
+		if d < 0 {
+			d = -d
+		}
+		resid += d
 	}
 	return resid
 }
 
-// stepTilesSmall is the single-window path for matrices under 64Ki rows:
+// stepTileSmall is the single-window path for matrices under 64Ki rows:
 // no split planes, column words are absolute storage ids.
-func (t *TiledStochastic) stepTilesSmall(tLo, tHi int, next, x, y, att, rec []float64, alpha, beta, gamma, share float64, hasDangling bool) float64 {
+func (t *TiledStochastic) stepTileSmall(h tileHeader, next, x, y, att, rec []float64, alpha, beta, gamma, share float64, hasDangling bool) float64 {
 	resid := 0.0
 	rowPtr, colw := t.rowPtr, t.cols
-	for ti := tLo; ti < tHi; ti++ {
-		h := &t.tiles[ti]
-		for r := int(h.rowLo); r < int(h.rowHi); r++ {
-			a, b := rowPtr[r], rowPtr[r+1]
-			s := 0.0
-			for _, c := range colw[a:b] {
-				s += y[c]
-			}
-			if hasDangling {
-				s += share
-			}
-			v := alpha*s + beta*att[r] + gamma*rec[r]
-			next[r] = v
-			d := v - x[r]
-			if d < 0 {
-				d = -d
-			}
-			resid += d
+	for r := int(h.rowLo); r < int(h.rowHi); r++ {
+		a, b := rowPtr[r], rowPtr[r+1]
+		s := 0.0
+		for _, c := range colw[a:b] {
+			s += y[c]
 		}
+		if hasDangling {
+			s += share
+		}
+		v := alpha*s + beta*att[r] + gamma*rec[r]
+		next[r] = v
+		d := v - x[r]
+		if d < 0 {
+			d = -d
+		}
+		resid += d
 	}
 	return resid
 }
 
-// stepTilesVal is the fallback kernel for non-uniform (weighted or
+// stepTileVal is the fallback kernel for non-uniform (weighted or
 // duplicate-edge) matrices: per-entry values, any window count. It keeps
 // the same canonical accumulation order, just without the premultiplied
 // iterate.
-func (t *TiledStochastic) stepTilesVal(tLo, tHi int, next, x, att, rec []float64, alpha, beta, gamma, share float64, hasDangling bool) float64 {
+func (t *TiledStochastic) stepTileVal(h tileHeader, next, x, att, rec []float64, alpha, beta, gamma, share float64, hasDangling bool) float64 {
 	resid := 0.0
 	rowPtr, vals, colw := t.rowPtr, t.val, t.cols
 	if t.rows < windowSize {
 		// Single window narrower than 64Ki: words are absolute ids.
-		for ti := tLo; ti < tHi; ti++ {
-			h := &t.tiles[ti]
-			for r := int(h.rowLo); r < int(h.rowHi); r++ {
-				a, b := rowPtr[r], rowPtr[r+1]
-				vs := vals[a:b]
-				cs := colw[a:b]
-				s := 0.0
-				for e := range vs {
-					s += vs[e] * x[cs[e]]
-				}
-				if hasDangling {
-					s += share
-				}
-				v := alpha*s + beta*att[r] + gamma*rec[r]
-				next[r] = v
-				d := v - x[r]
-				if d < 0 {
-					d = -d
-				}
-				resid += d
-			}
-		}
-		return resid
-	}
-	for ti := tLo; ti < tHi; ti++ {
-		h := &t.tiles[ti]
 		for r := int(h.rowLo); r < int(h.rowHi); r++ {
-			k := int(rowPtr[r])
-			end := int(rowPtr[r+1])
+			a, b := rowPtr[r], rowPtr[r+1]
+			vs := vals[a:b]
+			cs := colw[a:b]
 			s := 0.0
-			for j := 0; j < len(t.wbase); j++ {
-				segEnd := end
-				if j < len(t.splits) {
-					segEnd = int(t.splits[j][r])
-				}
-				if segEnd > k {
-					xw := x[t.wbase[j]:]
-					xw = xw[:windowSize:windowSize]
-					vs := vals[k:segEnd]
-					cs := colw[k:segEnd]
-					for e := range vs {
-						s += vs[e] * xw[cs[e]]
-					}
-					k = segEnd
-				}
+			for e := range vs {
+				s += vs[e] * x[cs[e]]
 			}
 			if hasDangling {
 				s += share
@@ -701,6 +601,38 @@ func (t *TiledStochastic) stepTilesVal(tLo, tHi int, next, x, att, rec []float64
 			}
 			resid += d
 		}
+		return resid
+	}
+	for r := int(h.rowLo); r < int(h.rowHi); r++ {
+		k := int(rowPtr[r])
+		end := int(rowPtr[r+1])
+		s := 0.0
+		for j := 0; j < len(t.wbase); j++ {
+			segEnd := end
+			if j < len(t.splits) {
+				segEnd = int(t.splits[j][r])
+			}
+			if segEnd > k {
+				xw := x[t.wbase[j]:]
+				xw = xw[:windowSize:windowSize]
+				vs := vals[k:segEnd]
+				cs := colw[k:segEnd]
+				for e := range vs {
+					s += vs[e] * xw[cs[e]]
+				}
+				k = segEnd
+			}
+		}
+		if hasDangling {
+			s += share
+		}
+		v := alpha*s + beta*att[r] + gamma*rec[r]
+		next[r] = v
+		d := v - x[r]
+		if d < 0 {
+			d = -d
+		}
+		resid += d
 	}
 	return resid
 }

@@ -98,11 +98,24 @@ func permuteF64(src []float64, perm []int32) []float64 {
 	return dst
 }
 
+// tileOrderResid is the exact residual oracle of an identity-layout
+// Step: each tile's |want−x| summed row by row, then the tile sums
+// tree-reduced in tile order.
+func tileOrderResid(ti *TiledStochastic, want, x []float64) float64 {
+	sums := make([]float64, len(ti.tiles))
+	for k, h := range ti.tiles {
+		for r := h.rowLo; r < h.rowHi; r++ {
+			sums[k] += math.Abs(want[r] - x[r])
+		}
+	}
+	return treeSum(sums)
+}
+
 // TestTiledStepBitIdenticalAtIdentity pins the compressed layout against
 // the reference at the identity relabeling: scores bit-identical to the
-// serial CSC step for every partition count, residual exactly the serial
-// sum at one partition. Small tile heights force multi-tile layouts even
-// on these tiny matrices.
+// serial CSC step, and the residual exactly the tile-order sum, for every
+// worker count. Small tile heights force multi-tile layouts even on
+// these tiny matrices.
 func TestTiledStepBitIdenticalAtIdentity(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
@@ -127,6 +140,7 @@ func TestTiledStepBitIdenticalAtIdentity(t *testing.T) {
 				t.Fatalf("%s/h=%d: N/NNZ = %d/%d, want %d/%d",
 					tc.name, tileRows, ti.N(), ti.NNZ(), n, s.m.NNZ())
 			}
+			tileResid := tileOrderResid(ti, want, x)
 			for _, parts := range []int{1, 2, 3, 7, 16, n + 5} {
 				got := make([]float64, n)
 				resid := ti.Step(got, x, att, rec, 0.5, 0.3, 0.2, parts)
@@ -136,9 +150,9 @@ func TestTiledStepBitIdenticalAtIdentity(t *testing.T) {
 							tc.name, tileRows, parts, i, got[i], want[i])
 					}
 				}
-				if parts == 1 && resid != wantResid {
-					t.Fatalf("%s/h=%d parts=1: resid = %v, want exactly %v",
-						tc.name, tileRows, resid, wantResid)
+				if resid != tileResid {
+					t.Fatalf("%s/h=%d parts=%d: resid = %v, want exactly %v",
+						tc.name, tileRows, parts, resid, tileResid)
 				}
 				if math.Abs(resid-wantResid) > 1e-12*(1+math.Abs(wantResid)) {
 					t.Fatalf("%s/h=%d parts=%d: resid = %v, want ≈ %v",
@@ -216,8 +230,9 @@ func TestTiledRelabelingInvariance(t *testing.T) {
 // needs two 64Ki column windows, so rows whose entries straddle the
 // window boundary carry a split point and the kernel walks two window
 // runs per row. Scores must match the serial reference bit for bit,
-// under identity and window-aligned random relabelings alike, and a
-// cross-window permutation must be rejected.
+// under identity and window-aligned random relabelings alike, the
+// residual must be exactly the tile-order sum at every worker count,
+// and a cross-window permutation must be rejected.
 func TestTiledTwoWindows(t *testing.T) {
 	const n = 70000
 	entries := []Coord{
@@ -237,7 +252,9 @@ func TestTiledTwoWindows(t *testing.T) {
 	}
 	s := mustStochastic(t, mustMatrix2(t, n, n, entries))
 
-	ti := s.Tiled(nil, nil)
+	pool := NewPool(4)
+	defer pool.Close()
+	ti := s.Tiled(pool, nil)
 	st := ti.Stats()
 	if st.Windows != 2 {
 		t.Fatalf("layout has %d windows, want 2 for n=%d", st.Windows, n)
@@ -246,13 +263,20 @@ func TestTiledTwoWindows(t *testing.T) {
 	x, att, rec := randomVectors(rng, n)
 	want := make([]float64, n)
 	wantResid := referenceStep(s, want, x, att, rec, 0.5, 0.3, 0.2)
-	got := make([]float64, n)
-	if resid := ti.Step(got, x, att, rec, 0.5, 0.3, 0.2, 1); resid != wantResid {
-		t.Fatalf("multi-window resid = %v, want exactly %v", resid, wantResid)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("multi-window next[%d] = %v, want %v", i, got[i], want[i])
+	tileResid := tileOrderResid(ti, want, x)
+	for _, parts := range []int{1, 2, 3, 7, 16, n + 5} {
+		got := make([]float64, n)
+		resid := ti.Step(got, x, att, rec, 0.5, 0.3, 0.2, parts)
+		if resid != tileResid {
+			t.Fatalf("multi-window parts=%d: resid = %v, want exactly %v", parts, resid, tileResid)
+		}
+		if math.Abs(resid-wantResid) > 1e-12*(1+math.Abs(wantResid)) {
+			t.Fatalf("multi-window parts=%d: resid = %v, want ≈ %v", parts, resid, wantResid)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("multi-window parts=%d: next[%d] = %v, want %v", parts, i, got[i], want[i])
+			}
 		}
 	}
 
@@ -353,47 +377,6 @@ func TestWindowAlign(t *testing.T) {
 	}
 }
 
-// TestPartitionTilesNoEmptyRanges checks the tile partitioner's contract
-// on real layouts: strictly increasing boundaries (no empty ranges), full
-// coverage, and at most min(parts, tiles) ranges — including when parts
-// far exceeds the tile count or the work is concentrated in few tiles.
-func TestPartitionTilesNoEmptyRanges(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		s    *Stochastic
-		h    int
-	}{
-		{"power-law-h4", powerLawStochastic(t, 81, 160, 1200), 4},
-		{"power-law-h64", powerLawStochastic(t, 82, 160, 1200), 64},
-		{"single-tile", powerLawStochastic(t, 83, 50, 200), DefaultTileRows},
-		{"all-dangling", mustStochastic(t, emptySquare(t, 40)), 8},
-	} {
-		ti := tc.s.TiledRows(nil, nil, tc.h)
-		nt := len(ti.tiles)
-		for _, parts := range []int{1, 2, 3, 8, 64, 500} {
-			b := PartitionTiles(ti.tiles, ti.rowPtr, parts)
-			if b[0] != 0 || b[len(b)-1] != int32(nt) {
-				t.Fatalf("%s parts=%d: bounds %v do not cover [0,%d]", tc.name, parts, b, nt)
-			}
-			want := parts
-			if want > nt {
-				want = nt
-			}
-			if want < 1 {
-				want = 1
-			}
-			if got := len(b) - 1; got < 1 || got > want {
-				t.Fatalf("%s parts=%d: %d ranges, want between 1 and %d", tc.name, parts, got, want)
-			}
-			for i := 1; i < len(b); i++ {
-				if nt > 0 && b[i] <= b[i-1] {
-					t.Fatalf("%s parts=%d: bounds %v contain an empty range", tc.name, parts, b)
-				}
-			}
-		}
-	}
-}
-
 // TestTiledStatsCompression pins the satellite telemetry: the compressed
 // layout must beat the 12 bytes/nnz CSR floor on a narrow-tile graph, and
 // the stats must be internally consistent.
@@ -487,8 +470,8 @@ func TestTiledValueCompression(t *testing.T) {
 // tiled power-iteration step. On the calling goroutine (parts=1) a step
 // allocates nothing: the uniform layout's premultiplied iterate cycles
 // through the layout's VecPool. Through the worker pool (parts=2) the
-// dispatch costs a fixed handful — the partials slice, the task closure
-// and its WaitGroup — independent of the matrix size.
+// dispatch costs a fixed handful — the task closure, its tile counter
+// and the WaitGroup — independent of the matrix size.
 func TestTiledStepAllocs(t *testing.T) {
 	pool := NewPool(2)
 	defer pool.Close()
@@ -521,7 +504,7 @@ func TestTiledStepAllocs(t *testing.T) {
 		next := make([]float64, n)
 		for _, c := range []struct{ parts, max int }{{1, 0}, {2, 3}} {
 			step := func() { ti.Step(next, x, att, rec, 0.5, 0.3, 0.2, c.parts) }
-			step() // warm the partition cache and the y pool
+			step() // warm the y and partials pools
 			if got := testing.AllocsPerRun(50, step); got > float64(c.max) {
 				t.Fatalf("%s parts=%d: %.1f allocs/step, want ≤ %d", tc.name, c.parts, got, c.max)
 			}

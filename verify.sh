@@ -48,7 +48,7 @@ echo "==> go vet ./... (benchmark module)"
 
 if [ "${1:-}" = "quick" ]; then
 	echo "==> go test -race -short (kernel packages)"
-	go test -race -short -run 'Parallel|Operator|Pool|Partition|RankBatch|Tiled|RCM|Relabel|Window|Degree|Explain|TopPage' \
+	go test -race -short -run 'Parallel|Operator|Pool|RankBatch|Tiled|RCM|Relabel|Window|Degree|Explain|TopPage' \
 		./internal/sparse/ ./internal/core/
 	echo "==> go test -race (scratch metrics bit-equality)"
 	go test -race -run 'Scratch|Ordering|Ranks' ./internal/metrics/
