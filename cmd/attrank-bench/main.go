@@ -20,7 +20,7 @@
 // synthetic graph the tiled kernel (under its RCM relabeling) and the
 // serial CSC reference must produce bit-identical iterates, the tiled
 // residual must carry the same bits on one worker as on the whole pool,
-// and the operator's parallel path must match its serial path
+// and the operator's Rank must match the serial reference loop
 // bit-for-bit. Exits non-zero on any mismatch.
 //
 // With -impact it runs the impact-layer smoke: an in-process server with

@@ -99,7 +99,7 @@ func main() {
 		y       = flag.Int("y", 3, "attention window in years")
 		w       = flag.Float64("w", 0, "recency exponent (0 = fit from data)")
 		now     = flag.Int("now", 0, "current time tN (default: newest year)")
-		workers = flag.Int("workers", -1, "power-iteration workers per (re-)rank: negative = one per CPU core (default — a server should rank as fast as the machine allows), N > 0 = at most N, 0 = the serial reference kernel; scores are bit-identical either way, and every nonzero value gives the same ranking. Followers take the kernel from the leader and rank on their own cores")
+		workers = flag.Int("workers", -1, "power-iteration workers per (re-)rank: negative = one per CPU core (default — a server should rank as fast as the machine allows), 0 or 1 = on the ranking goroutine, N > 1 = at most N; every value gives the same ranking. Followers rank on their own cores")
 
 		pprofOn = flag.Bool("pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/")
 

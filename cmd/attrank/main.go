@@ -28,7 +28,7 @@ import (
 
 func main() {
 	var (
-		in      = flag.String("in", "", "input network file (.tsv or .json)")
+		in      = flag.String("in", "", "input network file (.tsv, .json or .anb, optionally .gz-compressed)")
 		method  = flag.String("method", "AR", "ranking method: AR, NO-ATT, ATT-ONLY, PR, CC, CR, FR, RAM, ECM, WSDM, HITS, KATZ, TPR")
 		top     = flag.Int("top", 20, "number of papers to print")
 		now     = flag.Int("now", 0, "current time tN (default: newest year in the network)")
@@ -42,7 +42,7 @@ func main() {
 		iters   = flag.Int("iters", 4, "WSDM iteration count")
 		explain = flag.Bool("explain", false, "decompose each top paper's AttRank score (AR methods only)")
 		csvOut  = flag.String("csv", "", "also write the complete ranking as CSV to this file")
-		workers = flag.Int("workers", 0, "AttRank power-iteration parallelism: 0 = serial reference kernel, N > 0 = tiled kernel on at most N workers, negative = one per CPU core; scores are bit-identical either way, and every nonzero value gives the same result")
+		workers = flag.Int("workers", 0, "AttRank power-iteration parallelism: 0 or 1 = on the calling goroutine, N > 1 = at most N workers, negative = one per CPU core; every value gives the same result")
 	)
 	flag.Parse()
 	if *in == "" {

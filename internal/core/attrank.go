@@ -58,16 +58,15 @@ type Params struct {
 	// reached in fewer iterations. Must have one entry per paper and
 	// non-negative mass; it is normalized before use.
 	Start []float64
-	// Workers selects the power-method kernel: 0 keeps the serial CSC
-	// reference kernel (right for small and mid-size networks); any other
-	// value runs the tiled parallel kernel on at most that many workers
-	// (negative = GOMAXPROCS) of the compiled operator's persistent
-	// pool. The tiled kernel's Result — scores, residuals, iterations,
-	// convergence — is the same for every nonzero Workers. Its scores
-	// are bit-identical to the reference's iterate for iterate; only the
-	// residual, a different reduction, may differ in its last ulps. The
-	// library default stays serial; attrank-serve defaults its re-ranks
-	// to one worker per core (see its -workers flag).
+	// Workers caps the concurrency of the tiled power-method kernel: 0
+	// or 1 steps inline on the caller, N > 1 uses at most N tasks of the
+	// compiled operator's persistent pool, and a negative value one per
+	// GOMAXPROCS. The Result — scores, residuals, iterations,
+	// convergence — does not depend on it. The scores are bit-identical
+	// to the serial CSC power iteration's, iterate for iterate; only the
+	// residual, a per-tile tree-reduction, may differ from that
+	// sequential sum in its last ulps. attrank-serve defaults its
+	// re-ranks to one worker per core (see its -workers flag).
 	Workers int
 }
 

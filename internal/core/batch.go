@@ -4,10 +4,10 @@ import "time"
 
 // RankBatch computes AttRank scores for a slice of parameterizations —
 // the cells of a parameter sweep — one cell at a time through the same
-// single-vector path as Rank. Every cell is bit-identical to
-// op.Rank(now, ps[i]): scores, residuals, iteration counts and
-// convergence flags, for any mix of α/β/γ/y/w, warm starts, tolerances
-// and Workers settings.
+// single-vector path as Rank, on the tiled kernel. Every cell is
+// bit-identical to op.Rank(now, ps[i]): scores, residuals, iteration
+// counts and convergence flags, for any mix of α/β/γ/y/w, warm starts
+// and tolerances; a cell's Workers only caps its concurrency.
 //
 // What the batch saves over calling Rank per cell is allocation, not
 // matrix traffic: cells that share (y, w) share one attention and one

@@ -36,8 +36,8 @@ func batchGrid(n int, warm []float64) []Params {
 		p := Params{Alpha: 0.5, Beta: 0.2, Gamma: 0.3, AttentionYears: 2, W: -0.2, Workers: w}
 		ps = append(ps, p)
 	}
-	// And one serial cell: RankBatch must run it on the reference kernel
-	// and return exactly what Rank(Workers = 0) returns.
+	// And one inline cell (Workers = 0): its scores must equal the serial
+	// CSC reference's.
 	ps = append(ps, Params{Alpha: 0.5, Beta: 0.3, Gamma: 0.2, AttentionYears: 3, W: -0.2})
 	return ps
 }
@@ -61,6 +61,21 @@ func TestRankBatchBitIdenticalToRank(t *testing.T) {
 	results, errs := op.RankBatch(now, ps)
 	if len(results) != len(ps) || len(errs) != len(ps) {
 		t.Fatalf("RankBatch returned %d results / %d errs for %d cells", len(results), len(errs), len(ps))
+	}
+	last := len(ps) - 1
+	if errs[last] != nil {
+		t.Fatalf("inline cell: %v", errs[last])
+	}
+	ref := rankReference(t, net, now, ps[last])
+	if got := results[last]; got.Iterations != ref.Iterations || got.Converged != ref.Converged {
+		t.Fatalf("inline cell: iters/converged = %d/%v, serial reference %d/%v",
+			got.Iterations, got.Converged, ref.Iterations, ref.Converged)
+	}
+	for r := range ref.Scores {
+		if results[last].Scores[r] != ref.Scores[r] {
+			t.Fatalf("inline cell: score[%d] = %v, serial reference %v (not bit-identical)",
+				r, results[last].Scores[r], ref.Scores[r])
+		}
 	}
 	for i, p := range ps {
 		if errs[i] != nil {

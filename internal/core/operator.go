@@ -22,12 +22,12 @@ import (
 //
 // Everything heavy is built lazily on first use: an operator compiled for
 // a network that is only ever ranked with α = 0 never assembles a matrix,
-// and the tiled layout plus worker pool exist only once a parallel rank
-// (Params.Workers ≠ 0) runs. A parallel Rank returns the same Result
-// for every nonzero Workers: the count only caps how many pool tasks
-// claim tiles (see sparse.TiledStochastic.Step). All methods are safe
-// for concurrent use; concurrent Rank calls share the matrix read-only
-// and the pool interleaves their tile-claiming tasks.
+// and the tiled layout plus worker pool exist only once an iterating
+// rank runs. Rank returns the same Result for every Workers value: the
+// count only caps how many pool tasks claim tiles (see
+// sparse.TiledStochastic.Step). All methods are safe for concurrent use;
+// concurrent Rank calls share the matrix read-only and the pool
+// interleaves their tile-claiming tasks.
 type Operator struct {
 	net *graph.Network
 
@@ -40,17 +40,17 @@ type Operator struct {
 
 	// perm/inv are the cache-aware paper-id relabeling the tiled kernel
 	// was compiled under (perm[original] = storage). Everything outside
-	// the iteration loop — Params, Results, Explain, the serial
-	// reference kernel, the vector caches' public copies — stays in
-	// original id space; score and attention/recency vectors cross the
-	// boundary through permute/unpermute copies at Rank entry and exit.
+	// the iteration loop — Params, Results, Explain, the vector caches'
+	// public copies — stays in original id space; score and
+	// attention/recency vectors cross the boundary through
+	// permute/unpermute copies at Rank entry and exit.
 	perm, inv []int32
-	// forcedPerm, when set before the first parallel rank, replaces the
+	// forcedPerm, when set before the first iterating rank, replaces the
 	// RCM ordering. Test hook for the relabeling-invariance suite.
 	forcedPerm []int32
 	compile    CompileStats
 
-	// inflight counts parallel Ranks currently stepping on the pool;
+	// inflight counts Ranks currently stepping on the tiled kernel;
 	// evicted marks an operator dropped from the OperatorFor cache. The
 	// pair lets eviction close the pool deterministically the moment it
 	// goes idle, instead of waiting for the finalizer.
@@ -207,7 +207,7 @@ func OperatorFor(net *graph.Network) *Operator {
 // Network returns the network this operator was compiled from.
 func (op *Operator) Network() *graph.Network { return op.net }
 
-// Close releases the worker pool. Subsequent parallel Ranks recompile it;
+// Close releases the worker pool. Subsequent Ranks recompile it;
 // Close must not race with an in-flight Rank. Operators dropped without
 // Close are cleaned up by the pool's finalizer.
 func (op *Operator) Close() {
@@ -226,7 +226,7 @@ func (op *Operator) closePoolLocked() {
 }
 
 // markEvicted is called by the operator cache when this entry falls out:
-// the pool is closed the moment no parallel rank is stepping on it
+// the pool is closed the moment no rank is stepping on it
 // (immediately if idle, else by the last release). A caller that kept
 // the *Operator may still Rank afterwards — the pool is then recompiled
 // exactly as after Close, and only that recompiled pool falls back to
@@ -238,14 +238,6 @@ func (op *Operator) markEvicted() {
 		op.closePoolLocked()
 	}
 	op.mu.Unlock()
-}
-
-// stochastic returns the column-stochastic matrix, compiling it on first
-// use.
-func (op *Operator) stochastic() (*sparse.Stochastic, error) {
-	op.mu.Lock()
-	defer op.mu.Unlock()
-	return op.stochasticLocked()
 }
 
 func (op *Operator) stochasticLocked() (*sparse.Stochastic, error) {
@@ -350,8 +342,8 @@ func (op *Operator) releaseKernel() {
 	op.mu.Unlock()
 }
 
-// PrimeKernel forces compilation of the parallel tiled kernel — the
-// work the first parallel Rank would otherwise pay — and returns the
+// PrimeKernel forces compilation of the tiled kernel — the work the
+// first iterating Rank would otherwise pay — and returns the
 // pipeline timings and layout statistics. Benches and servers that want
 // a compiled operator before taking traffic call this explicitly.
 func (op *Operator) PrimeKernel() (CompileStats, error) {
@@ -364,7 +356,7 @@ func (op *Operator) PrimeKernel() (CompileStats, error) {
 }
 
 // forcePermutation overrides the RCM relabeling for tests. It must be
-// called before the first parallel rank compiles the kernel.
+// called before the first iterating rank compiles the kernel.
 func (op *Operator) forcePermutation(perm []int32) {
 	op.mu.Lock()
 	defer op.mu.Unlock()
@@ -457,9 +449,9 @@ func (op *Operator) permutedRecency(now int, w float64) []float64 {
 }
 
 // Rank computes AttRank scores at time now with the given parameters,
-// reusing every compiled piece of the operator. Params.Workers selects
-// the kernel exactly as in the package-level Rank: 0 runs the serial CSC
-// reference kernel, any other value the tiled parallel kernel.
+// reusing every compiled piece of the operator. Every rank runs the tiled
+// kernel; Params.Workers only caps its concurrency, and the Result does
+// not depend on it.
 func (op *Operator) Rank(now int, p Params) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -472,10 +464,7 @@ func (op *Operator) Rank(now int, p Params) (*Result, error) {
 	res := &Result{Attention: op.attention(now, p.AttentionYears), Recency: op.recency(now, p.W)}
 	var x, next []float64
 	if p.Alpha != 0 {
-		x = make([]float64, n)
-		if p.Workers != 0 {
-			next = make([]float64, n)
-		}
+		x, next = make([]float64, n), make([]float64, n)
 	}
 	if err := op.rankInto(res, now, p, x, next, started); err != nil {
 		return nil, err
@@ -486,9 +475,8 @@ func (op *Operator) Rank(now int, p Params) (*Result, error) {
 // rankInto is the single-vector ranking path Rank and RankBatch share.
 // It ranks one validated cell into res, whose Attention and Recency the
 // caller has set, and records the rank's telemetry. x and next are
-// caller-owned n-vectors the power iterations use: both are unused when
-// α = 0, and next also when Workers = 0, where the reference kernel
-// ping-pongs between the scores and x. Only res.Scores is allocated
+// caller-owned n-vectors the tiled kernel ping-pongs between in storage
+// id space; both are unused when α = 0. Only res.Scores is allocated
 // here, so a caller that reuses one pair of buffers across cells pays one
 // n-vector per cell.
 func (op *Operator) rankInto(res *Result, now int, p Params, x, next []float64, started time.Time) error {
@@ -526,73 +514,51 @@ func (op *Operator) rankInto(res *Result, now int, p Params, x, next []float64, 
 	}
 	tol := p.tol()
 
-	if p.Workers == 0 {
-		// Serial CSC reference kernel: the bit-level ground truth the
-		// tiled kernel is tested against. It iterates in original id
-		// space, between scores and x.
-		s, err := op.stochastic()
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
+	// The tiled kernel iterates in storage (permuted) id space, between x
+	// and next. The start vector and the attention/recency vectors cross
+	// the boundary here; scores cross back after convergence. Permuting a
+	// vector copies bits, so every iterate is the exact permutation of the
+	// serial CSC iterate (see sparse.TiledStochastic on the canonical
+	// accumulation order).
+	ti, release, err := op.acquireTiled()
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	perm := op.perm
+	attP := op.permutedAttention(now, p.AttentionYears)
+	recP := op.permutedRecency(now, p.W)
+	permuteInto(x, scores, perm)
+	parts := stepParts(p.Workers)
+	cur, nxt := x, next
+	for iter := 1; iter <= p.maxIter(); iter++ {
+		resid := ti.Step(nxt, cur, attP, recP, p.Alpha, p.Beta, p.Gamma, parts)
+		res.Residuals = append(res.Residuals, resid)
+		mIterationResidual.Observe(resid)
+		cur, nxt = nxt, cur
+		res.Iterations = iter
+		if resid < tol {
+			res.Converged = true
+			break
 		}
-		cur, nxt := scores, x
-		for iter := 1; iter <= p.maxIter(); iter++ {
-			s.MulVec(nxt, cur)
-			for i := range nxt {
-				nxt[i] = p.Alpha*nxt[i] + p.Beta*att[i] + p.Gamma*rec[i]
-			}
-			resid := sparse.L1Diff(nxt, cur)
-			res.Residuals = append(res.Residuals, resid)
-			mIterationResidual.Observe(resid)
-			cur, nxt = nxt, cur
-			res.Iterations = iter
-			if resid < tol {
-				res.Converged = true
-				break
-			}
-		}
-		if &cur[0] != &scores[0] {
-			copy(scores, cur)
-		}
-	} else {
-		// Parallel path: the tiled kernel iterates in storage (permuted)
-		// id space, between x and next. The start vector and the
-		// attention/recency vectors cross the boundary here; scores cross
-		// back after convergence. Permuting a vector copies bits, so every
-		// iterate is the exact permutation of the reference iterate (see
-		// sparse.TiledStochastic on the canonical accumulation order).
-		ti, release, err := op.acquireTiled()
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		perm := op.perm
-		attP := op.permutedAttention(now, p.AttentionYears)
-		recP := op.permutedRecency(now, p.W)
-		permuteInto(x, scores, perm)
-		parts := p.Workers
-		if parts < 0 {
-			parts = runtime.GOMAXPROCS(0)
-		}
-		cur, nxt := x, next
-		for iter := 1; iter <= p.maxIter(); iter++ {
-			resid := ti.Step(nxt, cur, attP, recP, p.Alpha, p.Beta, p.Gamma, parts)
-			res.Residuals = append(res.Residuals, resid)
-			mIterationResidual.Observe(resid)
-			cur, nxt = nxt, cur
-			res.Iterations = iter
-			if resid < tol {
-				res.Converged = true
-				break
-			}
-		}
-		release()
-		for i := range scores {
-			scores[i] = cur[perm[i]]
-		}
+	}
+	release()
+	for i := range scores {
+		scores[i] = cur[perm[i]]
 	}
 	res.Scores = scores
 	res.Duration = time.Since(started)
 	op.observeRank(res, p)
 	return nil
+}
+
+// stepParts turns a Workers value into the tiled Step's concurrency cap:
+// 0 and 1 step inline on the caller, N > 1 uses at most N pool tasks and
+// a negative value one per GOMAXPROCS.
+func stepParts(workers int) int {
+	if workers < 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
 }
 
 // observeRank records the per-rank telemetry: iteration count, final

@@ -102,7 +102,7 @@ func TestOperatorConcurrentRank(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			q := p
-			q.Workers = g % 4 // mix of serial and fused ranks in flight
+			q.Workers = g % 4 // mix of inline and pooled ranks in flight
 			res, err := op.Rank(n.MaxYear(), q)
 			if err != nil {
 				errs <- err

@@ -9,10 +9,10 @@ import (
 	"attrank/internal/sparse"
 )
 
-// TestPageRankBitEqualBaselines: the operator's serial PageRank is a
-// promotion of baselines.PageRank onto the compiled-kernel path, and the
-// contract is bit-equality, not approximation — same MulVec, same
-// two-operation combine, same stopping test.
+// TestPageRankBitEqualBaselines: the operator's PageRank is a promotion
+// of baselines.PageRank onto the compiled tiled kernel, and the contract
+// is bit-equality, not approximation — same per-column accumulation,
+// same two-operation combine, same stopping tolerance.
 func TestPageRankBitEqualBaselines(t *testing.T) {
 	for _, seed := range []int64{11, 42} {
 		net := randomNet(t, seed, 400)
@@ -39,12 +39,13 @@ func TestPageRankBitEqualBaselines(t *testing.T) {
 }
 
 // TestPageRankParallelMatchesSerial: every worker count must reproduce
-// the serial iterates bit for bit, exactly as AttRank's parallel path
-// does — the β=0/γ=1 jump-vector trick may not cost a single ulp.
+// the serial baselines.PageRank bit for bit, exactly as AttRank's tiled
+// path reproduces its serial reference — the β=0/γ=1 jump-vector trick
+// may not cost a single ulp.
 func TestPageRankParallelMatchesSerial(t *testing.T) {
 	net := randomNet(t, 23, 500)
 	op := OperatorFor(net)
-	serial, err := op.PageRank(PageRankParams{Alpha: 0.5})
+	serial, err := baselines.PageRank{Alpha: 0.5}.Scores(net, net.MaxYear())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,14 +54,13 @@ func TestPageRankParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if par.Iterations != serial.Iterations || par.Converged != serial.Converged {
-			t.Errorf("workers=%d: iters/converged = %d/%v, serial %d/%v",
-				workers, par.Iterations, par.Converged, serial.Iterations, serial.Converged)
+		if !par.Converged {
+			t.Errorf("workers=%d: did not converge in %d iterations", workers, par.Iterations)
 		}
-		for i := range serial.Scores {
-			if par.Scores[i] != serial.Scores[i] {
+		for i := range serial {
+			if par.Scores[i] != serial[i] {
 				t.Fatalf("workers=%d: score %d not bit-identical: %v vs %v",
-					workers, i, par.Scores[i], serial.Scores[i])
+					workers, i, par.Scores[i], serial[i])
 			}
 		}
 	}
@@ -78,7 +78,7 @@ func TestPageRankRelabelingInvariance(t *testing.T) {
 	idOp := Compile(net)
 	idOp.forcePermutation(sparse.IdentityPerm(n))
 	defer idOp.Close()
-	serial, err := idOp.PageRank(PageRankParams{Alpha: p.Alpha})
+	serial, err := baselines.PageRank{Alpha: p.Alpha}.Scores(net, net.MaxYear())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +86,8 @@ func TestPageRankRelabelingInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range serial.Scores {
-		if base.Scores[i] != serial.Scores[i] {
+	for i := range serial {
+		if base.Scores[i] != serial[i] {
 			t.Fatalf("identity layout score %d differs from serial reference", i)
 		}
 	}

@@ -40,12 +40,8 @@ func TestRankRelabelingInvariance(t *testing.T) {
 	serial := make([]*Result, len(grid))
 	baseline := make([]*Result, len(grid))
 	for i, p := range grid {
-		q := p
-		q.Workers = 0
+		serial[i] = rankReference(t, net, now, p)
 		var err error
-		if serial[i], err = idOp.Rank(now, q); err != nil {
-			t.Fatal(err)
-		}
 		if baseline[i], err = idOp.Rank(now, p); err != nil {
 			t.Fatal(err)
 		}

@@ -134,12 +134,6 @@ func SweepAttRank(s *Split, truth []float64, grid []core.Params, m Metric) []Att
 		ps := make([]core.Params, len(part))
 		for j, gi := range part {
 			ps[j] = grid[gi]
-			if ps[j].Workers == 0 {
-				// Workers = 0 cells would run the serial CSC reference; the
-				// tiled kernel on one worker ranks the same scores bit for
-				// bit, faster. Cells that set Workers keep it.
-				ps[j].Workers = 1
-			}
 		}
 		results, errs := op.RankBatch(s.TN, ps)
 		for j, gi := range part {

@@ -474,7 +474,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 // not once per re-rank.
 func TestRerankReusesCompiledOperator(t *testing.T) {
 	cfg := testConfig(t.TempDir())
-	cfg.Params.Workers = -1 // exercise the tiled kernel's layout too
+	cfg.Params.Workers = -1 // rank on the pool, as a server does
 	ing := mustOpen(t, seedNet(t), cfg)
 	if err := ing.Flush(); err != nil { // settle the initial epoch
 		t.Fatal(err)

@@ -343,7 +343,7 @@ func (f *Follower) bootstrap() error {
 	if err != nil {
 		return fmt.Errorf("bootstrap %w", err)
 	}
-	if f.cfg.Expect != nil && !wireParamsOf(*f.cfg.Expect).equalRanking(hdr.Params) {
+	if f.cfg.Expect != nil && wireParamsOf(*f.cfg.Expect) != hdr.Params {
 		return fmt.Errorf("bootstrap: leader params %+v differ from expected %+v", hdr.Params, wireParamsOf(*f.cfg.Expect))
 	}
 	f.impactCfg = hdr.Impact.config()

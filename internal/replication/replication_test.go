@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -233,12 +235,32 @@ func TestFollowerGracefulRestartResumesWithoutResync(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// An older release saved the kernel choice as params.workers (0 was
+	// the serial reference); the key must decode and be ignored.
+	statePath := filepath.Join(cfg.Dir, stateFile)
+	js, err := os.ReadFile(statePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := strings.Replace(string(js), `"params": {`, `"params": {"workers": 0,`, 1)
+	if legacy == string(js) {
+		t.Fatalf("state.json has no params object:\n%s", js)
+	}
+	if err := os.WriteFile(statePath, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	leaderWrite(t, ing, "b", 2)
 	f2, err := StartFollower(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f2.Close()
+	if f2.Ranking() == nil {
+		t.Fatal("state.json with a legacy workers key was discarded")
+	}
+	if got := f2.Params().Workers; got != -1 {
+		t.Errorf("recovered follower ranks at Workers %d, want -1 (tiled, every core)", got)
+	}
 	assertIdentical(t, ing, f2)
 	if got := f2.Info().FullResyncs; got != 0 {
 		t.Errorf("FullResyncs = %d, want 0", got)
@@ -268,9 +290,8 @@ func TestFollowerFullResyncOnWALRotation(t *testing.T) {
 }
 
 // TestFollowerRejectsUnexpectedParams: Expect pins every parameter that
-// shapes the Result. Of the worker count only the kernel choice counts:
-// serial (0) against tiled (nonzero) is a mismatch, one tiled count
-// against another is not.
+// shapes the Result. The worker count does not shape it: "kernel" (0,
+// once the serial reference, against −1) and "count" are both accepted.
 func TestFollowerRejectsUnexpectedParams(t *testing.T) {
 	withWorkers := func(p core.Params, workers int) core.Params {
 		p.Workers = workers
@@ -284,7 +305,7 @@ func TestFollowerRejectsUnexpectedParams(t *testing.T) {
 		reject         bool
 	}{
 		{"coefficients", testParams(), swapped, true},
-		{"kernel", testParams(), withWorkers(testParams(), -1), true},
+		{"kernel", testParams(), withWorkers(testParams(), -1), false},
 		{"count", withWorkers(testParams(), 3), withWorkers(testParams(), 1), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -111,11 +111,10 @@ func parseHeartbeat(p []byte) (epoch uint64, offset int64, ok bool) {
 }
 
 // wireParams is the parameter fingerprint exchanged at bootstrap. It
-// excludes Start (the tracker owns warm starts). Workers rides along
-// only to select the kernel: 0 is the serial reference, whose residual
-// is a different reduction from the tiled kernel's, so the two can stop
-// at different iterations. Any nonzero count gives the same tiled
-// Result, so a follower ranks a tiled leader's epochs on its own cores.
+// excludes Start (the tracker owns warm starts) and Workers, which only
+// caps concurrency and never changes the Result: a follower ranks the
+// leader's epochs on its own cores. An older leader's "workers" key is
+// ignored on decode.
 type wireParams struct {
 	Alpha          float64 `json:"alpha"`
 	Beta           float64 `json:"beta"`
@@ -124,37 +123,19 @@ type wireParams struct {
 	W              float64 `json:"w"`
 	Tol            float64 `json:"tol"`
 	MaxIter        int     `json:"max_iter"`
-	Workers        int     `json:"workers"`
 }
 
 func wireParamsOf(p core.Params) wireParams {
 	return wireParams{Alpha: p.Alpha, Beta: p.Beta, Gamma: p.Gamma,
-		AttentionYears: p.AttentionYears, W: p.W, Tol: p.Tol, MaxIter: p.MaxIter,
-		Workers: p.Workers}
+		AttentionYears: p.AttentionYears, W: p.W, Tol: p.Tol, MaxIter: p.MaxIter}
 }
 
-// params materializes core.Params, running the leader's kernel on every
-// local core.
+// params materializes core.Params, ranking on every local core.
 func (wp wireParams) params() core.Params {
-	wp = wp.kernel()
 	return core.Params{Alpha: wp.Alpha, Beta: wp.Beta, Gamma: wp.Gamma,
 		AttentionYears: wp.AttentionYears, W: wp.W, Tol: wp.Tol, MaxIter: wp.MaxIter,
-		Workers: wp.Workers}
+		Workers: -1}
 }
-
-// kernel returns wp with any nonzero worker count mapped to −1 (tiled,
-// one worker per core): the count is not part of the Result.
-func (wp wireParams) kernel() wireParams {
-	if wp.Workers != 0 {
-		wp.Workers = -1
-	}
-	return wp
-}
-
-// equalRanking reports whether two parameter sets produce the same
-// Result: every field must match, and of the worker count only the
-// kernel choice (zero or not).
-func (wp wireParams) equalRanking(other wireParams) bool { return wp.kernel() == other.kernel() }
 
 // stateHeader is the JSON line that precedes the bootstrap payload.
 // The bootstrap is always anchored at a FULL epoch boundary (see

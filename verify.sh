@@ -5,7 +5,7 @@
 #
 #   ./verify.sh         full gate (gofmt + build + vet + race -shuffle=on
 #                       over every package, then the attrank-bench
-#                       bit-equality smokes: tiled vs serial kernels,
+#                       bit-equality smokes: tiled kernel vs serial reference,
 #                       push reconciliation, impact classes)
 #   ./verify.sh quick   kernel + durability + overload gate: gofmt +
 #                       build + vet, then a short-mode race pass over the
@@ -62,7 +62,7 @@ if [ "${1:-}" = "quick" ]; then
 	go test -race -run 'Push|Pusher|Overlay|Incremental|FlushDebounceRace|EpochMarkerLegacy' \
 		./internal/sparse/ ./internal/graph/ ./internal/core/ ./internal/ingest/ ./internal/replication/
 	echo "==> go test -race (impact indicators: classes, PageRank bit-equality, endpoints, replication)"
-	go test -race -run 'Impact|Class|Indicator|PageRank|Threshold|Impulse|NormalizeID|Golden' \
+	go test -race -run 'Impact|Class|Indicator|Influence|PageRank|Threshold|Impulse|NormalizeID|Golden' \
 		./internal/impact/ ./internal/core/ ./internal/ingest/ ./internal/service/ ./internal/replication/
 	echo "verify.sh: quick checks passed"
 	exit 0
@@ -90,7 +90,7 @@ fi
 echo "==> go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
-echo "==> attrank-bench -smoke (tiled vs serial bit-equality, seeded 10k graph)"
+echo "==> attrank-bench -smoke (tiled kernel vs serial reference bit-equality, seeded 10k graph)"
 go run ./cmd/attrank-bench -smoke
 
 echo "==> attrank-bench -ingest smoke (push-vs-exact reconciliation bit-equality, 20k graph)"
