@@ -9,16 +9,16 @@
 //
 // The default mode writes BENCH_core.json. It times, per power-method
 // iteration: the serial CSC reference kernel (three sweeps) and the
-// production tiled kernel (RCM-relabeled, compressed 16-bit tiles) on
-// one worker and on one worker per core. It also reports the
+// production tiled kernel (degree-run relabeled, compressed 16-bit
+// tiles) on one worker and on one worker per core. It also reports the
 // layout's compression (bytes per nonzero, tile shape), the one-off
-// compile pipeline costs the operator cache amortizes (normalization and
-// relabeling run concurrently, then tile cutting) and a full
-// cold-vs-warm Rank comparison.
+// compile pipeline costs the operator cache amortizes (normalization,
+// degree-run relabeling, then tile cutting) and a full cold-vs-warm
+// Rank comparison.
 //
 // With -smoke it runs the bit-equality gate instead: on a seeded 10k
-// synthetic graph the tiled kernel (under its RCM relabeling) and the
-// serial CSC reference must produce bit-identical iterates, the tiled
+// synthetic graph the tiled kernel (under its degree-run relabeling) and
+// the serial CSC reference must produce bit-identical iterates, the tiled
 // residual must carry the same bits on one worker as on the whole pool,
 // and the operator's Rank must match the serial reference loop
 // bit-for-bit. Exits non-zero on any mismatch.
@@ -59,15 +59,13 @@ type report struct {
 	Dangling    int    `json:"dangling_papers"`
 	Reps        int    `json:"reps"`
 
-	// One-off costs the compiled operator pays once per network. The
-	// stochastic normalization and the RCM relabeling run concurrently;
-	// the pipeline speedup is their serial sum over the observed wall
-	// clock.
-	CompileStochasticNS    int64   `json:"compile_stochastic_ns"`
-	CompileRelabelNS       int64   `json:"compile_relabel_ns"`
-	CompileTiledNS         int64   `json:"compile_tiled_ns"`
-	CompileWallNS          int64   `json:"compile_pipeline_wall_ns"`
-	CompilePipelineSpeedup float64 `json:"compile_pipeline_speedup"`
+	// One-off costs the compiled operator pays once per network: the
+	// stochastic normalization, the degree-run ordering of its rows and
+	// the tile cutting, one after the other, and their wall clock.
+	CompileStochasticNS int64 `json:"compile_stochastic_ns"`
+	CompileRelabelNS    int64 `json:"compile_relabel_ns"`
+	CompileTiledNS      int64 `json:"compile_tiled_ns"`
+	CompileWallNS       int64 `json:"compile_pipeline_wall_ns"`
 
 	// Compiled tile layout: the bytes the kernel streams per nonzero
 	// (values + 16-bit column words + row pointers + tile headers; the
@@ -167,9 +165,8 @@ func run(papers int, profile, out string, reps int) error {
 		Reps:        reps,
 	}
 
-	// One-off compilation costs: the operator's concurrent compile
-	// pipeline (normalize ∥ relabel, then tile cutting), with the layout
-	// it produced.
+	// One-off compilation costs: the operator's compile pipeline
+	// (normalize, relabel, cut tiles), with the layout it produced.
 	op := core.OperatorFor(net)
 	cs, err := op.PrimeKernel()
 	if err != nil {
@@ -179,9 +176,6 @@ func run(papers int, profile, out string, reps int) error {
 	r.CompileRelabelNS = cs.RelabelNS
 	r.CompileTiledNS = cs.TiledNS
 	r.CompileWallNS = cs.WallNS
-	if cs.WallNS > 0 {
-		r.CompilePipelineSpeedup = float64(cs.StochasticNS+cs.RelabelNS+cs.TiledNS) / float64(cs.WallNS)
-	}
 	r.BytesPerNNZ = cs.Layout.BytesPerNNZ
 	r.IndexBytes = cs.Layout.IndexBytes
 	r.Tiles = cs.Layout.Tiles
@@ -207,11 +201,7 @@ func run(papers int, profile, out string, reps int) error {
 	// The tiled kernel works in relabeled (storage) space: rebuild the
 	// operator's layout at the sparse layer and permute the vectors in
 	// once, exactly as core.Operator does per Rank.
-	deg := make([]int32, n)
-	for i := range deg {
-		deg[i] = int32(net.Degree(int32(i)))
-	}
-	perm := s.DegreeOrder(sparse.RCMOrder(n, deg, net.Neighbors))
+	perm := s.DegreeOrder(nil)
 	tiled := s.Tiled(pool, perm)
 	permute := func(v []float64) []float64 {
 		out := make([]float64, n)
@@ -318,9 +308,9 @@ func run(papers int, profile, out string, reps int) error {
 	fmt.Printf("papers=%d edges=%d dangling=%d\n", r.Papers, r.Edges, r.Dangling)
 	fmt.Printf("layout: %.2f B/nnz (csr: 12+), %d tiles, %d windows, occupancy %.3f\n",
 		r.BytesPerNNZ, r.Tiles, r.Windows, r.TileRowOccupancy)
-	fmt.Printf("compile: stoch=%s relabel=%s tiles=%s wall=%s (%.2fx pipeline)\n",
+	fmt.Printf("compile: stoch=%s relabel=%s tiles=%s wall=%s\n",
 		time.Duration(r.CompileStochasticNS), time.Duration(r.CompileRelabelNS),
-		time.Duration(r.CompileTiledNS), time.Duration(r.CompileWallNS), r.CompilePipelineSpeedup)
+		time.Duration(r.CompileTiledNS), time.Duration(r.CompileWallNS))
 	fmt.Printf("per-iteration: serial=%s tiled(1)=%s tiled(%d)=%s\n",
 		time.Duration(r.IterSerialNS), time.Duration(r.IterFusedSerialNS), pool.Size(), time.Duration(r.IterFusedNS))
 	fmt.Printf("tiled speedup: %.2fx vs serial\n", r.FusedVsSerial)

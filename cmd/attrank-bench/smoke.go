@@ -10,11 +10,11 @@ import (
 )
 
 // runSmoke is the bit-equality gate verify.sh ends with: on a seeded
-// synthetic graph, the production tiled kernel under its RCM relabeling,
-// run across the pool, must reproduce the serial CSC reference (three
-// sweeps) through the same power iterations, every score of every
-// iteration compared bitwise, and return the same residual bits on one
-// worker as on the whole pool. It then checks the operator's Rank on
+// synthetic graph, the production tiled kernel under its degree-run
+// relabeling, run across the pool, must reproduce the serial CSC
+// reference (three sweeps) through the same power iterations, every
+// score of every iteration compared bitwise, and return the same
+// residual bits on one worker as on the whole pool. It then checks the operator's Rank on
 // every core against the same reference loop, restarted from the
 // uniform vector and run for as many iterations as Rank took, and its
 // Rank on one worker against Rank on every core, residuals included.
@@ -41,11 +41,7 @@ func runSmoke(papers int, profile string) error {
 
 	pool := sparse.NewPool(0)
 	defer pool.Close()
-	deg := make([]int32, n)
-	for i := range deg {
-		deg[i] = int32(net.Degree(int32(i)))
-	}
-	perm := s.DegreeOrder(sparse.RCMOrder(n, deg, net.Neighbors))
+	perm := s.DegreeOrder(nil)
 	tiled := s.Tiled(pool, perm)
 	permute := func(dst, src []float64) {
 		for i, p := range perm {

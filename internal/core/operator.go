@@ -38,15 +38,15 @@ type Operator struct {
 	att   vecCache[attKey]
 	rec   vecCache[recKey]
 
-	// perm/inv are the cache-aware paper-id relabeling the tiled kernel
-	// was compiled under (perm[original] = storage). Everything outside
+	// perm is the degree-run paper-id relabeling the tiled kernel was
+	// compiled under (perm[original] = storage). Everything outside
 	// the iteration loop — Params, Results, Explain, the vector caches'
 	// public copies — stays in original id space; score and
 	// attention/recency vectors cross the boundary through
 	// permute/unpermute copies at Rank entry and exit.
-	perm, inv []int32
+	perm []int32
 	// forcedPerm, when set before the first iterating rank, replaces the
-	// RCM ordering. Test hook for the relabeling-invariance suite.
+	// degree-run ordering. Test hook for the relabeling-invariance suite.
 	forcedPerm []int32
 	compile    CompileStats
 
@@ -58,16 +58,15 @@ type Operator struct {
 	evicted  bool
 }
 
-// CompileStats records the cost and shape of the parallel kernel
-// compilation pipeline: the stochastic-matrix normalization and the RCM
-// relabeling run concurrently, then the tiled layout is built from both.
-// WallNS is the end-to-end pipeline time; StochasticNS + RelabelNS +
-// TiledNS is what the same work would cost serially.
+// CompileStats records the cost and shape of the kernel compilation
+// pipeline: the stochastic-matrix normalization, the degree-run
+// ordering of its rows, then the tiled layout built under it, one after
+// the other. WallNS is the end-to-end pipeline time.
 type CompileStats struct {
 	StochasticNS int64 // CSC build + column normalization
-	RelabelNS    int64 // RCM ordering over the symmetrized adjacency
+	RelabelNS    int64 // degree-run ordering of the matrix rows
 	TiledNS      int64 // tile cutting + index compression
-	WallNS       int64 // wall clock of the whole (concurrent) pipeline
+	WallNS       int64 // wall clock of the whole pipeline
 	Layout       sparse.LayoutStats
 }
 
@@ -253,63 +252,36 @@ func (op *Operator) stochasticLocked() (*sparse.Stochastic, error) {
 	return op.stoch, nil
 }
 
-// buildTiledLocked compiles the parallel kernel pipeline: the
-// column-stochastic normalization and the RCM relabeling are
-// independent (the relabeling reads only the immutable network
-// adjacency), so they run concurrently; once both finish, the
-// degree-run ordering — which needs the matrix pattern — refines the
-// RCM ranks, and the tiled layout is cut from the result. Requires
-// op.mu.
+// buildTiledLocked compiles the tiled kernel pipeline: the
+// column-stochastic normalization, then the degree-run ordering of its
+// rows (sparse.Stochastic.DegreeOrder), then the tiled layout cut under
+// that ordering. Requires op.mu.
 func (op *Operator) buildTiledLocked() error {
 	if op.tiled != nil {
 		return nil
 	}
 	t0 := time.Now()
-	type permResult struct {
-		perm []int32
-		ns   int64
-	}
-	permCh := make(chan permResult, 1)
-	if op.forcedPerm != nil {
-		permCh <- permResult{perm: op.forcedPerm}
-	} else {
-		net := op.net
-		go func() {
-			tp := time.Now()
-			n := net.N()
-			deg := make([]int32, n)
-			for i := range deg {
-				deg[i] = int32(net.Degree(int32(i)))
-			}
-			perm := sparse.RCMOrder(n, deg, net.Neighbors)
-			permCh <- permResult{perm: perm, ns: time.Since(tp).Nanoseconds()}
-		}()
-	}
-	ts := time.Now()
 	s, err := op.stochasticLocked()
-	stochNS := time.Since(ts).Nanoseconds()
+	stochNS := time.Since(t0).Nanoseconds()
 	if err != nil {
-		return err // permCh is buffered; the relabel goroutine cannot leak
+		return err
 	}
-	pr := <-permCh
-	if op.forcedPerm == nil {
-		// Production relabeling: degree runs for branch-predictable trip
-		// counts, RCM ranks breaking ties for residual locality.
-		td := time.Now()
-		pr.perm = s.DegreeOrder(pr.perm)
-		pr.ns += time.Since(td).Nanoseconds()
+	tr := time.Now()
+	perm := op.forcedPerm
+	if perm == nil {
+		perm = s.DegreeOrder(nil)
 	}
+	relabelNS := time.Since(tr).Nanoseconds()
 	if op.pool == nil {
 		op.pool = sparse.NewPool(0)
 	}
 	tt := time.Now()
-	op.tiled = s.Tiled(op.pool, pr.perm)
+	op.tiled = s.Tiled(op.pool, perm)
 	tiledNS := time.Since(tt).Nanoseconds()
 	op.perm = op.tiled.Perm()
-	op.inv = sparse.InversePerm(op.perm)
 	op.compile = CompileStats{
 		StochasticNS: stochNS,
-		RelabelNS:    pr.ns,
+		RelabelNS:    relabelNS,
 		TiledNS:      tiledNS,
 		WallNS:       time.Since(t0).Nanoseconds(),
 		Layout:       op.tiled.Stats(),
@@ -355,8 +327,8 @@ func (op *Operator) PrimeKernel() (CompileStats, error) {
 	return op.compile, nil
 }
 
-// forcePermutation overrides the RCM relabeling for tests. It must be
-// called before the first iterating rank compiles the kernel.
+// forcePermutation overrides the degree-run relabeling for tests. It
+// must be called before the first iterating rank compiles the kernel.
 func (op *Operator) forcePermutation(perm []int32) {
 	op.mu.Lock()
 	defer op.mu.Unlock()

@@ -43,9 +43,9 @@ var (
 	mLayoutOccupancy = obs.NewGauge("attrank_core_layout_row_occupancy",
 		"Fraction of matrix rows holding at least one nonzero.")
 	mLayoutRelabelSeconds = obs.NewGauge("attrank_core_layout_relabel_seconds",
-		"Wall time of the RCM relabeling pass in the last kernel compile.")
+		"Wall time of the degree-run relabeling pass in the last kernel compile.")
 	mLayoutCompileSeconds = obs.NewGauge("attrank_core_layout_compile_seconds",
-		"Wall time of the whole (concurrent) kernel compile pipeline.")
+		"Wall time of the whole kernel compile pipeline.")
 )
 
 // observeLayout publishes the compile pipeline's layout statistics.

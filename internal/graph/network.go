@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -34,7 +35,12 @@ type Paper struct {
 // in [0, N).
 type Network struct {
 	papers []Paper
-	idx    map[string]int32 // ID → node
+	// ID → node in two levels, so that a spliced build need not re-hash
+	// every ID: idx is shared with the network this one was spliced from,
+	// and newIDs holds the IDs added since, until they outgrow
+	// len(idx)/newIDsFold and are folded into a fresh idx (see Build).
+	idx    map[string]int32
+	newIDs map[string]int32
 
 	// CSR out-adjacency: refs[refPtr[i]:refPtr[i+1]] are the papers cited
 	// by paper i (its reference list).
@@ -64,7 +70,10 @@ func (n *Network) Year(i int32) int { return n.papers[i].Year }
 
 // Lookup resolves an external ID to a node index.
 func (n *Network) Lookup(id string) (int32, bool) {
-	i, ok := n.idx[id]
+	if i, ok := n.idx[id]; ok {
+		return i, true
+	}
+	i, ok := n.newIDs[id]
 	return i, ok
 }
 
@@ -124,7 +133,8 @@ func (n *Network) InDegree(i int32) int { return int(n.citPtr[i+1] - n.citPtr[i]
 
 // Degree returns the undirected degree of node i: references plus
 // citations. Together with Neighbors it exposes the symmetrized
-// adjacency the cache-aware relabeling pass (sparse.RCMOrder) consumes.
+// adjacency sparse.RCMOrder consumes; production compile no longer
+// runs RCM, so only the benchmark's kernel replay calls it.
 func (n *Network) Degree(i int32) int {
 	return int(n.refPtr[i+1] - n.refPtr[i] + n.citPtr[i+1] - n.citPtr[i])
 }
@@ -223,9 +233,7 @@ func (n *Network) Filter(keepFn func(i int32, p Paper) bool) (*Network, []int32)
 		}
 	}
 	b := NewBuilder()
-	b.authors = n.authors
-	b.venues = n.venues
-	b.shareTables = true
+	b.authors, b.venues = slices.Clip(n.authors), slices.Clip(n.venues)
 	for _, old := range keep {
 		p := n.papers[old]
 		if err := b.AddPaperIndexed(p.ID, p.Year, p.Authors, p.Venue); err != nil {

@@ -13,9 +13,9 @@
 //
 // # Threshold and tie contract
 //
-// For each indicator, scores are sorted descending and the class
-// cutoffs are taken at k_f = max(1, ⌊f·N⌋) for f ∈ {1e-4, 1e-3, 1e-2,
-// 1e-1}: Thresholds.Top[c] is the k_f-th highest score. A paper's class
+// For each indicator, the class cutoffs are order statistics taken at
+// k_f = max(1, ⌊f·N⌋) for f ∈ {1e-4, 1e-3, 1e-2, 1e-1}:
+// Thresholds.Top[c] is the k_f-th highest score. A paper's class
 // is the FIRST class whose cutoff its score meets (score ≥ Top[c]), so
 // papers tied at a bucket boundary all take the better class — the
 // class-c bucket can hold more than k_f papers, never fewer. Cutoffs
@@ -29,6 +29,7 @@ package impact
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -163,18 +164,82 @@ func (t Thresholds) Class(score float64) Class {
 
 // DeriveThresholds computes the percentile cutoffs for one score
 // vector. It depends only on the score multiset, never on paper order.
+//
+// Top[c] is the k_c-th highest score, the value a full descending sort
+// would hold at index k_c−1. Only those four order statistics matter,
+// so they are found by nested selection on one copy instead: select
+// k_C4 over the whole copy, then k_C3 inside the top k_C4 (which holds
+// the k_C3 highest too), and so on up to C1. The k-th highest value of
+// a multiset is unique, so the cutoffs equal the sorted ones.
 func DeriveThresholds(scores []float64) Thresholds {
-	sorted := append([]float64(nil), scores...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
+	buf := append([]float64(nil), scores...)
 	var t Thresholds
-	for c, f := range ClassFractions {
-		k := int(f * float64(len(sorted)))
+	for c := len(ClassFractions) - 1; c >= 0; c-- {
+		k := int(ClassFractions[c] * float64(len(scores)))
 		if k < 1 {
 			k = 1
 		}
-		t.Top[c] = sorted[k-1]
+		selectDesc(buf, k-1)
+		t.Top[c] = buf[k-1]
+		buf = buf[:k]
 	}
 	return t
+}
+
+// before reports whether a precedes b in descending order: the reverse
+// of sort.Float64Slice's order, so NaN sorts last and -0 ties +0.
+func before(a, b float64) bool {
+	return b < a || (b != b && a == a)
+}
+
+// selectDesc rearranges v so that v[k] holds the value a descending
+// sort would put there, no entry of v[:k] after it and no entry of
+// v[k+1:] before it. It is a quickselect with a median-of-three pivot
+// and a three-way partition, so plateaus (integer-valued indicators are
+// mostly ties) settle in one pass; past 2·log2(len(v)) rounds it sorts
+// what is left, bounding the worst case at O(n log n).
+func selectDesc(v []float64, k int) {
+	lo, hi := 0, len(v)
+	for rounds := 2 * bits.Len(uint(len(v))); hi-lo > 1; rounds-- {
+		if rounds == 0 {
+			sort.Sort(sort.Reverse(sort.Float64Slice(v[lo:hi])))
+			return
+		}
+		a, b, c := v[lo], v[lo+(hi-lo)/2], v[hi-1]
+		if before(b, a) {
+			a, b = b, a
+		}
+		if before(c, b) {
+			b = c
+			if before(b, a) {
+				b = a
+			}
+		}
+		p := b // median of the three
+		// [lo, lt) precede p, [lt, i) tie it, [gt, hi) follow it.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch {
+			case before(v[i], p):
+				v[lt], v[i] = v[i], v[lt]
+				lt++
+				i++
+			case before(p, v[i]):
+				gt--
+				v[gt], v[i] = v[i], v[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
 }
 
 // Epoch is the immutable per-epoch indicator state attached to a

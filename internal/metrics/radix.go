@@ -1,6 +1,9 @@
 package metrics
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // descKey maps a float64 to a uint64 whose ascending unsigned order is
 // the descending order of the floats: the standard IEEE-754 total-order
@@ -18,28 +21,45 @@ func descKey(f float64) uint64 {
 	return ^u
 }
 
+// radixSorter holds the reusable buffers of radixOrderDesc. Scratch
+// embeds one; Ordering and RanksFromScores borrow one from sorters.
+type radixSorter struct {
+	keys     []uint64
+	keysTmp  []uint64
+	orderTmp []int
+	counts   []int32
+}
+
+// sorters recycles radixSorters across Ordering and RanksFromScores
+// calls, so a published epoch's ordering allocates only its result.
+var sorters = sync.Pool{New: func() any { return new(radixSorter) }}
+
 // radixOrderDesc fills order (len(scores) entries) with item indices
 // sorted by descending score, equal scores in ascending index order —
-// exactly Ordering's contract. It replaces the comparison sort with a
-// stable LSD counting sort over four 16-bit digits of the key, which on
-// the sweep's ~50k-element vectors runs several times faster than
-// sort.Slice and allocates nothing once the scratch buffers are warm.
+// exactly Ordering's contract, and the one ordering implementation of
+// this package. It is a stable LSD counting sort over four 16-bit
+// digits of the key, which on 50k–100k-element vectors runs several
+// times faster than sort.Slice and allocates nothing once the buffers
+// are warm.
 //
-// Equivalence with the comparison sorts is exact, not approximate:
-//   - for Ordering/orderingInto the permutation itself is identical —
-//     descending score is a total order on the folded keys, and LSD
-//     stability over the ascending initial order reproduces the
-//     ascending-index tie-break;
+// Equivalence with a comparison sort is exact, not approximate:
+//   - the permutation itself is identical to sorting by (score
+//     descending, index ascending) — descending score is a total order
+//     on the folded keys, and LSD stability over the ascending initial
+//     order reproduces the ascending-index tie-break;
 //   - for rank computation (Spearman) only tie-group membership matters,
 //     and folded-key equality coincides with float equality.
 //
-// NaN scores are the one divergence: the comparison sorts place them
+// NaN scores are the one divergence: a comparison sort places them
 // arbitrarily (the less-than closure is inconsistent for NaN), while the
 // radix key gives them a fixed position. Every metric in this package
 // already returns NaN or an error for NaN inputs, so no caller can
 // observe the difference.
-func (s *Scratch) radixOrderDesc(order []int, scores []float64) {
+func (s *radixSorter) radixOrderDesc(order []int, scores []float64) {
 	n := len(scores)
+	if n == 0 {
+		return
+	}
 	if cap(s.keys) < n {
 		s.keys = make([]uint64, n)
 		s.keysTmp = make([]uint64, n)
@@ -74,7 +94,7 @@ func (s *Scratch) radixOrderDesc(order []int, scores []float64) {
 	ksrc, kdst := keys, keysTmp
 	for pass := uint(0); pass < 4; pass++ {
 		shift := pass * 16
-		counts := s.counts[pass<<16 : (pass+1)<<16 : (pass+1)<<16]
+		counts := counts[pass<<16 : (pass+1)<<16 : (pass+1)<<16]
 		if int(counts[(ksrc[0]>>shift)&0xffff]) == n {
 			continue // all keys share this digit: the pass is the identity
 		}

@@ -4,29 +4,15 @@
 // supplementary diagnostics.
 package metrics
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // RanksFromScores converts a score vector into fractional ranks where the
 // highest score receives rank 1. Equal scores receive the average of the
 // ranks they occupy (the standard treatment for Spearman's ρ with ties).
 func RanksFromScores(scores []float64) []float64 {
 	ranks := make([]float64, len(scores))
-	ranksInto(ranks, make([]int, len(scores)), scores)
+	averageTiedRanks(ranks, Ordering(scores), scores)
 	return ranks
-}
-
-// ranksInto is RanksFromScores into caller-owned buffers: ranks receives
-// the fractional ranks and order is permutation scratch. Both must have
-// len(scores) entries.
-func ranksInto(ranks []float64, order []int, scores []float64) {
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return scores[order[a]] > scores[order[b]] })
-	averageTiedRanks(ranks, order, scores)
 }
 
 // averageTiedRanks fills ranks from a descending-score permutation:
@@ -50,25 +36,14 @@ func averageTiedRanks(ranks []float64, order []int, scores []float64) {
 }
 
 // Ordering returns item indices sorted by descending score. Ties are
-// broken by ascending index so the ordering is deterministic.
+// broken by ascending index so the ordering is deterministic; -0 and +0
+// tie. It runs the package's radix sort (radixOrderDesc).
 func Ordering(scores []float64) []int {
 	order := make([]int, len(scores))
-	orderingInto(order, scores)
+	s := sorters.Get().(*radixSorter)
+	s.radixOrderDesc(order, scores)
+	sorters.Put(s)
 	return order
-}
-
-// orderingInto is Ordering into a caller-owned permutation buffer of
-// len(scores) entries.
-func orderingInto(order []int, scores []float64) {
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if scores[order[a]] != scores[order[b]] {
-			return scores[order[a]] > scores[order[b]]
-		}
-		return order[a] < order[b]
-	})
 }
 
 // TopK returns the indices of the k highest-scoring items sorted by

@@ -10,9 +10,9 @@ import (
 // loop evaluating hundreds of grid cells against one ground-truth vector
 // stops paying an O(N) allocation tax per cell. Results are bit-identical
 // to the package-level Spearman/NDCG: the same tie averaging and the
-// same summation orders over the same descending ordering — only the
-// buffer lifetimes and the sorting algorithm differ (a stable radix sort
-// whose permutation is provably identical, see radixOrderDesc).
+// same summation orders over the same descending ordering (the stable
+// radix sort every ordering in this package runs, see radixOrderDesc) —
+// only the buffer lifetimes differ.
 //
 // The second argument of Spearman and the gains argument of NDCG are
 // additionally memoized by slice identity: passing the same backing
@@ -27,11 +27,7 @@ type Scratch struct {
 	order []int
 	ranks []float64 // rank buffer for the varying (first) side
 
-	// radix-sort scratch (see radixOrderDesc).
-	keys     []uint64
-	keysTmp  []uint64
-	orderTmp []int
-	counts   []int32
+	radixSorter
 
 	truthPtr   *float64 // identity key of the memoized rank side
 	truthLen   int
@@ -117,7 +113,7 @@ func (s *Scratch) NDCG(scores, gains []float64, k int) (float64, error) {
 		s.gainsPtr, s.gainsLen = &gains[0], len(gains)
 	}
 	s.grow(len(scores))
-	s.radixOrderDesc(s.order, scores) // identical permutation to orderingInto
+	s.radixOrderDesc(s.order, scores) // identical permutation to Ordering
 	dcg := dcgAtK(s.order, gains, k)
 	idcg := s.idealPrefix[k]
 	if idcg == 0 {

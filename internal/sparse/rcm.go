@@ -1,20 +1,26 @@
 package sparse
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // RCMOrder computes a reverse Cuthill–McKee ordering of an undirected
 // graph: a breadth-first renumbering started from low-degree peripheral
 // vertices, with each frontier visited in ascending-degree order, then
 // reversed. On citation networks it concentrates each paper's neighbors
-// into a narrow index band, which is what makes the tiled kernel's
-// x-gathers cache-resident (see TiledStochastic).
+// into a narrow index band. Production compile does not run it: the
+// tiled kernel's speed comes from DegreeOrder's degree runs, not from
+// bandwidth, so core compiles with DegreeOrder(nil); the benchmark's
+// kernel replay still passes an RCM rank to DegreeOrder.
 //
 // deg[i] must be the neighbor count of vertex i and adj(i, fn) must call
 // fn once per neighbor of i (duplicates and self-loops are tolerated:
 // visited vertices are skipped). The caller supplies adjacency as a
 // callback so this package stays independent of the graph representation
-// — internal/core feeds it the citation network's symmetrized refs +
-// citers lists.
+// — graph.Network's Degree and Neighbors give the citation network's
+// symmetrized refs + citers lists.
 //
 // The returned permutation maps old vertex ids to new: perm[old] = new.
 // It is a bijection on [0, n) and deterministic for fixed inputs.
@@ -83,8 +89,8 @@ func RCMOrder(n int, deg []int32, adj func(int32, func(int32))) []int32 {
 // DegreeOrder computes the production relabeling for the tiled layout:
 // within each 64Ki column window, rows are ordered lexicographically by
 // their per-column-window entry counts (ascending), with ties broken by
-// rank (nil means original id). The result is window-preserving by
-// construction, so TiledRows accepts it directly.
+// rank (nil means original id) and then by original id. The result is
+// window-preserving by construction, so TiledRows accepts it directly.
 //
 // Why degree runs and not bandwidth: the tiled kernel runs one short
 // dependent-add chain per row per column window, so its throughput is
@@ -97,9 +103,16 @@ func RCMOrder(n int, deg []int32, adj func(int32, func(int32))) []int32 {
 // exit branches become perfectly predictable; measured on the 100k
 // benchmark graph this cuts the gather loop's ns/nnz by more than 2×,
 // where pure bandwidth-minimizing orders (RCM alone) barely move it — a
-// power-law hub row spans the whole window under any ordering. Passing
-// an RCM ordering as rank keeps its residual locality within each
-// equal-count run.
+// power-law hub row spans the whole window under any ordering.
+// Production passes nil: any window-preserving order gives the same
+// scores bit for bit, and original ids already keep each equal-count
+// run in publication order.
+//
+// The sort is a stable LSD counting sort: each window's rows start in
+// (rank, id) order and are then stably counting-sorted by their entry
+// count in the last column window, then the one before, down to the
+// first, which yields exactly the lexicographic order above in
+// O(w·(rows + max count)) per window instead of a comparison sort.
 func (s *Stochastic) DegreeOrder(rank []int32) []int32 {
 	m := s.m
 	n := m.rows
@@ -109,14 +122,21 @@ func (s *Stochastic) DegreeOrder(rank []int32) []int32 {
 	}
 	// cnt[r*w+j] = entries of row r whose original column is in window j.
 	cnt := make([]int32, n*w)
+	maxCnt := int32(0)
 	for c := 0; c < m.cols; c++ {
 		j := c >> WindowBits
 		for k := m.colPtr[c]; k < m.colPtr[c+1]; k++ {
-			cnt[int(m.rowIdx[k])*w+j]++
+			i := int(m.rowIdx[k])*w + j
+			cnt[i]++
+			if cnt[i] > maxCnt {
+				maxCnt = cnt[i]
+			}
 		}
 	}
 	perm := make([]int32, n)
 	idx := make([]int32, 0, windowSize)
+	tmp := make([]int32, windowSize)
+	hist := make([]int32, maxCnt+2)
 	for lo := 0; lo < n; lo += windowSize {
 		hi := lo + windowSize
 		if hi > n {
@@ -126,20 +146,31 @@ func (s *Stochastic) DegreeOrder(rank []int32) []int32 {
 		for i := lo; i < hi; i++ {
 			idx = append(idx, int32(i))
 		}
-		sort.Slice(idx, func(a, b int) bool {
-			ia, ib := idx[a], idx[b]
-			ca, cb := cnt[int(ia)*w:int(ia)*w+w], cnt[int(ib)*w:int(ib)*w+w]
-			for j := 0; j < w; j++ {
-				if ca[j] != cb[j] {
-					return ca[j] < cb[j]
+		if rank != nil {
+			slices.SortFunc(idx, func(a, b int32) int {
+				if c := cmp.Compare(rank[a], rank[b]); c != 0 {
+					return c
 				}
+				return cmp.Compare(a, b)
+			})
+		}
+		src, dst := idx, tmp[:len(idx)]
+		for j := w - 1; j >= 0; j-- {
+			clear(hist)
+			for _, r := range src {
+				hist[cnt[int(r)*w+j]+1]++
 			}
-			if rank != nil && rank[ia] != rank[ib] {
-				return rank[ia] < rank[ib]
+			for v := 1; v < len(hist); v++ {
+				hist[v] += hist[v-1]
 			}
-			return ia < ib
-		})
-		for k, i := range idx {
+			for _, r := range src {
+				key := cnt[int(r)*w+j]
+				dst[hist[key]] = r
+				hist[key]++
+			}
+			src, dst = dst, src
+		}
+		for k, i := range src {
 			perm[i] = int32(lo + k)
 		}
 	}

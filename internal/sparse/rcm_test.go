@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -181,4 +182,79 @@ func TestDegreeOrder(t *testing.T) {
 		}
 	}
 	bs.Tiled(nil, bperm) // must not panic
+}
+
+// degreeOrderReference is the comparison sort DegreeOrder's counting
+// sort replaced, kept as the reference its permutation must equal.
+func degreeOrderReference(s *Stochastic, rank []int32) []int32 {
+	m := s.m
+	n := m.rows
+	w := (n + windowSize - 1) / windowSize
+	if w < 1 {
+		w = 1
+	}
+	cnt := make([]int32, n*w)
+	for c := 0; c < m.cols; c++ {
+		j := c >> WindowBits
+		for k := m.colPtr[c]; k < m.colPtr[c+1]; k++ {
+			cnt[int(m.rowIdx[k])*w+j]++
+		}
+	}
+	perm := make([]int32, n)
+	for lo := 0; lo < n; lo += windowSize {
+		hi := lo + windowSize
+		if hi > n {
+			hi = n
+		}
+		var idx []int32
+		for i := lo; i < hi; i++ {
+			idx = append(idx, int32(i))
+		}
+		sort.Slice(idx, func(a, b int) bool {
+			ia, ib := idx[a], idx[b]
+			ca, cb := cnt[int(ia)*w:int(ia)*w+w], cnt[int(ib)*w:int(ib)*w+w]
+			for j := 0; j < w; j++ {
+				if ca[j] != cb[j] {
+					return ca[j] < cb[j]
+				}
+			}
+			if rank != nil && rank[ia] != rank[ib] {
+				return rank[ia] < rank[ib]
+			}
+			return ia < ib
+		})
+		for k, i := range idx {
+			perm[i] = int32(lo + k)
+		}
+	}
+	return perm
+}
+
+// TestDegreeOrderMatchesComparator: the counting sort must give the
+// comparison sort's permutation exactly, with rank nil (production) and
+// with an RCM rank, on one window and across two (n > 64Ki).
+func TestDegreeOrderMatchesComparator(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    *Matrix
+	}{
+		{"empty", emptySquare(t, 9)},
+		{"power-law", powerLawStochastic(t, 5, 3000, 20000).m},
+		// Columns span both windows, so count vectors differ in their
+		// second component too.
+		{"two-window", randomMatrix(t, 6, windowSize+4500, 300000)},
+	} {
+		s := mustStochastic(t, tc.m)
+		deg, adj := adjFromMatrix(tc.m)
+		rcm := RCMOrder(tc.m.Rows(), deg, adj)
+		for _, rank := range [][]int32{nil, rcm} {
+			got, want := s.DegreeOrder(rank), degreeOrderReference(s, rank)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s (rank set %v): perm[%d] = %d, comparator gives %d",
+						tc.name, rank != nil, i, got[i], want[i])
+				}
+			}
+		}
+	}
 }

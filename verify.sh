@@ -11,8 +11,8 @@
 #                       build + vet, then a short-mode race pass over the
 #                       ranking hot path (sparse pool/tiled kernel, core
 #                       operator/parallel/RankBatch/Explain tests, scratch
-#                       metrics), the ingest WAL tests, the
-#                       admission-control tests, the replication
+#                       metrics), the compaction tests, the ingest WAL
+#                       tests, the admission-control tests, the replication
 #                       follower tests and the impact-indicator suites —
 #                       seconds instead of minutes, for tight iteration
 #   ./verify.sh fuzz    short coverage-guided fuzz sessions for the
@@ -58,8 +58,8 @@ if [ "${1:-}" = "quick" ]; then
 	go test -race -run 'Admission|Backpressure|Deadline|Replica|RateLimiter|MaxRPS|Explain|TopPage|ServeListener' ./internal/service/
 	echo "==> go test -race -short (replication follower)"
 	go test -race -short -run 'Follower' ./internal/replication/
-	echo "==> go test -race (incremental push path: kernel, overlay, metamorphic, ingest, replication)"
-	go test -race -run 'Push|Pusher|Overlay|Incremental|FlushDebounceRace|EpochMarkerLegacy' \
+	echo "==> go test -race (incremental push path and compaction: kernel, overlay, builder splice, metamorphic, ingest, replication)"
+	go test -race -run 'Push|Pusher|Overlay|Incremental|FlushDebounceRace|EpochMarkerLegacy|Builder|Compact' \
 		./internal/sparse/ ./internal/graph/ ./internal/core/ ./internal/ingest/ ./internal/replication/
 	echo "==> go test -race (impact indicators: classes, PageRank bit-equality, endpoints, replication)"
 	go test -race -run 'Impact|Class|Indicator|Influence|PageRank|Threshold|Impulse|NormalizeID|Golden' \
