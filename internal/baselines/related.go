@@ -124,20 +124,10 @@ func (t TimeAwarePageRank) Scores(net *graph.Network, _ int) ([]float64, error) 
 	if n == 0 {
 		return nil, ErrEmptyNetwork
 	}
-	entries := make([]sparse.Coord, 0, net.Edges())
-	for j := int32(0); int(j) < n; j++ {
-		yj := net.Year(j)
-		net.References(j, func(ref int32) {
-			gap := yj - net.Year(ref)
-			if gap < 0 {
-				gap = 0
-			}
-			entries = append(entries, sparse.Coord{
-				Row: ref, Col: j, Val: math.Exp(-float64(gap) / t.Tau),
-			})
-		})
-	}
-	m, err := sparse.NewMatrix(n, n, entries)
+	m, err := net.WeightedMatrix(func(citing, cited int32) float64 {
+		gap := max(net.Year(citing)-net.Year(cited), 0)
+		return math.Exp(-float64(gap) / t.Tau)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("baselines: time-aware pagerank: %w", err)
 	}

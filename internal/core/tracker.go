@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"attrank/internal/graph"
 )
@@ -13,10 +14,18 @@ import (
 // iteration converges in a fraction of the cold-start iterations while
 // reaching the same fixed point (the fixed point of Eq. 4 is independent
 // of the starting vector).
+//
+// The previous scores are carried by index, next to the network they
+// were computed on: a paper that kept its index (every paper of a
+// network grown by graph.NewBuilderFrom) is matched by comparing one ID,
+// and only a paper that moved is looked up in the previous network's ID
+// index. The match is by ID either way.
 type Tracker struct {
 	params Params
-	// last maps paper ID → score from the previous Update.
-	last map[string]float64
+	// prev is the network of the previous Update (or Seed), and last
+	// its scores, indexed like prev; both nil before the first.
+	prev *graph.Network
+	last []float64
 }
 
 // NewTracker validates the parameters (Start must be unset; the tracker
@@ -28,7 +37,7 @@ func NewTracker(p Params) (*Tracker, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Tracker{params: p, last: make(map[string]float64)}, nil
+	return &Tracker{params: p}, nil
 }
 
 // Params returns the tracker's configuration.
@@ -42,20 +51,18 @@ func (t *Tracker) Tracked() int { return len(t.last) }
 // follower joins a leader's warm-start chain mid-stream: seeded with
 // the leader's published scores for the same network, every subsequent
 // Update starts from the same vector the leader's does and therefore
-// reproduces the leader's results bit for bit.
+// reproduces the leader's results bit for bit. The tracker keeps a
+// copy of scores.
 // A length mismatch — scores from a different (e.g. pre-compaction)
 // vertex count — clears the carried state before erroring: the stale
 // vector must not silently warm-start the next Update, which instead
 // re-seeds itself from its own exact result.
 func (t *Tracker) Seed(net *graph.Network, scores []float64) error {
 	if net.N() != len(scores) {
-		t.last = make(map[string]float64)
+		t.prev, t.last = nil, nil
 		return fmt.Errorf("core: tracker seed: %d scores for %d papers", len(scores), net.N())
 	}
-	t.last = make(map[string]float64, len(scores))
-	for i := int32(0); int(i) < net.N(); i++ {
-		t.last[net.Paper(i).ID] = scores[i]
-	}
+	t.prev, t.last = net, slices.Clone(scores)
 	return nil
 }
 
@@ -68,7 +75,13 @@ func (t *Tracker) Update(net *graph.Network, now int) (*Result, error) {
 		start := make([]float64, net.N())
 		carried, hits := 0.0, 0
 		for i := int32(0); int(i) < net.N(); i++ {
-			if v, ok := t.last[net.Paper(i).ID]; ok {
+			id := net.Paper(i).ID
+			j, ok := i, int(i) < t.prev.N() && t.prev.Paper(i).ID == id
+			if !ok {
+				j, ok = t.prev.Lookup(id)
+			}
+			if ok {
+				v := t.last[j]
 				start[i] = v
 				carried += v
 				hits++
@@ -89,9 +102,6 @@ func (t *Tracker) Update(net *graph.Network, now int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.last = make(map[string]float64, net.N())
-	for i := int32(0); int(i) < net.N(); i++ {
-		t.last[net.Paper(i).ID] = res.Scores[i]
-	}
+	t.prev, t.last = net, slices.Clone(res.Scores)
 	return res, nil
 }

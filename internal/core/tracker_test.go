@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"attrank/internal/graph"
@@ -122,4 +124,186 @@ func newDisjointNet(t *testing.T, size int) *graph.Network {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// mapTracker is the reference Tracker: it carries the previous scores
+// in a map keyed by paper ID, rebuilt on every update.
+type mapTracker struct {
+	params Params
+	last   map[string]float64
+}
+
+func (t *mapTracker) seed(net *graph.Network, scores []float64) {
+	t.last = make(map[string]float64, len(scores))
+	for i := int32(0); int(i) < net.N(); i++ {
+		t.last[net.Paper(i).ID] = scores[i]
+	}
+}
+
+func (t *mapTracker) update(net *graph.Network, now int) (*Result, error) {
+	p := t.params
+	if len(t.last) > 0 && net.N() > 0 {
+		start := make([]float64, net.N())
+		carried, hits := 0.0, 0
+		for i := int32(0); int(i) < net.N(); i++ {
+			if v, ok := t.last[net.Paper(i).ID]; ok {
+				start[i] = v
+				carried += v
+				hits++
+			}
+		}
+		fill := 1.0 / float64(net.N())
+		if hits > 0 {
+			fill = carried / float64(hits)
+		}
+		for i := range start {
+			if start[i] == 0 {
+				start[i] = fill
+			}
+		}
+		p.Start = start
+	}
+	res, err := Rank(net, now, p)
+	if err != nil {
+		return nil, err
+	}
+	t.seed(net, res.Scores)
+	return res, nil
+}
+
+// growNet splices the given number of new papers onto base, with about
+// twice as many citations, a third of them from old papers.
+func growNet(t *testing.T, rng *rand.Rand, base *graph.Network, gen, papers int) *graph.Network {
+	t.Helper()
+	b := graph.NewBuilderFrom(base)
+	year := base.MaxYear()
+	for i := 0; i < papers; i++ {
+		if _, err := b.AddPaper(fmt.Sprintf("g%d-%d", gen, i), year+rng.Intn(2), nil, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := int32(base.N() + papers)
+	for k := 0; k < 2*papers; k++ {
+		citing := int32(base.N()) + int32(rng.Intn(papers))
+		if k%3 == 0 {
+			citing = int32(rng.Intn(int(n)))
+		}
+		if cited := int32(rng.Intn(int(n))); cited != citing {
+			b.AddEdgeByIndex(citing, cited)
+		}
+	}
+	net, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// permuteNet rebuilds net from scratch with its papers in a random
+// order: the same papers and citations under other indices.
+func permuteNet(t *testing.T, rng *rand.Rand, net *graph.Network) *graph.Network {
+	t.Helper()
+	b := graph.NewBuilder()
+	for _, i := range rng.Perm(net.N()) {
+		p := net.Paper(int32(i))
+		if _, err := b.AddPaper(p.ID, p.Year, nil, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int32(0); int(i) < net.N(); i++ {
+		net.References(i, func(ref int32) { b.AddEdge(net.Paper(i).ID, net.Paper(ref).ID) })
+	}
+	out, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestTrackerMatchesMapReference: over a chain of updates on growing,
+// permuted and shrunken networks, with a Seed mid-chain, the tracker
+// that carries scores by index returns results == to the reference that
+// matches IDs through a map. Mutating the slices the tracker was given
+// or returned must not reach its next warm start.
+func TestTrackerMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	tr, err := NewTracker(trackerParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &mapTracker{params: trackerParams()}
+
+	net := randomNet(t, 11, 120)
+	steps := []struct {
+		name string
+		next func(*graph.Network) *graph.Network
+		seed bool
+	}{
+		{"first", func(n *graph.Network) *graph.Network { return n }, false},
+		{"same network", func(n *graph.Network) *graph.Network { return n }, false},
+		{"grown", func(n *graph.Network) *graph.Network { return growNet(t, rng, n, 1, 9) }, false},
+		{"grown again", func(n *graph.Network) *graph.Network { return growNet(t, rng, n, 2, 1) }, false},
+		{"permuted", func(n *graph.Network) *graph.Network { return permuteNet(t, rng, n) }, false},
+		{"grown after permutation", func(n *graph.Network) *graph.Network { return growNet(t, rng, n, 3, 6) }, false},
+		{"papers removed", func(n *graph.Network) *graph.Network {
+			sub, _ := n.Filter(func(i int32, _ graph.Paper) bool { return rng.Intn(5) != 0 })
+			return sub
+		}, false},
+		{"seeded", func(n *graph.Network) *graph.Network { return n }, true},
+		{"grown after seed", func(n *graph.Network) *graph.Network { return growNet(t, rng, n, 4, 5) }, false},
+		{"disjoint", func(*graph.Network) *graph.Network { return newDisjointNet(t, 40) }, false},
+		{"grown after disjoint", func(n *graph.Network) *graph.Network { return growNet(t, rng, n, 5, 4) }, false},
+	}
+	for _, step := range steps {
+		net = step.next(net)
+		if step.seed {
+			// A seed from scores not produced by either tracker; the
+			// caller's slice is scribbled on once the tracker holds it.
+			scores := make([]float64, net.N())
+			for i := range scores {
+				scores[i] = rng.Float64() / float64(net.N())
+			}
+			ref.seed(net, scores)
+			if err := tr.Seed(net, scores); err != nil {
+				t.Fatal(err)
+			}
+			for i := range scores {
+				scores[i] = -1
+			}
+			continue
+		}
+		got, err := tr.Update(net, net.MaxYear())
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		want, err := ref.update(net, net.MaxYear())
+		if err != nil {
+			t.Fatalf("%s: reference: %v", step.name, err)
+		}
+		if len(got.Scores) != len(want.Scores) || len(got.Residuals) != len(want.Residuals) {
+			t.Fatalf("%s: %d scores, %d residuals; want %d, %d", step.name,
+				len(got.Scores), len(got.Residuals), len(want.Scores), len(want.Residuals))
+		}
+		if got.Iterations != want.Iterations || got.Converged != want.Converged {
+			t.Fatalf("%s: %d iterations, converged %v; want %d, %v", step.name,
+				got.Iterations, got.Converged, want.Iterations, want.Converged)
+		}
+		for i := range want.Scores {
+			if got.Scores[i] != want.Scores[i] {
+				t.Fatalf("%s: score %d = %v, want %v", step.name, i, got.Scores[i], want.Scores[i])
+			}
+		}
+		for i := range want.Residuals {
+			if got.Residuals[i] != want.Residuals[i] {
+				t.Fatalf("%s: residual %d = %v, want %v", step.name, i, got.Residuals[i], want.Residuals[i])
+			}
+		}
+		if tr.Tracked() != len(ref.last) {
+			t.Fatalf("%s: tracker holds %d scores, want %d", step.name, tr.Tracked(), len(ref.last))
+		}
+		// The published scores belong to the caller.
+		for i := range got.Scores {
+			got.Scores[i] = -1
+		}
+	}
 }

@@ -9,19 +9,15 @@ import (
 
 // CitationMatrix returns the 0/1 citation matrix C of the network as a
 // sparse matrix: C[i,j] = 1 iff paper j cites paper i (column j is the
-// reference list of j).
+// reference list of j). The matrix wraps the network's reference CSR,
+// which is already deduplicated and ascending within each list, so
+// building it sorts nothing.
 func (n *Network) CitationMatrix() (*sparse.Matrix, error) {
-	entries := make([]sparse.Coord, 0, n.Edges())
-	for j := int32(0); int(j) < n.N(); j++ {
-		n.References(j, func(ref int32) {
-			entries = append(entries, sparse.Coord{Row: ref, Col: j, Val: 1})
-		})
+	ones := make([]float64, len(n.refs))
+	for k := range ones {
+		ones[k] = 1
 	}
-	m, err := sparse.NewMatrix(n.N(), n.N(), entries)
-	if err != nil {
-		return nil, fmt.Errorf("graph: citation matrix: %w", err)
-	}
-	return m, nil
+	return n.refMatrix("citation", ones)
 }
 
 // StochasticMatrix returns the column-stochastic matrix S of the paper:
@@ -47,20 +43,35 @@ func (n *Network) AgeWeightedMatrix(now int, gamma float64) (*sparse.Matrix, err
 	if gamma <= 0 || gamma > 1 {
 		return nil, fmt.Errorf("graph: age-weighted matrix: gamma %v out of (0,1]", gamma)
 	}
-	entries := make([]sparse.Coord, 0, n.Edges())
-	for j := int32(0); int(j) < n.N(); j++ {
-		age := now - n.papers[j].Year
-		if age < 0 {
-			age = 0
-		}
+	val := make([]float64, len(n.refs))
+	for j := range n.papers {
+		age := max(now-n.papers[j].Year, 0)
 		w := math.Pow(gamma, float64(age))
-		n.References(j, func(ref int32) {
-			entries = append(entries, sparse.Coord{Row: ref, Col: j, Val: w})
-		})
+		for k := n.refPtr[j]; k < n.refPtr[j+1]; k++ {
+			val[k] = w
+		}
 	}
-	m, err := sparse.NewMatrix(n.N(), n.N(), entries)
+	return n.refMatrix("age-weighted", val)
+}
+
+// WeightedMatrix returns the citation matrix with entry (i,j) =
+// weight(j, i) if paper j cites paper i: the reference lists weighted
+// edge by edge, for variants such as time-aware PageRank.
+func (n *Network) WeightedMatrix(weight func(citing, cited int32) float64) (*sparse.Matrix, error) {
+	val := make([]float64, len(n.refs))
+	for j := int32(0); int(j) < n.N(); j++ {
+		for k := n.refPtr[j]; k < n.refPtr[j+1]; k++ {
+			val[k] = weight(j, n.refs[k])
+		}
+	}
+	return n.refMatrix("weighted", val)
+}
+
+// refMatrix wraps the reference CSR with one value per reference.
+func (n *Network) refMatrix(kind string, val []float64) (*sparse.Matrix, error) {
+	m, err := sparse.FromCSC(n.N(), n.N(), n.refPtr, n.refs, val)
 	if err != nil {
-		return nil, fmt.Errorf("graph: age-weighted matrix: %w", err)
+		return nil, fmt.Errorf("graph: %s matrix: %w", kind, err)
 	}
 	return m, nil
 }

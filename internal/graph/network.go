@@ -255,9 +255,10 @@ func (n *Network) Filter(keepFn func(i int32, p Paper) bool) (*Network, []int32)
 	return sub, keep
 }
 
-// Validate checks structural invariants: sorted citer lists, matching
-// edge counts, and in-bounds indices. It is O(V+E) and used by tests and
-// the data loaders.
+// Validate checks structural invariants: sorted citer lists, strictly
+// ascending reference lists (HasEdge and CitationMatrix rely on them),
+// matching edge counts, and in-bounds indices. It is O(V+E) and used by
+// tests and the data loaders.
 func (n *Network) Validate() error {
 	if len(n.refPtr) != n.N()+1 || len(n.citPtr) != n.N()+1 {
 		return fmt.Errorf("graph: pointer array length mismatch")
@@ -278,10 +279,16 @@ func (n *Network) Validate() error {
 				prevYear = y
 			}
 		}
+		prevRef := int32(-1)
 		for k := n.refPtr[i]; k < n.refPtr[i+1]; k++ {
-			if r := n.refs[k]; r < 0 || int(r) >= n.N() {
+			r := n.refs[k]
+			if r < 0 || int(r) >= n.N() {
 				return fmt.Errorf("graph: reference index %d out of range for node %d", r, i)
 			}
+			if r <= prevRef {
+				return fmt.Errorf("graph: references of node %d not strictly ascending", i)
+			}
+			prevRef = r
 		}
 	}
 	return nil

@@ -257,8 +257,12 @@ type Epoch struct {
 
 	scores [NumIndicators][]float64
 	thr    [NumIndicators]Thresholds
-	// ids maps NormalizeID(paper id) → paper index for external-id
-	// (DOI-like) resolution; first paper wins on normalization clashes.
+	// net is the ranked network; Resolve looks canonical ids up in its
+	// ID index.
+	net *graph.Network
+	// ids maps NormalizeID(id) → paper index for the exceptions only:
+	// papers whose id is not already in normal form (NormalizeID(id) !=
+	// id), first paper wins. On a corpus of canonical ids it is empty.
 	ids map[string]int32
 }
 
@@ -275,9 +279,19 @@ func (e *Epoch) Class(ind Indicator, i int32) Class {
 }
 
 // Resolve maps an external (DOI-like) id to a paper index by normalized
-// form. Callers should try the network's exact Lookup first.
+// form: the first paper whose NormalizeID equals NormalizeID(id).
+// Callers should try the network's exact Lookup first.
+//
+// The candidates are the first exception in ids and the paper whose id
+// IS the normal form. The latter is found by the network's Lookup and
+// counts only if that id is a fixed point of NormalizeID, which is not
+// idempotent ("doi:doi:x" normalizes to "doi:x", and that to "x").
 func (e *Epoch) Resolve(id string) (int32, bool) {
-	idx, ok := e.ids[NormalizeID(id)]
+	norm := NormalizeID(id)
+	idx, ok := e.ids[norm]
+	if j, found := e.net.Lookup(norm); found && (!ok || j < idx) && NormalizeID(norm) == norm {
+		return j, true
+	}
 	return idx, ok
 }
 
@@ -346,9 +360,13 @@ func Compute(net *graph.Network, attrank []float64, rankedAt int, cfg Config) (*
 		e.thr[ind] = DeriveThresholds(e.scores[ind])
 	}
 
-	e.ids = make(map[string]int32, n)
+	e.net, e.ids = net, make(map[string]int32)
 	for i := int32(0); int(i) < n; i++ {
-		norm := NormalizeID(net.Paper(i).ID)
+		id := net.Paper(i).ID
+		norm := NormalizeID(id)
+		if norm == id {
+			continue
+		}
 		if _, dup := e.ids[norm]; !dup {
 			e.ids[norm] = i
 		}

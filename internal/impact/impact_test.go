@@ -3,7 +3,9 @@ package impact
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"attrank/internal/baselines"
@@ -312,6 +314,104 @@ func TestResolve(t *testing.T) {
 	}
 	if _, ok := e.Resolve("10.1/missing"); ok {
 		t.Fatal("missing id resolved")
+	}
+}
+
+// fullMapResolve is the reference resolution: a map from every
+// paper's normalized id to its index, first paper wins.
+func fullMapResolve(net *graph.Network) func(string) (int32, bool) {
+	ids := make(map[string]int32, net.N())
+	for i := int32(0); int(i) < net.N(); i++ {
+		norm := NormalizeID(net.Paper(i).ID)
+		if _, dup := ids[norm]; !dup {
+			ids[norm] = i
+		}
+	}
+	return func(q string) (int32, bool) {
+		i, ok := ids[NormalizeID(q)]
+		return i, ok
+	}
+}
+
+// TestResolveMatchesFullMap: Resolve, which keeps only the ids that are
+// not in normal form, equals the map over every paper's normalized id
+// on adversarial corpora: case soup, stored doi: and URL prefixes, the
+// non-idempotent "doi:doi:x", padding spaces, and clashes where a later
+// paper's raw id is an earlier paper's normal form and the reverse.
+func TestResolveMatchesFullMap(t *testing.T) {
+	tokens := []string{"10.1/abc", "10.1/ABC", "x", "doi:x", "10.2/Clash", "plain"}
+	decorations := []func(string) string{
+		func(s string) string { return s },
+		strings.ToUpper,
+		func(s string) string { return "doi:" + s },
+		func(s string) string { return "DOI:" + s },
+		func(s string) string { return "doi:doi:" + s },
+		func(s string) string { return "https://doi.org/" + s },
+		func(s string) string { return "http://dx.doi.org/" + strings.ToUpper(s) },
+		func(s string) string { return " " + s + " " },
+		func(s string) string { return s + "\t" },
+	}
+	var variants []string
+	for _, tok := range tokens {
+		for _, d := range decorations {
+			variants = append(variants, d(tok))
+		}
+	}
+	queries := append(slices.Clone(variants), "missing", "doi:missing", "", " ", "doi:", "https://doi.org/")
+	for _, v := range variants {
+		queries = append(queries, NormalizeID(v), NormalizeID(NormalizeID(v)))
+	}
+
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 60; trial++ {
+		b := graph.NewBuilder()
+		seen := map[string]bool{}
+		for _, i := range rng.Perm(len(variants))[:1+rng.Intn(len(variants))] {
+			id := variants[i]
+			if seen[id] || strings.TrimSpace(id) == "" {
+				continue
+			}
+			seen[id] = true
+			if _, err := b.AddPaper(id, 1990+rng.Intn(10), nil, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		net, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := computeEpoch(t, net, Config{})
+		want := fullMapResolve(net)
+		for _, q := range queries {
+			gi, gok := e.Resolve(q)
+			wi, wok := want(q)
+			if gi != wi || gok != wok {
+				t.Fatalf("trial %d: Resolve(%q) = %d, %v; full map gives %d, %v", trial, q, gi, gok, wi, wok)
+			}
+		}
+	}
+
+	// The two clash directions, pinned: the earlier paper wins whether
+	// it is the exception or the canonical id.
+	for _, ids := range [][2]string{{"10.1/Clash", "10.1/clash"}, {"10.1/clash", "DOI:10.1/CLASH"}} {
+		b := graph.NewBuilder()
+		for _, id := range ids {
+			if _, err := b.AddPaper(id, 2000, nil, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		net, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i, ok := computeEpoch(t, net, Config{}).Resolve("https://doi.org/10.1/clash"); !ok || i != 0 {
+			t.Fatalf("ids %q: Resolve = %d, %v, want the first paper", ids, i, ok)
+		}
+	}
+
+	// A corpus of canonical ids keeps no exceptions at all.
+	if e := computeEpoch(t, randomNet(t, 5, 200), Config{}); len(e.ids) != 0 {
+		t.Fatalf("canonical corpus holds %d exception ids", len(e.ids))
 	}
 }
 

@@ -15,70 +15,58 @@ import (
 	"sort"
 )
 
-// Coord is a single nonzero entry (row, col, value) used while assembling
-// a matrix.
-type Coord struct {
-	Row, Col int32
-	Val      float64
-}
-
 // Matrix is an immutable sparse matrix in compressed sparse column form.
 // Entry (r, c) carries the weight of the edge c → r; for a citation matrix
 // column c lists the papers referenced by paper c.
 type Matrix struct {
 	rows, cols int
 	colPtr     []int32   // len cols+1; column c occupies [colPtr[c], colPtr[c+1])
-	rowIdx     []int32   // row index of each nonzero
+	rowIdx     []int32   // row index of each nonzero, strictly ascending per column
 	val        []float64 // value of each nonzero
 }
 
-// NewMatrix assembles a CSC matrix from coordinate triples. Duplicate
-// (row, col) entries are summed. It returns an error if any coordinate is
-// out of bounds or carries a non-finite value.
-func NewMatrix(rows, cols int, entries []Coord) (*Matrix, error) {
+// FromCSC wraps compressed sparse column arrays as a Matrix without
+// copying them: column c holds rows rowIdx[colPtr[c]:colPtr[c+1]] with
+// values val[colPtr[c]:colPtr[c+1]]. The caller must not modify the
+// arrays afterwards. It returns an error if colPtr is not a
+// non-decreasing pointer array of length cols+1 from 0 to len(rowIdx)
+// == len(val), if a row is out of bounds or not strictly above the
+// previous row of its column (so no duplicates), or if a value is not
+// finite.
+func FromCSC(rows, cols int, colPtr, rowIdx []int32, val []float64) (*Matrix, error) {
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("sparse: negative dimensions %dx%d", rows, cols)
 	}
-	for _, e := range entries {
-		if e.Row < 0 || int(e.Row) >= rows || e.Col < 0 || int(e.Col) >= cols {
-			return nil, fmt.Errorf("sparse: entry (%d,%d) out of bounds for %dx%d matrix", e.Row, e.Col, rows, cols)
-		}
-		if !isFinite(e.Val) {
-			return nil, fmt.Errorf("sparse: entry (%d,%d) has non-finite value %v", e.Row, e.Col, e.Val)
-		}
+	if len(colPtr) != cols+1 {
+		return nil, fmt.Errorf("sparse: %d column pointers for %d columns", len(colPtr), cols)
 	}
-	sorted := make([]Coord, len(entries))
-	copy(sorted, entries)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Col != sorted[j].Col {
-			return sorted[i].Col < sorted[j].Col
-		}
-		return sorted[i].Row < sorted[j].Row
-	})
-
-	m := &Matrix{
-		rows:   rows,
-		cols:   cols,
-		colPtr: make([]int32, cols+1),
+	if len(rowIdx) != len(val) {
+		return nil, fmt.Errorf("sparse: %d row indices for %d values", len(rowIdx), len(val))
 	}
-	m.rowIdx = make([]int32, 0, len(sorted))
-	m.val = make([]float64, 0, len(sorted))
-	for i := 0; i < len(sorted); {
-		j := i
-		sum := 0.0
-		for j < len(sorted) && sorted[j].Row == sorted[i].Row && sorted[j].Col == sorted[i].Col {
-			sum += sorted[j].Val
-			j++
-		}
-		m.rowIdx = append(m.rowIdx, sorted[i].Row)
-		m.val = append(m.val, sum)
-		m.colPtr[sorted[i].Col+1]++
-		i = j
+	if colPtr[0] != 0 || int(colPtr[cols]) != len(rowIdx) {
+		return nil, fmt.Errorf("sparse: column pointers span [%d, %d), want [0, %d)", colPtr[0], colPtr[cols], len(rowIdx))
 	}
 	for c := 0; c < cols; c++ {
-		m.colPtr[c+1] += m.colPtr[c]
+		lo, hi := colPtr[c], colPtr[c+1]
+		if hi < lo || int(hi) > len(rowIdx) {
+			return nil, fmt.Errorf("sparse: column pointers decrease at column %d", c)
+		}
+		prev := int32(-1)
+		for k := lo; k < hi; k++ {
+			r := rowIdx[k]
+			if r < 0 || int(r) >= rows {
+				return nil, fmt.Errorf("sparse: entry (%d,%d) out of bounds for %dx%d matrix", r, c, rows, cols)
+			}
+			if r <= prev {
+				return nil, fmt.Errorf("sparse: column %d rows not strictly ascending at row %d", c, r)
+			}
+			if !isFinite(val[k]) {
+				return nil, fmt.Errorf("sparse: entry (%d,%d) has non-finite value %v", r, c, val[k])
+			}
+			prev = r
+		}
 	}
-	return m, nil
+	return &Matrix{rows: rows, cols: cols, colPtr: colPtr, rowIdx: rowIdx, val: val}, nil
 }
 
 // Rows returns the number of rows.

@@ -104,6 +104,97 @@ func TestNewMatrixErrors(t *testing.T) {
 	}
 }
 
+// TestFromCSCRejects: FromCSC makes NewMatrix's checks and also
+// rejects malformed pointer arrays and columns whose rows are not
+// strictly ascending.
+func TestFromCSCRejects(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	cases := []struct {
+		name       string
+		rows, cols int
+		colPtr     []int32
+		rowIdx     []int32
+		val        []float64
+	}{
+		{"negative dims", -1, 0, []int32{0}, nil, nil},
+		{"short colPtr", 2, 2, []int32{0, 1}, []int32{0}, []float64{1}},
+		{"long colPtr", 2, 2, []int32{0, 1, 1, 1}, []int32{0}, []float64{1}},
+		{"nil colPtr", 0, 0, nil, nil, nil},
+		{"colPtr not from 0", 2, 2, []int32{1, 1, 1}, []int32{0}, []float64{1}},
+		{"colPtr short of nnz", 2, 2, []int32{0, 1, 1}, []int32{0, 1}, []float64{1, 1}},
+		{"decreasing colPtr", 3, 3, []int32{0, 2, 1, 2}, []int32{0, 1}, []float64{1, 1}},
+		{"colPtr past nnz", 3, 3, []int32{0, 3, 1, 2}, []int32{0, 1}, []float64{1, 1}},
+		{"values for rows", 2, 2, []int32{0, 1, 1}, []int32{0}, []float64{1, 2}},
+		{"row out of range", 2, 2, []int32{0, 1, 1}, []int32{2}, []float64{1}},
+		{"negative row", 2, 2, []int32{0, 1, 1}, []int32{-1}, []float64{1}},
+		{"duplicate row", 3, 2, []int32{0, 0, 2}, []int32{1, 1}, []float64{1, 1}},
+		{"descending rows", 3, 2, []int32{0, 2, 2}, []int32{2, 0}, []float64{1, 1}},
+		{"NaN value", 2, 2, []int32{0, 1, 1}, []int32{0}, []float64{nan}},
+		{"+Inf value", 2, 2, []int32{0, 0, 1}, []int32{1}, []float64{inf}},
+		{"-Inf value", 2, 2, []int32{0, 0, 1}, []int32{1}, []float64{-inf}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := FromCSC(c.rows, c.cols, c.colPtr, c.rowIdx, c.val); err == nil {
+				t.Error("expected error, got nil")
+			}
+		})
+	}
+}
+
+// TestFromCSCMatchesNewMatrix: on random well-formed input, FromCSC
+// equals the coordinate-sorting NewMatrix entry for entry, bit for bit,
+// and wraps the arrays it is given instead of copying them.
+func TestFromCSCMatchesNewMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		rows, cols := rng.Intn(30), rng.Intn(30)
+		if rows == 0 {
+			cols = rng.Intn(2) * cols // no rows: every column is empty
+		}
+		colPtr := make([]int32, cols+1)
+		var rowIdx []int32
+		var val []float64
+		var entries []Coord
+		for c := 0; c < cols; c++ {
+			for r := 0; r < rows; r++ {
+				if rng.Intn(4) != 0 {
+					continue
+				}
+				v := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+				rowIdx = append(rowIdx, int32(r))
+				val = append(val, v)
+				entries = append(entries, Coord{Row: int32(r), Col: int32(c), Val: v})
+			}
+			colPtr[c+1] = int32(len(rowIdx))
+		}
+		rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+		got, err := FromCSC(rows, cols, colPtr, rowIdx, val)
+		if err != nil {
+			t.Fatalf("trial %d: FromCSC: %v", trial, err)
+		}
+		want := mustMatrix(t, rows, cols, entries)
+		if got.Rows() != want.Rows() || got.Cols() != want.Cols() || got.NNZ() != want.NNZ() {
+			t.Fatalf("trial %d: %dx%d nnz %d, want %dx%d nnz %d", trial,
+				got.Rows(), got.Cols(), got.NNZ(), want.Rows(), want.Cols(), want.NNZ())
+		}
+		for c := 0; c <= cols; c++ {
+			if got.colPtr[c] != want.colPtr[c] {
+				t.Fatalf("trial %d: colPtr[%d] = %d, want %d", trial, c, got.colPtr[c], want.colPtr[c])
+			}
+		}
+		for k := range want.rowIdx {
+			if got.rowIdx[k] != want.rowIdx[k] || math.Float64bits(got.val[k]) != math.Float64bits(want.val[k]) {
+				t.Fatalf("trial %d: entry %d = (%d, %v), want (%d, %v)", trial, k,
+					got.rowIdx[k], got.val[k], want.rowIdx[k], want.val[k])
+			}
+		}
+		if len(rowIdx) > 0 && (&got.rowIdx[0] != &rowIdx[0] || &got.val[0] != &val[0] || &got.colPtr[0] != &colPtr[0]) {
+			t.Fatalf("trial %d: FromCSC copied its input", trial)
+		}
+	}
+}
+
 func TestColumnIteration(t *testing.T) {
 	m := mustMatrix(t, 4, 2, []Coord{
 		{Row: 3, Col: 0, Val: 3},

@@ -10,7 +10,8 @@
 #   ./verify.sh quick   kernel + durability + overload gate: gofmt +
 #                       build + vet, then a short-mode race pass over the
 #                       ranking hot path (sparse pool/tiled kernel, core
-#                       operator/parallel/RankBatch/Explain tests, scratch
+#                       operator/parallel/RankBatch/Explain/Tracker tests,
+#                       the FromCSC and CitationMatrix wraps, scratch
 #                       metrics), the compaction tests, the ingest WAL
 #                       tests, the admission-control tests, the replication
 #                       follower tests and the impact-indicator suites —
@@ -48,7 +49,7 @@ echo "==> go vet ./... (benchmark module)"
 
 if [ "${1:-}" = "quick" ]; then
 	echo "==> go test -race -short (kernel packages)"
-	go test -race -short -run 'Parallel|Operator|Pool|RankBatch|Tiled|RCM|Relabel|Window|Degree|Explain|TopPage' \
+	go test -race -short -run 'Parallel|Operator|Pool|RankBatch|Tiled|RCM|Relabel|Window|Degree|Explain|TopPage|Tracker|CitationMatrix|FromCSC|Validate' \
 		./internal/sparse/ ./internal/core/
 	echo "==> go test -race (scratch metrics bit-equality)"
 	go test -race -run 'Scratch|Ordering|Ranks' ./internal/metrics/
@@ -59,10 +60,10 @@ if [ "${1:-}" = "quick" ]; then
 	echo "==> go test -race -short (replication follower)"
 	go test -race -short -run 'Follower' ./internal/replication/
 	echo "==> go test -race (incremental push path and compaction: kernel, overlay, builder splice, metamorphic, ingest, replication)"
-	go test -race -run 'Push|Pusher|Overlay|Incremental|FlushDebounceRace|EpochMarkerLegacy|Builder|Compact' \
+	go test -race -run 'Push|Pusher|Overlay|Incremental|FlushDebounceRace|EpochMarkerLegacy|Builder|Compact|Tracker|CitationMatrix|FromCSC|Validate' \
 		./internal/sparse/ ./internal/graph/ ./internal/core/ ./internal/ingest/ ./internal/replication/
 	echo "==> go test -race (impact indicators: classes, PageRank bit-equality, endpoints, replication)"
-	go test -race -run 'Impact|Class|Indicator|Influence|PageRank|Threshold|Impulse|NormalizeID|Golden' \
+	go test -race -run 'Impact|Class|Indicator|Influence|PageRank|Threshold|Impulse|NormalizeID|Golden|Resolve' \
 		./internal/impact/ ./internal/core/ ./internal/ingest/ ./internal/service/ ./internal/replication/
 	echo "verify.sh: quick checks passed"
 	exit 0
