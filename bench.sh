@@ -19,10 +19,10 @@
 set -eu
 
 echo "==> attrank-bench, GOMAXPROCS=1 (100k-paper synthetic network -> BENCH_core.json)"
-GOMAXPROCS=1 go run ./cmd/attrank-bench -out BENCH_core.json "$@"
+GOMAXPROCS=1 go run ./cmd/attrank-bench -out BENCH_core.json
 
 echo "==> attrank-bench, all cores (parallel-kernel scaling check, not committed)"
-go run ./cmd/attrank-bench -out /tmp/BENCH_core_ncpu.json "$@"
+go run ./cmd/attrank-bench -out /tmp/BENCH_core_ncpu.json
 
 echo "==> attrank-bench -ingest, GOMAXPROCS=1 (incremental push vs warm full re-rank -> BENCH_ingest.json)"
 GOMAXPROCS=1 go run ./cmd/attrank-bench -ingest -ingest-out BENCH_ingest.json

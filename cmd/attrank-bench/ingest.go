@@ -1,8 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,6 +14,7 @@ import (
 	"attrank/internal/core"
 	"attrank/internal/graph"
 	"attrank/internal/ingest"
+	"attrank/internal/sparse"
 	"attrank/internal/synth"
 )
 
@@ -39,9 +38,9 @@ import (
 //     sustained writes/sec with a ranking published after every write,
 //     WAL fsync included.
 //
-// Exit is non-zero if any correctness assertion fails, so verify.sh can
-// gate on a small -ingest run. The committed BENCH_ingest.json comes
-// from bench.sh (GOMAXPROCS=1, 100k papers).
+// Any failed correctness assertion is an error and a non-zero exit;
+// TestIngestGates runs every gate at 5k papers. The committed
+// BENCH_ingest.json comes from bench.sh (GOMAXPROCS=1, 100k papers).
 
 type latQuantiles struct {
 	BestNS int64 `json:"best_ns"`
@@ -157,29 +156,17 @@ func bitsEqual(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	ab := make([]byte, 8*len(a))
-	bb := make([]byte, 8*len(b))
 	for i := range a {
-		binary.LittleEndian.PutUint64(ab[8*i:], math.Float64bits(a[i]))
-		binary.LittleEndian.PutUint64(bb[8*i:], math.Float64bits(b[i]))
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
 	}
-	return bytes.Equal(ab, bb)
+	return true
 }
 
-func l1Deviation(a, b []float64) float64 {
-	d := 0.0
-	for i := range a {
-		d += math.Abs(a[i] - b[i])
-	}
-	return d
-}
-
-func runIngest(papers, writes, fullReps, checkEvery, ingestWrites int, profile, out string, pushTol float64) error {
-	prof, err := synth.ProfileByName(profile)
-	if err != nil {
-		return err
-	}
-	prof = prof.Scale(float64(papers) / float64(prof.Papers))
+func runIngest(papers, writes, fullReps, checkEvery, ingestWrites int, out string) error {
+	const pushTol = core.DefaultPushTol
+	prof := dblp(papers)
 	fmt.Printf("generating %s network with %d papers…\n", prof.Name, prof.Papers)
 	base, err := synth.GenerateSeeded(prof, 1)
 	if err != nil {
@@ -312,7 +299,7 @@ func runIngest(papers, writes, fullReps, checkEvery, ingestWrites int, profile, 
 			if err != nil {
 				return err
 			}
-			dev := l1Deviation(pu.Scores(), exact.Scores)
+			dev := sparse.L1Diff(pu.Scores(), exact.Scores)
 			bound := pu.Bound()
 			r.DeviationChecks++
 			r.MaxDeviation = math.Max(r.MaxDeviation, dev)
@@ -381,7 +368,7 @@ func runIngest(papers, writes, fullReps, checkEvery, ingestWrites int, profile, 
 	if err != nil {
 		return err
 	}
-	if dev := l1Deviation(viaPushChain.Scores, exactFinal.Scores); dev > 1e-6 {
+	if dev := sparse.L1Diff(viaPushChain.Scores, exactFinal.Scores); dev > 1e-6 {
 		return fmt.Errorf("ingest bench: reconciliation deviates %.3g from the exact rank", dev)
 	}
 
@@ -431,6 +418,11 @@ func runIngest(papers, writes, fullReps, checkEvery, ingestWrites int, profile, 
 	return nil
 }
 
+// epochWait bounds how long runIngestArm waits for one write's epoch.
+// At 100k papers a full epoch publishes in about a third of a second
+// (ingest_full_writes_per_sec in BENCH_ingest.json). Tests shorten it.
+var epochWait = time.Minute
+
 // runIngestArm drives one live Ingester through the write stream, one
 // citation per batch with RerankAfter=1, waiting for each write's epoch
 // to publish before the next — the rank-per-write regime where the push
@@ -460,7 +452,13 @@ func runIngestArm(base *graph.Network, p core.Params, edges [][2]int32, pushTol 
 			return 0, 0, 0, 0, fmt.Errorf("live write %d: %w", i, err)
 		}
 		want := uint64(i + 2) // epoch 1 is the initial rank
-		for ing.Status().Epoch < want {
+		// A failed re-rank is only logged by the Ingester, and its epoch
+		// then never comes: bound the wait instead of spinning forever.
+		deadline := time.Now().Add(epochWait)
+		for st := ing.Status(); st.Epoch < want; st = ing.Status() {
+			if time.Now().After(deadline) {
+				return 0, 0, 0, 0, fmt.Errorf("live write %d: epoch %d not published within %s (status %+v)", i, want, epochWait, st)
+			}
 			time.Sleep(20 * time.Microsecond)
 		}
 	}

@@ -1,11 +1,9 @@
-// Command attrank-bench measures the ranking hot path on a synthetic
-// power-law citation network and writes the results as JSON. It has four
-// modes:
+// Command attrank-bench measures the ranking hot path on a 100k-paper
+// synthetic DBLP-profile citation network and writes the results as
+// JSON. It has two modes:
 //
-//	attrank-bench [-papers 100000] [-profile dblp] [-out BENCH_core.json] [-reps 20]
-//	attrank-bench -smoke [-smoke-papers 10000]
-//	attrank-bench -impact [-impact-papers 2000]
-//	attrank-bench -ingest [-ingest-papers 100000] [-ingest-out BENCH_ingest.json]
+//	attrank-bench [-out BENCH_core.json]
+//	attrank-bench -ingest [-ingest-out BENCH_ingest.json]
 //
 // The default mode writes BENCH_core.json. It times, per power-method
 // iteration: the serial CSC reference kernel (three sweeps) and the
@@ -16,23 +14,10 @@
 // degree-run relabeling, then tile cutting) and a full cold-vs-warm
 // Rank comparison.
 //
-// With -smoke it runs the bit-equality gate instead: on a seeded 10k
-// synthetic graph the tiled kernel (under its degree-run relabeling) and
-// the serial CSC reference must produce bit-identical iterates, the tiled
-// residual must carry the same bits on one worker as on the whole pool,
-// and the operator's Rank must match the serial reference loop
-// bit-for-bit. Exits non-zero on any mismatch.
-//
-// With -impact it runs the impact-layer smoke: an in-process server with
-// -indicators over a seeded corpus, every served indicator score and
-// C1–C5 class cross-checked bit-for-bit against an independent
-// in-process recompute through internal/impact. Exits non-zero on any
-// mismatch.
-//
 // With -ingest it writes BENCH_ingest.json: single-citation incremental
 // push re-ranks against warm full re-ranks, with reconciliation
 // bit-equality and staleness-bound gates (see ingest.go). Exits non-zero
-// on any violation.
+// on any violation. TestIngestGates runs the same gates at 5k papers.
 package main
 
 import (
@@ -48,6 +33,20 @@ import (
 	"attrank/internal/obs"
 	"attrank/internal/sparse"
 	"attrank/internal/synth"
+)
+
+// The committed BENCH files' sizes: papers of the synthetic network,
+// timing repetitions per kernel (best-of), and for -ingest the
+// single-citation writes pushed through one pusher, the warm full
+// re-ranks timed, the push writes between exact-deviation checks and
+// the live rank-per-write Ingester writes per arm.
+const (
+	benchPapers      = 100000
+	benchReps        = 20
+	ingestPushWrites = 400
+	ingestFullReps   = 25
+	ingestCheckEvery = 50
+	ingestLiveWrites = 150
 )
 
 type report struct {
@@ -107,37 +106,16 @@ type report struct {
 
 func main() {
 	var (
-		papers  = flag.Int("papers", 100000, "synthetic network size")
-		profile = flag.String("profile", "dblp", "synthetic profile: hep-th, aps, pmc, dblp")
-		out     = flag.String("out", "BENCH_core.json", "output JSON path")
-		reps    = flag.Int("reps", 20, "timing repetitions per kernel (best-of)")
-
-		smoke       = flag.Bool("smoke", false, "run the bit-equality smoke (tiled vs serial on a seeded graph) and exit non-zero on mismatch")
-		smokePapers = flag.Int("smoke-papers", 10000, "synthetic network size for -smoke")
-
-		impactB      = flag.Bool("impact", false, "run the impact-layer smoke: serve a seeded corpus with -indicators and cross-check every served score and class against an in-process recompute (exits non-zero on mismatch)")
-		impactPapers = flag.Int("impact-papers", 2000, "corpus size for -impact")
-
-		ingestB        = flag.Bool("ingest", false, "benchmark the incremental-ranking push path against warm full re-ranks, with exactness and bit-equality gates (exits non-zero on any violation)")
-		ingestOut      = flag.String("ingest-out", "BENCH_ingest.json", "output JSON path for -ingest")
-		ingestPapers   = flag.Int("ingest-papers", 100000, "corpus size for -ingest")
-		ingestWrites   = flag.Int("ingest-writes", 400, "single-citation writes pushed through one pusher in -ingest")
-		ingestFullReps = flag.Int("ingest-full-reps", 25, "warm full single-citation re-ranks timed in -ingest")
-		ingestCheck    = flag.Int("ingest-check-every", 50, "push writes between exact-deviation checks in -ingest (0 disables)")
-		ingestLiveWr   = flag.Int("ingest-live-writes", 150, "live rank-per-write Ingester writes per arm in -ingest")
-		ingestPushTol  = flag.Float64("ingest-push-tol", core.DefaultPushTol, "push settle tolerance for -ingest")
+		out       = flag.String("out", "BENCH_core.json", "output JSON path")
+		ingestB   = flag.Bool("ingest", false, "benchmark the incremental-ranking push path against warm full re-ranks, with exactness and bit-equality gates (exits non-zero on any violation)")
+		ingestOut = flag.String("ingest-out", "BENCH_ingest.json", "output JSON path for -ingest")
 	)
 	flag.Parse()
 	var err error
-	switch {
-	case *smoke:
-		err = runSmoke(*smokePapers, *profile)
-	case *impactB:
-		err = runImpactSmoke(*impactPapers, *profile)
-	case *ingestB:
-		err = runIngest(*ingestPapers, *ingestWrites, *ingestFullReps, *ingestCheck, *ingestLiveWr, *profile, *ingestOut, *ingestPushTol)
-	default:
-		err = run(*papers, *profile, *out, *reps)
+	if *ingestB {
+		err = runIngest(benchPapers, ingestPushWrites, ingestFullReps, ingestCheckEvery, ingestLiveWrites, *ingestOut)
+	} else {
+		err = run(benchPapers, *out, benchReps)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "attrank-bench:", err)
@@ -145,12 +123,14 @@ func main() {
 	}
 }
 
-func run(papers int, profile, out string, reps int) error {
-	prof, err := synth.ProfileByName(profile)
-	if err != nil {
-		return err
-	}
-	prof = prof.Scale(float64(papers) / float64(prof.Papers))
+// dblp is the synthetic DBLP profile scaled to the given paper count.
+func dblp(papers int) synth.Profile {
+	prof := synth.DBLP()
+	return prof.Scale(float64(papers) / float64(prof.Papers))
+}
+
+func run(papers int, out string, reps int) error {
+	prof := dblp(papers)
 	fmt.Printf("generating %s network with %d papers…\n", prof.Name, prof.Papers)
 	net, err := synth.Generate(prof)
 	if err != nil {

@@ -81,9 +81,17 @@ func assertBitIdentical(t *testing.T, n *graph.Network, base Params) {
 	}
 }
 
+// TestRankParallelMatchesSerial checks a one-tile net and the 20k DBLP
+// profile, which the layout cuts into 10 tiles; every other
+// assertBitIdentical net fits in one DefaultTileRows tile.
 func TestRankParallelMatchesSerial(t *testing.T) {
-	n := randomNet(t, 31, 500)
-	assertBitIdentical(t, n, Params{Alpha: 0.5, Beta: 0.3, Gamma: 0.2, AttentionYears: 3, W: -0.2})
+	dblp, err := synth.Generate(synth.DBLP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []*graph.Network{randomNet(t, 31, 500), dblp} {
+		assertBitIdentical(t, n, Params{Alpha: 0.5, Beta: 0.3, Gamma: 0.2, AttentionYears: 3, W: -0.2})
+	}
 }
 
 // danglingNet builds a network where the overwhelming majority of papers

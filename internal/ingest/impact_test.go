@@ -9,8 +9,8 @@ import (
 // TestImpactEpochPublished: with indicators enabled every full epoch
 // carries an impact.Epoch whose popularity vector IS the published
 // AttRank scores and whose recompute from the published inputs is
-// bit-identical — the invariant the verify.sh smoke cross-checks
-// end-to-end.
+// bit-identical — the invariant the service's TestImpactBatch
+// cross-checks end-to-end.
 func TestImpactEpochPublished(t *testing.T) {
 	cfg := testConfig(t.TempDir())
 	cfg.Impact = impact.Config{Enabled: true}

@@ -2,12 +2,16 @@ package service
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"attrank/internal/core"
+	"attrank/internal/graph"
 	"attrank/internal/impact"
+	"attrank/internal/synth"
 )
 
 // impactTestServer is testServer with the indicator layer enabled.
@@ -17,6 +21,63 @@ func impactTestServer(t testing.TB) *Server {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// dblpImpactServer serves a seeded 2k-paper DBLP-profile corpus with
+// indicators on. It returns the handler, the corpus and the epoch the
+// server must serve, computed without the server: the corpus ranked
+// through the operator and classified by impact.Compute.
+func dblpImpactServer(t *testing.T) (http.Handler, *graph.Network, *impact.Epoch) {
+	t.Helper()
+	net, err := synth.GenerateSeeded(synth.DBLP().Scale(0.1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.Params{Alpha: 0.5, Beta: 0.3, Gamma: 0.2, AttentionYears: 3, W: -0.16, Workers: -1}
+	cfg := impact.Config{Enabled: true}.WithDefaults()
+	now := net.MaxYear()
+	res, err := core.OperatorFor(net).Rank(now, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := impact.Compute(net, res.Scores, now, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(net, now, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EnableIndicators(cfg); err != nil {
+		t.Fatal(err)
+	}
+	return s.Handler(), net, want
+}
+
+// assertImpactView requires a served view to carry want's four scores,
+// compared by bits, and classes for the paper it names.
+func assertImpactView(t *testing.T, net *graph.Network, want *impact.Epoch, got impactBody) {
+	t.Helper()
+	idx, ok := net.Lookup(got.ID)
+	if !ok {
+		t.Fatalf("served unknown id %q", got.ID)
+	}
+	for _, served := range []struct {
+		ind impact.Indicator
+		got indicatorBody
+	}{
+		{impact.Popularity, got.Popularity},
+		{impact.Influence, got.Influence},
+		{impact.Impulse, got.Impulse},
+		{impact.CitationCount, got.CC},
+	} {
+		if w := want.Scores(served.ind)[idx]; math.Float64bits(served.got.Score) != math.Float64bits(w) {
+			t.Fatalf("paper %q %s score: served %v, recomputed %v", got.ID, served.ind, served.got.Score, w)
+		}
+		if w := want.Class(served.ind, idx).String(); served.got.Class != w {
+			t.Fatalf("paper %q %s class: served %s, recomputed %s", got.ID, served.ind, served.got.Class, w)
+		}
+	}
 }
 
 func postJSON(t *testing.T, h http.Handler, path, body string) *httptest.ResponseRecorder {
@@ -67,6 +128,25 @@ func TestImpactEndpoint(t *testing.T) {
 	}
 	if body["epoch"].(float64) != float64(v.Epoch) {
 		t.Errorf("epoch = %v, want %d", body["epoch"], v.Epoch)
+	}
+
+	// A sample of a 2k corpus against an independent recompute.
+	h, net, want := dblpImpactServer(t)
+	for i := 0; i < net.N(); i += net.N() / 8 {
+		id := net.Paper(int32(i)).ID
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/impact/"+id, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status = %d: %s", id, rec.Code, rec.Body.String())
+		}
+		var got impactBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.ID != id {
+			t.Fatalf("GET %s served %q", id, got.ID)
+		}
+		assertImpactView(t, net, want, got)
 	}
 }
 
@@ -181,6 +261,39 @@ func TestImpactBatch(t *testing.T) {
 	}
 	if rec := postJSON(t, h, "/v1/impact/hot", `{}`); rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("POST single: status = %d", rec.Code)
+	}
+
+	// Every paper of a 2k corpus, in full batches, against an
+	// independent recompute.
+	h, net, want := dblpImpactServer(t)
+	ids := make([]string, net.N())
+	for i := range ids {
+		ids[i] = net.Paper(int32(i)).ID
+	}
+	for len(ids) > 0 {
+		chunk := ids[:min(maxImpactBatch, len(ids))]
+		ids = ids[len(chunk):]
+		req, err := json.Marshal(impactBatchReq{IDs: chunk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := postJSON(t, h, "/v1/impact/batch", string(req))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+		}
+		var got impactBatchBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Results) != len(chunk) {
+			t.Fatalf("%d results for %d ids", len(got.Results), len(chunk))
+		}
+		for i, res := range got.Results {
+			if res.Body == nil || res.Body.ID != chunk[i] {
+				t.Fatalf("id %q: %+v", chunk[i], res)
+			}
+			assertImpactView(t, net, want, *res.Body)
+		}
 	}
 }
 

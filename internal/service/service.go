@@ -229,8 +229,9 @@ func ServeWith(ctx context.Context, addr string, handler http.Handler, opts Serv
 // connections are torn down, and in-flight requests drain for up to
 // shutdownGrace before the server gives up on them. It returns nil
 // on a clean shutdown (every in-flight request got its response). The
-// end-to-end benchmark (benchmark/deploy.go) and attrank-bench -impact
-// use the listener form to bind port 0 and learn the real address.
+// end-to-end benchmark (benchmark/deploy.go) and
+// TestServeListenerDrainsInFlight use the listener form to bind port 0
+// and learn the real address.
 func ServeListener(ctx context.Context, ln net.Listener, handler http.Handler, opts ServeOptions) error {
 	opts = opts.withDefaults()
 	srv := &http.Server{

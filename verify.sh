@@ -4,9 +4,10 @@
 # from the repository root.
 #
 #   ./verify.sh         full gate (gofmt + build + vet + race -shuffle=on
-#                       over every package, then the attrank-bench
-#                       bit-equality smokes: tiled kernel vs serial reference,
-#                       push reconciliation, impact classes)
+#                       over every package; the tests hold every
+#                       bit-equality check: tiled kernel vs serial
+#                       reference, push reconciliation, served impact
+#                       classes)
 #   ./verify.sh quick   kernel + durability + overload gate: gofmt +
 #                       build + vet, then a short-mode race pass over the
 #                       ranking hot path (sparse pool/tiled kernel, core
@@ -90,20 +91,5 @@ fi
 
 echo "==> go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
-
-echo "==> attrank-bench -smoke (tiled kernel vs serial reference bit-equality, seeded 10k graph)"
-go run ./cmd/attrank-bench -smoke
-
-echo "==> attrank-bench -ingest smoke (push-vs-exact reconciliation bit-equality, 20k graph)"
-# Exits non-zero if a reconciliation epoch is not bit-identical to the
-# exact rank, if interim push scores drift past their residual bound, or
-# if follower-style replay diverges.
-GOMAXPROCS=1 go run ./cmd/attrank-bench -ingest -ingest-papers 20000 -ingest-writes 128 \
-	-ingest-full-reps 5 -ingest-live-writes 40 -ingest-out /tmp/BENCH_ingest_smoke.json
-
-echo "==> attrank-bench -impact smoke (served indicator classes vs in-process recompute, 2k corpus)"
-# Exits non-zero if any score or C1–C5 class served by /v1/impact differs
-# from an independent recompute through internal/impact.
-go run ./cmd/attrank-bench -impact -impact-papers 2000
 
 echo "verify.sh: all checks passed"
