@@ -3,6 +3,8 @@ package dataio
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -167,5 +169,44 @@ func TestSaveBinaryAtomicBadDir(t *testing.T) {
 	net := sampleNet(t)
 	if err := SaveBinaryAtomic(filepath.Join(t.TempDir(), "missing", "snap.anb"), net); err == nil {
 		t.Error("write into a missing directory accepted")
+	}
+}
+
+// TestWriteFileAtomicFailedWriteKeepsOld: a write func that fails after
+// emitting some bytes must leave the previous file byte-identical and no
+// temporary file in the directory.
+func TestWriteFileAtomicFailedWriteKeepsOld(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.json")
+	old := []byte("{\"epoch\": 1}\n")
+	if err := WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(old)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	err := WriteFileAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("{\"epoch\": 2, \"tor")); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("WriteFileAtomic error = %v, want the write func's error", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, old) {
+		t.Fatalf("after a failed write the file holds %q, want the old %q", got, old)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory has %d entries, want 1 (no temp files)", len(entries))
 	}
 }

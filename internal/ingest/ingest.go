@@ -26,8 +26,11 @@ const (
 	// Incremental-ranking policy defaults (PushTol zero keeps the push
 	// path disabled; these govern it once enabled).
 	DefaultReconcileEvery = 16
-	DefaultPushMaxBacklog = 4096
 )
+
+// pushMaxBacklog caps the uncompacted mutations a push streak may
+// accumulate before a full (compacting) re-rank is forced.
+const pushMaxBacklog = 4096
 
 // Config configures an Ingester.
 type Config struct {
@@ -57,19 +60,11 @@ type Config struct {
 	// automatic fallback to the full path when budgets are exceeded.
 	// Zero disables the push path (every epoch is a full re-rank).
 	PushTol float64
-	// PushMaxResidual caps the accumulated L1 error bound of push-mode
-	// scores; past it the scheduler reconciles with a full re-rank.
-	// core.DefaultPushMaxResidual if zero.
-	PushMaxResidual float64
 	// ReconcileEvery caps the length of a push streak: after this many
 	// consecutive push epochs the next re-rank is forced full, so drift
 	// is bounded in epochs as well as in residual mass.
 	// DefaultReconcileEvery if zero; negative disables the cap.
 	ReconcileEvery int
-	// PushMaxBacklog caps the uncompacted mutations a push streak may
-	// accumulate before forcing a full (compacting) re-rank.
-	// DefaultPushMaxBacklog if zero.
-	PushMaxBacklog int
 	// Impact configures per-epoch multi-indicator computation
 	// (DESIGN.md §15). When Impact.Enabled, every full epoch publishes
 	// an impact.Epoch (popularity/influence/impulse/cc classes); push
@@ -238,14 +233,8 @@ func Open(seed *graph.Network, cfg Config) (*Ingester, error) {
 	if cfg.PushTol < 0 {
 		return nil, fmt.Errorf("ingest: negative PushTol %v", cfg.PushTol)
 	}
-	if cfg.PushMaxResidual == 0 {
-		cfg.PushMaxResidual = core.DefaultPushMaxResidual
-	}
 	if cfg.ReconcileEvery == 0 {
 		cfg.ReconcileEvery = DefaultReconcileEvery
-	}
-	if cfg.PushMaxBacklog <= 0 {
-		cfg.PushMaxBacklog = DefaultPushMaxBacklog
 	}
 	if cfg.Impact.Enabled {
 		// Resolve defaults here so followers receive the exact values in
@@ -830,7 +819,7 @@ func (ing *Ingester) tryPushLocked(now, upTo int, started time.Time) bool {
 		// advanced between epochs): reconcile fully.
 		return false
 	}
-	if upTo > cfg.PushMaxBacklog {
+	if upTo > pushMaxBacklog {
 		return false
 	}
 	if cfg.ReconcileEvery > 0 && ing.pushStreak >= cfg.ReconcileEvery {
@@ -844,8 +833,7 @@ func (ing *Ingester) tryPushLocked(now, upTo int, started time.Time) bool {
 			return false
 		}
 		var err error
-		pcfg := core.PushConfig{Tol: cfg.PushTol, MaxResidual: cfg.PushMaxResidual}
-		pu, err = core.NewPusher(ing.base, now, cfg.Params, pcfg, lastFull.Result.Scores)
+		pu, err = core.NewPusher(ing.base, now, cfg.Params, core.PushConfig{Tol: cfg.PushTol}, lastFull.Result.Scores)
 		if err != nil {
 			ing.logf("ingest: push seed: %v", err)
 			mPushFallbacksTotal.Inc()

@@ -49,8 +49,6 @@ type FollowerConfig struct {
 	// Each sleep is jittered ±20% so a restarted leader is not hit by
 	// every follower in lockstep.
 	RetryMin, RetryMax time.Duration
-	// Seed seeds the backoff jitter (deterministic; default 1).
-	Seed int64
 	// Client issues the bootstrap and stream requests. It must not set
 	// a Timeout (streams are long-lived); nil uses a fresh client.
 	Client *http.Client
@@ -154,15 +152,12 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.RetryMax < cfg.RetryMin {
 		cfg.RetryMax = 2 * time.Second
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	f := &Follower{
 		cfg:    cfg,
 		dir:    cfg.Dir,
 		client: cfg.Client,
 		logf:   cfg.Logf,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		rng:    rand.New(rand.NewSource(1)), // deterministic backoff jitter
 		done:   make(chan struct{}),
 	}
 	if f.client == nil {

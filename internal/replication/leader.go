@@ -14,10 +14,6 @@ import (
 // LeaderConfig tunes the leader's shipping endpoints. The zero value is
 // production-ready.
 type LeaderConfig struct {
-	// Chunk is the data-frame payload size (default 64 KiB). Each chunk
-	// read holds the ingester lock, so much larger values would stall
-	// writers.
-	Chunk int
 	// Poll is how long a stream sleeps when it has caught up with the
 	// durable end of the log (default 5ms).
 	Poll time.Duration
@@ -28,6 +24,10 @@ type LeaderConfig struct {
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
+
+// chunkSize is the data-frame payload size. Each chunk read holds the
+// ingester lock, so much larger values would stall writers.
+const chunkSize = 64 << 10
 
 // Leader serves the replication wire protocol for one Ingester. Mount
 // Handler under /repl/ (the service layer does this via
@@ -40,9 +40,6 @@ type Leader struct {
 
 // NewLeader wraps an ingester with the replication endpoints.
 func NewLeader(ing *ingest.Ingester, cfg LeaderConfig) *Leader {
-	if cfg.Chunk <= 0 {
-		cfg.Chunk = 64 << 10
-	}
 	if cfg.Poll <= 0 {
 		cfg.Poll = 5 * time.Millisecond
 	}
@@ -142,7 +139,7 @@ func (l *Leader) handleWAL(w http.ResponseWriter, r *http.Request) {
 	l.logf("repl: stream open from offset %d (gen %d)", from, gen)
 
 	ctx := r.Context()
-	buf := make([]byte, l.cfg.Chunk)
+	buf := make([]byte, chunkSize)
 	// An immediate heartbeat tells the follower the leader's epoch
 	// before any data flows.
 	lastBeat := time.Time{}

@@ -1,9 +1,9 @@
 package replication
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -64,13 +64,15 @@ func (f *Follower) saveState() error {
 	if err := dataio.SaveBinaryAtomic(filepath.Join(f.dir, baseFile), f.base); err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	for _, v := range [][]float64{r.Result.Scores, r.Result.Attention, r.Result.Recency} {
-		if err := writeVector(&buf, v); err != nil {
-			return err
+	err := dataio.WriteFileAtomic(filepath.Join(f.dir, vectorsFile), func(w io.Writer) error {
+		for _, v := range [][]float64{r.Result.Scores, r.Result.Attention, r.Result.Recency} {
+			if err := writeVector(w, v); err != nil {
+				return err
+			}
 		}
-	}
-	if err := writeFileAtomic(filepath.Join(f.dir, vectorsFile), buf.Bytes()); err != nil {
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	st := diskState{
@@ -89,7 +91,10 @@ func (f *Follower) saveState() error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(f.dir, stateFile), append(js, '\n'))
+	return dataio.WriteFileAtomic(filepath.Join(f.dir, stateFile), func(w io.Writer) error {
+		_, err := w.Write(append(js, '\n'))
+		return err
+	})
 }
 
 // recover rebuilds the follower from its durable state: seed the chain
@@ -206,18 +211,4 @@ func (f *Follower) wipe() {
 	f.pend = nil
 	f.streamOff, f.localWALOff = 0, 0
 	f.markerLeaderOff, f.markerLocalOff = 0, 0
-}
-
-// writeFileAtomic writes data via a temp file + rename, so a crash
-// mid-write never leaves a half-written file under the final name.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -46,8 +45,6 @@ type AdmissionConfig struct {
 	// pending (accepted but uncompacted) mutation count. Zero selects
 	// the default (4096); negative disables backpressure.
 	MaxPending int
-	// RetryAfter is the hint sent on shed responses. Default: 1s.
-	RetryAfter time.Duration
 	// MaxRPS caps the admitted request rate (requests per second,
 	// GCRA-smoothed with a small burst allowance); excess requests are
 	// shed with 429 + Retry-After before touching the in-flight
@@ -59,6 +56,10 @@ type AdmissionConfig struct {
 
 // DefaultMaxPending is the default write-backpressure threshold.
 const DefaultMaxPending = 4096
+
+// retryAfter is the Retry-After hint, in seconds, sent on shed
+// responses.
+const retryAfter = "1"
 
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	if c.MaxInFlight <= 0 {
@@ -78,9 +79,6 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	}
 	if c.MaxPending == 0 {
 		c.MaxPending = DefaultMaxPending
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
@@ -185,11 +183,7 @@ func isWritePath(path string) bool {
 // Retry-After hint. It runs before any request body is read.
 func (s *Server) shed(w http.ResponseWriter, status int, reason, format string, args ...any) {
 	mShedTotal.With(reason).Inc()
-	secs := int(s.adm.cfg.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	w.Header().Set("Retry-After", retryAfter)
 	s.writeError(w, status, format, args...)
 }
 

@@ -139,24 +139,14 @@ func TestVectorHelpers(t *testing.T) {
 	if got := L1Diff([]float64{1, 2}, []float64{0, 4}); got != 3 {
 		t.Errorf("L1Diff = %v, want 3", got)
 	}
-	if got := Dot([]float64{1, 2}, []float64{3, 4}); got != 11 {
-		t.Errorf("Dot = %v, want 11", got)
-	}
 	u := Uniform(4)
 	if got := Sum(u); math.Abs(got-1) > 1e-15 {
 		t.Errorf("Uniform sum = %v, want 1", got)
 	}
 	y := []float64{1, 1}
-	AXPY(y, 2, []float64{3, 4})
-	if y[0] != 7 || y[1] != 9 {
-		t.Errorf("AXPY = %v", y)
-	}
 	Fill(y, 0.5)
 	if y[0] != 0.5 || y[1] != 0.5 {
 		t.Errorf("Fill = %v", y)
-	}
-	if got := MaxAbs([]float64{-3, 2}); got != 3 {
-		t.Errorf("MaxAbs = %v, want 3", got)
 	}
 }
 

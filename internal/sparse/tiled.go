@@ -40,9 +40,9 @@ const windowSize = 1 << WindowBits
 //
 // Layout. Rows are renumbered by perm (perm[old] = new) and grouped into
 // contiguous blocks of tileRows rows — the unit a worker claims.
-// Entries are stored row-major in one flat val array; within a row they
-// are ordered by ascending ORIGINAL column id, which segments them into
-// runs per column window (window = original id >> WindowBits; the
+// Entries are stored row-major; within a row they are ordered by
+// ascending ORIGINAL column id, which segments them into runs per
+// column window (window = original id >> WindowBits; the
 // permutation is window-preserving, see below, so this is also the
 // storage id's window). Each entry stores one uint16 word
 //
@@ -56,11 +56,21 @@ const windowSize = 1 << WindowBits
 // run begins; with W = ⌈n/64Ki⌉ windows that is W−1 extra int32 planes,
 // W−1 ≤ 1 for corpora up to 131k papers.
 //
+// Values. The matrix must be uniform per column: every entry of a column
+// bitwise equal, as 1/out-degree normalization of a duplicate-free 0/1
+// citation matrix guarantees (Eq. 4's S[p,j] = 1/k_j). The layout stores
+// that one value per column in colVal (indexed by storage column id), and
+// Step precomputes y[c] = colVal[c]·x[c] once, so the per-entry work is a
+// gather-add of y. Each product is the same two bit patterns the
+// reference multiplies, so every addend — and hence every score — is
+// bit-identical to the per-entry form. A column holding two different
+// values panics at compile.
+//
 // Permutation contract. perm must be window-preserving: perm[i] >> 16 ==
-// i >> 16 for every i (WindowAlign projects an arbitrary ordering onto
-// this family). Relabeling therefore reorders rows and columns freely
-// WITHIN each 64Ki window but never across windows. That constraint is
-// what keeps the kernel bit-exact, as follows.
+// i >> 16 for every i (DegreeOrder, the production ordering, is
+// window-preserving by construction). Relabeling therefore reorders rows
+// and columns freely WITHIN each 64Ki window but never across windows.
+// That constraint is what keeps the kernel bit-exact, as follows.
 //
 // Accumulation order. The serial CSC reference kernel accumulates each
 // row's dot product in ascending original-column order (CSC streams
@@ -71,8 +81,8 @@ const windowSize = 1 << WindowBits
 // shuffled, and because the permutation is window-preserving the
 // window-run segmentation is by original window too — walking the runs
 // in window order IS walking the originals ascending. Each contribution
-// val·x[col] is bitwise the value the identity layout reads (a permuted
-// vector is a copy, not an arithmetic transform), so every score in
+// colVal[col]·x[col] is bitwise the value the identity layout reads (a
+// permuted vector is a copy, not an arithmetic transform), so every score in
 // permuted space equals the identity-layout score of the corresponding
 // original row, bit for bit. The dangling-mass gather is kept in
 // ascending original-column order for the same reason. The L1 residual
@@ -81,23 +91,12 @@ const windowSize = 1 << WindowBits
 // count. It differs from the serial reference's one sequential sum in
 // its final ulps; the residual is a stopping criterion, not an output.
 type TiledStochastic struct {
-	rows    int
-	nnz     int
-	windows int     // W = ⌈rows/64Ki⌉ column windows
-	rowPtr  []int32 // permuted-row entry pointers, len rows+1
-	splits  [][]int32
-	// Column-stochastic matrices built by normalization have ONE value
-	// per column (1/out-degree), so the uniform layout stores it once in
-	// colVal (indexed by storage column id) instead of 8 bytes per entry:
-	// the kernel precomputes y[c] = colVal[c]·x[c] once per step and the
-	// per-entry work collapses to a gather-add of y. Each product is the
-	// same two bit patterns multiplied, so every addend — and hence every
-	// score — is bit-identical to the per-entry form. val is retained only
-	// when some column carries non-identical values (weighted or
-	// duplicate-edge inputs), which routes through the fallback kernel.
-	uniform  bool
-	colVal   []float64 // uniform: per-storage-column value, len rows
-	val      []float64 // fallback only: per-entry values
+	rows     int
+	nnz      int
+	windows  int     // W = ⌈rows/64Ki⌉ column windows
+	rowPtr   []int32 // permuted-row entry pointers, len rows+1
+	splits   [][]int32
+	colVal   []float64 // per-storage-column value, len rows
 	cols     []uint16  // one window-local word per entry
 	wbase    []int32   // len W: x-offset of each window view
 	tiles    []tileHeader
@@ -120,8 +119,8 @@ type tileHeader struct {
 // Tiled compiles the stochastic matrix into the tiled layout under the
 // given relabeling (nil = identity) at the default tile height. The pool
 // is owned by the caller; nil restricts Step to parts ≤ 1. perm must be
-// window-preserving (see the type comment); WindowAlign projects any
-// ordering onto that family.
+// window-preserving and every column of s uniform (see the type
+// comment); either violation panics.
 func (s *Stochastic) Tiled(pool *Pool, perm []int32) *TiledStochastic {
 	return s.TiledRows(pool, perm, DefaultTileRows)
 }
@@ -141,7 +140,7 @@ func (s *Stochastic) TiledRows(pool *Pool, perm []int32, tileRows int) *TiledSto
 	}
 	for i, p := range perm {
 		if p>>WindowBits != int32(i)>>WindowBits {
-			panic(fmt.Sprintf("sparse: Tiled permutation is not window-preserving: perm[%d] = %d crosses a %d-id window (use WindowAlign)", i, p, windowSize))
+			panic(fmt.Sprintf("sparse: Tiled permutation is not window-preserving: perm[%d] = %d crosses a %d-id window", i, p, windowSize))
 		}
 	}
 	w := (n + windowSize - 1) / windowSize
@@ -157,33 +156,22 @@ func (s *Stochastic) TiledRows(pool *Pool, perm []int32, tileRows int) *TiledSto
 		wbase:   make([]int32, w),
 		perm:    perm,
 		pool:    pool,
+		colVal:  make([]float64, n),
 		scratch: NewVecPool(n),
 	}
-	// Probe for the uniform-column property (every entry of a column
-	// bitwise equal — true by construction for 1/out-degree
-	// normalization). Uniform columns compress values to one float64 per
-	// column; anything else keeps the per-entry array and the fallback
-	// kernel.
-	t.uniform = true
-probe:
+	// One value per column: every entry of a column must be bitwise equal
+	// (true by construction for 1/out-degree normalization of 0/1
+	// citations).
 	for c := 0; c < m.cols; c++ {
 		lo, hi := m.colPtr[c], m.colPtr[c+1]
 		for k := lo + 1; k < hi; k++ {
 			if m.val[k] != m.val[lo] {
-				t.uniform = false
-				break probe
+				panic(fmt.Sprintf("sparse: Tiled column %d is not uniform: entries %v and %v differ", c, m.val[lo], m.val[k]))
 			}
 		}
-	}
-	if t.uniform {
-		t.colVal = make([]float64, n)
-		for c := 0; c < m.cols; c++ {
-			if lo := m.colPtr[c]; lo < m.colPtr[c+1] {
-				t.colVal[perm[c]] = m.val[lo]
-			}
+		if lo < hi {
+			t.colVal[perm[c]] = m.val[lo]
 		}
-	} else {
-		t.val = make([]float64, len(m.val))
 	}
 	for j := range t.wbase {
 		base := j << WindowBits
@@ -201,8 +189,8 @@ probe:
 		t.rowPtr[i+1] += t.rowPtr[i]
 	}
 
-	// Pass 2: scatter values and window-local column words. Walking the
-	// CSC columns ascending fills every row's entries in ascending
+	// Pass 2: scatter window-local column words. Walking the CSC
+	// columns ascending fills every row's entries in ascending
 	// ORIGINAL column order — the canonical accumulation order — which,
 	// under a window-preserving perm, also groups them into ascending
 	// window runs.
@@ -215,9 +203,6 @@ probe:
 		for k := m.colPtr[c]; k < m.colPtr[c+1]; k++ {
 			nr := perm[m.rowIdx[k]]
 			pos := t.rowPtr[nr] + cursor[nr]
-			if t.val != nil {
-				t.val[pos] = m.val[k]
-			}
 			t.cols[pos] = word
 			winAt[pos] = uint16(j)
 			cursor[nr]++
@@ -270,71 +255,6 @@ probe:
 	return t
 }
 
-// WindowAlign projects an arbitrary ordering onto the window-preserving
-// family the tiled layout accepts: within each 64Ki block of original
-// ids, rows are ranked by their position in perm; across blocks nothing
-// moves. The result relabels freely inside every window (what the cache
-// cares about) while keeping the per-row accumulation order — and hence
-// every score bit — independent of the ordering it was given.
-func WindowAlign(perm []int32) []int32 {
-	n := len(perm)
-	out := make([]int32, n)
-	var block []windowRank
-	for lo := 0; lo < n; lo += windowSize {
-		hi := lo + windowSize
-		if hi > n {
-			hi = n
-		}
-		block = block[:0]
-		for i := lo; i < hi; i++ {
-			block = append(block, windowRank{perm[i], int32(i)})
-		}
-		sortBlock(block)
-		for rank, p := range block {
-			out[p.id] = int32(lo + rank)
-		}
-	}
-	return out
-}
-
-type windowRank struct{ rank, id int32 }
-
-// sortBlock sorts by rank ascending (ids are distinct so ranks are too).
-func sortBlock(b []windowRank) {
-	// Blocks are ≤ 64Ki entries; pdq via the standard library would pull
-	// in sort for a struct slice — a hand-rolled quicksort keeps this
-	// dependency-free and allocation-free.
-	for len(b) > 12 {
-		p := b[len(b)/2].rank
-		i, j := 0, len(b)-1
-		for i <= j {
-			for b[i].rank < p {
-				i++
-			}
-			for b[j].rank > p {
-				j--
-			}
-			if i <= j {
-				b[i], b[j] = b[j], b[i]
-				i++
-				j--
-			}
-		}
-		if j+1 < len(b)-i {
-			sortBlock(b[:j+1])
-			b = b[i:]
-		} else {
-			sortBlock(b[i:])
-			b = b[:j+1]
-		}
-	}
-	for i := 1; i < len(b); i++ {
-		for k := i; k > 0 && b[k].rank < b[k-1].rank; k-- {
-			b[k], b[k-1] = b[k-1], b[k]
-		}
-	}
-}
-
 // N returns the matrix dimension.
 func (t *TiledStochastic) N() int { return t.rows }
 
@@ -354,13 +274,13 @@ type LayoutStats struct {
 	Occupancy float64 // fraction of rows holding at least one entry
 	// BytesPerNNZ is the layout's total footprint (values, column words,
 	// row pointers, window splits, tile headers) divided by nnz — the
-	// bytes the kernel must move per nonzero and the number the tentpole
-	// attacks. The CSR baseline is 12 bytes/nnz of val+colIdx plus 4
-	// bytes/row of rowPtr; the uniform tiled layout stores values once
-	// per column, leaving ~2 bytes of column word per entry.
+	// bytes the kernel must move per nonzero. The CSR baseline is 12
+	// bytes/nnz of val+colIdx plus 4 bytes/row of rowPtr; the tiled
+	// layout stores values once per column, leaving ~2 bytes of column
+	// word per entry.
 	BytesPerNNZ float64
 	IndexBytes  int64 // column words + row pointers + splits + tile headers
-	ValueBytes  int64 // colVal (uniform) or per-entry val (fallback)
+	ValueBytes  int64 // colVal: one float64 per column
 	TotalBytes  int64
 }
 
@@ -371,7 +291,7 @@ func (t *TiledStochastic) Stats() LayoutStats {
 	for _, sp := range t.splits {
 		idx += int64(len(sp)) * 4
 	}
-	vals := (int64(len(t.val)) + int64(len(t.colVal))) * 8
+	vals := int64(len(t.colVal)) * 8
 	total := idx + vals
 	st := LayoutStats{
 		Rows:       t.rows,
@@ -411,19 +331,13 @@ func (t *TiledStochastic) Step(next, x, att, rec []float64, alpha, beta, gamma f
 		}
 		share = mass / float64(t.rows)
 	}
-	// On the uniform layout, fold the per-column value into the iterate
-	// once: y[c] = colVal[c]·x[c]. Every per-entry product val·x[col] the
-	// reference computes is the identical multiplication of the identical
-	// bit patterns, so gathering y preserves every addend bitwise while
-	// the hot loop stops streaming 8 bytes of value per entry.
-	var y []float64
-	if t.uniform {
-		y = t.scratch.Get()
-		cv := t.colVal
-		for i, xi := range x[:len(cv)] {
-			y[i] = cv[i] * xi
-		}
-		defer t.scratch.Put(y)
+	// Fold the per-column value into the iterate once: y[c] =
+	// colVal[c]·x[c] (see Values on the type).
+	y := t.scratch.Get()
+	defer t.scratch.Put(y)
+	cv := t.colVal
+	for i, xi := range x[:len(cv)] {
+		y[i] = cv[i] * xi
 	}
 	partial := t.partials.Get()
 	defer t.partials.Put(partial)
@@ -463,12 +377,11 @@ func treeSum(p []float64) float64 {
 // plus their L1 residual, summed in row order, its arithmetic mirroring
 // the serial reference (CSC MulVec + combine loop) expression for
 // expression so scores stay bit-identical. y is the premultiplied
-// iterate (uniform layouts only; nil routes to the per-entry fallback).
+// iterate. Layouts under 64Ki rows run stepTileSmall and two-window
+// layouts stepTileW2; the loop below is the generic body for three or
+// more windows (corpora over 131,072 papers).
 func (t *TiledStochastic) stepTile(ti int, next, x, y, att, rec []float64, alpha, beta, gamma, share float64, hasDangling bool) float64 {
 	h := t.tiles[ti]
-	if !t.uniform {
-		return t.stepTileVal(h, next, x, att, rec, alpha, beta, gamma, share, hasDangling)
-	}
 	if t.rows < windowSize {
 		return t.stepTileSmall(h, next, x, y, att, rec, alpha, beta, gamma, share, hasDangling)
 	}
@@ -558,70 +471,6 @@ func (t *TiledStochastic) stepTileSmall(h tileHeader, next, x, y, att, rec []flo
 		s := 0.0
 		for _, c := range colw[a:b] {
 			s += y[c]
-		}
-		if hasDangling {
-			s += share
-		}
-		v := alpha*s + beta*att[r] + gamma*rec[r]
-		next[r] = v
-		d := v - x[r]
-		if d < 0 {
-			d = -d
-		}
-		resid += d
-	}
-	return resid
-}
-
-// stepTileVal is the fallback kernel for non-uniform (weighted or
-// duplicate-edge) matrices: per-entry values, any window count. It keeps
-// the same canonical accumulation order, just without the premultiplied
-// iterate.
-func (t *TiledStochastic) stepTileVal(h tileHeader, next, x, att, rec []float64, alpha, beta, gamma, share float64, hasDangling bool) float64 {
-	resid := 0.0
-	rowPtr, vals, colw := t.rowPtr, t.val, t.cols
-	if t.rows < windowSize {
-		// Single window narrower than 64Ki: words are absolute ids.
-		for r := int(h.rowLo); r < int(h.rowHi); r++ {
-			a, b := rowPtr[r], rowPtr[r+1]
-			vs := vals[a:b]
-			cs := colw[a:b]
-			s := 0.0
-			for e := range vs {
-				s += vs[e] * x[cs[e]]
-			}
-			if hasDangling {
-				s += share
-			}
-			v := alpha*s + beta*att[r] + gamma*rec[r]
-			next[r] = v
-			d := v - x[r]
-			if d < 0 {
-				d = -d
-			}
-			resid += d
-		}
-		return resid
-	}
-	for r := int(h.rowLo); r < int(h.rowHi); r++ {
-		k := int(rowPtr[r])
-		end := int(rowPtr[r+1])
-		s := 0.0
-		for j := 0; j < len(t.wbase); j++ {
-			segEnd := end
-			if j < len(t.splits) {
-				segEnd = int(t.splits[j][r])
-			}
-			if segEnd > k {
-				xw := x[t.wbase[j]:]
-				xw = xw[:windowSize:windowSize]
-				vs := vals[k:segEnd]
-				cs := colw[k:segEnd]
-				for e := range vs {
-					s += vs[e] * xw[cs[e]]
-				}
-				k = segEnd
-			}
 		}
 		if hasDangling {
 			s += share

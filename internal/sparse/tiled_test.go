@@ -1,14 +1,16 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// powerLawStochastic builds a column-stochastic matrix whose in-degree
-// distribution is heavily skewed (a few rows receive most of the entries)
-// and whose tail columns are dangling — the shape of a citation network.
+// powerLawStochastic builds a 0/1 citation matrix, normalized, whose
+// in-degree distribution is heavily skewed (a few rows receive most of
+// the entries) and whose tail columns are dangling — the shape of a
+// citation network.
 func powerLawStochastic(t testing.TB, seed int64, n, nnz int) *Stochastic {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -28,11 +30,24 @@ func powerLawStochastic(t testing.TB, seed int64, n, nnz int) *Stochastic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewColumnStochastic(m)
+	return citationStochastic(t, m)
+}
+
+// citationStochastic normalizes m's nonzero pattern as a 0/1 citation
+// matrix: every entry becomes 1 (NewMatrix sums duplicate coordinates and
+// randomMatrix draws random values), so each column of the result holds
+// one value, 1/out-degree — the only matrices the tiled layout accepts.
+func citationStochastic(t testing.TB, m *Matrix) *Stochastic {
+	t.Helper()
+	ones := make([]float64, len(m.val))
+	for k := range ones {
+		ones[k] = 1
+	}
+	c, err := FromCSC(m.rows, m.cols, m.colPtr, m.rowIdx, ones)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return mustStochastic(t, c)
 }
 
 // referenceStep is the serial three-sweep iteration the tiled kernel must
@@ -111,11 +126,11 @@ func tileOrderResid(ti *TiledStochastic, want, x []float64) float64 {
 	return treeSum(sums)
 }
 
-// TestTiledStepBitIdenticalAtIdentity pins the compressed layout against
-// the reference at the identity relabeling: scores bit-identical to the
-// serial CSC step, and the residual exactly the tile-order sum, for every
-// worker count. Small tile heights force multi-tile layouts even on
-// these tiny matrices.
+// TestTiledStepBitIdenticalAtIdentity pins the single-window kernel
+// (stepTileSmall) against the reference at the identity relabeling:
+// scores bit-identical to the serial CSC step, and the residual exactly
+// the tile-order sum, for every worker count. Small tile heights force
+// multi-tile layouts even on these tiny matrices.
 func TestTiledStepBitIdenticalAtIdentity(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
@@ -123,7 +138,7 @@ func TestTiledStepBitIdenticalAtIdentity(t *testing.T) {
 		name string
 		s    *Stochastic
 	}{
-		{"random", mustStochastic(t, randomMatrix(t, 31, 120, 700))},
+		{"random", citationStochastic(t, randomMatrix(t, 31, 120, 700))},
 		{"power-law-dangling", powerLawStochastic(t, 32, 150, 900)},
 		{"all-dangling", mustStochastic(t, emptySquare(t, 40))},
 	} {
@@ -175,7 +190,7 @@ func TestTiledRelabelingInvariance(t *testing.T) {
 		name string
 		s    *Stochastic
 	}{
-		{"random", mustStochastic(t, randomMatrix(t, 51, 140, 800))},
+		{"random", citationStochastic(t, randomMatrix(t, 51, 140, 800))},
 		{"power-law-dangling", powerLawStochastic(t, 52, 160, 1000)},
 		{"all-dangling", mustStochastic(t, emptySquare(t, 33))},
 	} {
@@ -226,87 +241,90 @@ func TestTiledRelabelingInvariance(t *testing.T) {
 	}
 }
 
-// TestTiledTwoWindows forces the multi-window path: a 70k-node matrix
-// needs two 64Ki column windows, so rows whose entries straddle the
-// window boundary carry a split point and the kernel walks two window
-// runs per row. Scores must match the serial reference bit for bit,
-// under identity and window-aligned random relabelings alike, the
-// residual must be exactly the tile-order sum at every worker count,
-// and a cross-window permutation must be rejected.
+// TestTiledTwoWindows forces the multi-window kernels: 70k rows need two
+// 64Ki column windows (stepTileW2) and 150k rows need three (the generic
+// stepTile body, the only kernel for corpora over 131,072 papers). Rows
+// whose entries straddle window boundaries carry split points, and dense
+// rows run one gather loop per window. Scores must match the serial
+// reference bit for bit under the identity and under DegreeOrder (the
+// production relabeling), the residual must be exactly the tile-order
+// sum at every worker count, and a cross-window permutation must be
+// rejected.
 func TestTiledTwoWindows(t *testing.T) {
-	const n = 70000
-	entries := []Coord{
-		{Row: 5, Col: 0, Val: 1},
-		{Row: 5, Col: n - 1, Val: 1}, // row 5 straddles both windows
-		{Row: 9, Col: 1, Val: 2},
-		{Row: 9, Col: n - 2, Val: 1},
-		{Row: 2100, Col: 7, Val: 1}, // second tile, window 0 only
-		{Row: 2101, Col: 9, Val: 3},
-		{Row: 69000, Col: 68000, Val: 2}, // window 1 only
-	}
-	rng := rand.New(rand.NewSource(71))
-	for i := 0; i < 400; i++ {
-		entries = append(entries, Coord{
-			Row: int32(rng.Intn(64)), Col: int32(rng.Intn(n)), Val: 1,
-		})
-	}
-	s := mustStochastic(t, mustMatrix2(t, n, n, entries))
-
 	pool := NewPool(4)
 	defer pool.Close()
-	ti := s.Tiled(pool, nil)
-	st := ti.Stats()
-	if st.Windows != 2 {
-		t.Fatalf("layout has %d windows, want 2 for n=%d", st.Windows, n)
-	}
-
-	x, att, rec := randomVectors(rng, n)
-	want := make([]float64, n)
-	wantResid := referenceStep(s, want, x, att, rec, 0.5, 0.3, 0.2)
-	tileResid := tileOrderResid(ti, want, x)
-	for _, parts := range []int{1, 2, 3, 7, 16, n + 5} {
-		got := make([]float64, n)
-		resid := ti.Step(got, x, att, rec, 0.5, 0.3, 0.2, parts)
-		if resid != tileResid {
-			t.Fatalf("multi-window parts=%d: resid = %v, want exactly %v", parts, resid, tileResid)
-		}
-		if math.Abs(resid-wantResid) > 1e-12*(1+math.Abs(wantResid)) {
-			t.Fatalf("multi-window parts=%d: resid = %v, want ≈ %v", parts, resid, wantResid)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("multi-window parts=%d: next[%d] = %v, want %v", parts, i, got[i], want[i])
+	for _, tc := range []struct{ n, windows int }{{70000, 2}, {150000, 3}} {
+		t.Run(fmt.Sprintf("n=%d", tc.n), func(t *testing.T) {
+			n := tc.n
+			entries := []Coord{
+				{Row: 5, Col: 0, Val: 1},
+				{Row: 5, Col: int32(n - 1), Val: 1}, // first and last windows
+				{Row: 9, Col: 1, Val: 1},
+				{Row: 9, Col: windowSize, Val: 1}, // every window
+				{Row: 9, Col: int32(n - 2), Val: 1},
+				{Row: 2100, Col: 7, Val: 1},                          // second tile, window 0 only
+				{Row: int32(n - 1000), Col: int32(n - 2000), Val: 1}, // last window only
 			}
-		}
-	}
-
-	// Relabeled within windows: WindowAlign projects a fully random
-	// ordering onto the window-preserving family the layout accepts.
-	perm := WindowAlign(randomPerm(rng, n))
-	tp := s.Tiled(nil, perm)
-	xp := permuteF64(x, perm)
-	attP := permuteF64(att, perm)
-	recP := permuteF64(rec, perm)
-	gotP := make([]float64, n)
-	tp.Step(gotP, xp, attP, recP, 0.5, 0.3, 0.2, 1)
-	for i := range want {
-		if gotP[perm[i]] != want[i] {
-			t.Fatalf("relabeled multi-window score of row %d not bit-identical", i)
-		}
-	}
-
-	// A permutation that moves ids across the 64Ki boundary violates the
-	// layout contract and must be refused loudly.
-	bad := IdentityPerm(n)
-	bad[0], bad[n-1] = bad[n-1], bad[0]
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("cross-window permutation did not panic")
+			rng := rand.New(rand.NewSource(71))
+			for i := 0; i < 3000; i++ {
+				// Half the entries land on 64 dense rows that span every
+				// window, half on rows anywhere.
+				row := rng.Intn(64)
+				if i%2 == 1 {
+					row = rng.Intn(n)
+				}
+				entries = append(entries, Coord{Row: int32(row), Col: int32(rng.Intn(n)), Val: 1})
 			}
-		}()
-		s.Tiled(nil, bad)
-	}()
+			s := citationStochastic(t, mustMatrix2(t, n, n, entries))
+
+			x, att, rec := randomVectors(rng, n)
+			want := make([]float64, n)
+			wantResid := referenceStep(s, want, x, att, rec, 0.5, 0.3, 0.2)
+			for _, o := range []struct {
+				name string
+				perm []int32
+			}{{"identity", nil}, {"degree-order", s.DegreeOrder(nil)}} {
+				tp := s.Tiled(pool, o.perm)
+				if w := tp.Stats().Windows; w != tc.windows {
+					t.Fatalf("%s: layout has %d windows, want %d", o.name, w, tc.windows)
+				}
+				perm := tp.Perm()
+				xp := permuteF64(x, perm)
+				attP := permuteF64(att, perm)
+				recP := permuteF64(rec, perm)
+				tileResid := tileOrderResid(tp, permuteF64(want, perm), xp)
+				for _, parts := range []int{1, 2, 3, 7, 16, n + 5} {
+					got := make([]float64, n)
+					resid := tp.Step(got, xp, attP, recP, 0.5, 0.3, 0.2, parts)
+					if resid != tileResid {
+						t.Fatalf("%s parts=%d: resid = %v, want exactly %v", o.name, parts, resid, tileResid)
+					}
+					if math.Abs(resid-wantResid) > 1e-12*(1+math.Abs(wantResid)) {
+						t.Fatalf("%s parts=%d: resid = %v, want ≈ %v", o.name, parts, resid, wantResid)
+					}
+					for i := range want {
+						if got[perm[i]] != want[i] {
+							t.Fatalf("%s parts=%d: score of original row %d = %v, want %v (not bit-identical)",
+								o.name, parts, i, got[perm[i]], want[i])
+						}
+					}
+				}
+			}
+
+			// A permutation that moves ids across the 64Ki boundary
+			// violates the layout contract and must be refused loudly.
+			bad := IdentityPerm(n)
+			bad[0], bad[n-1] = bad[n-1], bad[0]
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("cross-window permutation did not panic")
+					}
+				}()
+				s.Tiled(nil, bad)
+			}()
+		})
+	}
 }
 
 // mustMatrix2 is mustMatrix for testing.TB (the wide-tile test builds a
@@ -318,63 +336,6 @@ func mustMatrix2(t testing.TB, rows, cols int, entries []Coord) *Matrix {
 		t.Fatal(err)
 	}
 	return m
-}
-
-// TestWindowAlign pins the projection onto the window-preserving
-// permutation family: below 64Ki ids it is the identity transform (any
-// permutation is already window-preserving there), above it the result
-// keeps every id in its original window while preserving the given
-// ordering's relative ranks inside each window.
-func TestWindowAlign(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-
-	// Small n: a single window — WindowAlign must return the permutation
-	// unchanged (ranks of a permutation of [0,n) are the values
-	// themselves).
-	small := randomPerm(rng, 1000)
-	aligned := WindowAlign(small)
-	for i := range small {
-		if aligned[i] != small[i] {
-			t.Fatalf("n=1000: WindowAlign changed perm[%d] from %d to %d", i, small[i], aligned[i])
-		}
-	}
-
-	// Large n: a fully random ordering projects to a bijection that never
-	// crosses its 64Ki window and orders each window by the given ranks.
-	const n = 150000 // three windows, the last one partial
-	p := WindowAlign(randomPerm(rng, n))
-	seen := make([]bool, n)
-	for i, v := range p {
-		if v < 0 || int(v) >= n || seen[v] {
-			t.Fatalf("WindowAlign result is not a bijection at %d", i)
-		}
-		seen[v] = true
-		if v>>16 != int32(i)>>16 {
-			t.Fatalf("WindowAlign moved id %d into window %d", i, v>>16)
-		}
-	}
-
-	// Rank preservation inside a window: reversal must reverse each
-	// window internally.
-	rev := make([]int32, n)
-	for i := range rev {
-		rev[i] = int32(n - 1 - i)
-	}
-	ar := WindowAlign(rev)
-	for i := 0; i < 65536; i++ {
-		if want := int32(65535 - i); ar[i] != want {
-			t.Fatalf("aligned reversal: ar[%d] = %d, want %d", i, ar[i], want)
-		}
-	}
-	lo := (n >> 16) << 16 // partial tail window reverses onto [lo, n)
-	for i := lo; i < n; i++ {
-		if want := int32(lo + n - 1 - i); ar[i] != want {
-			t.Fatalf("aligned reversal tail: ar[%d] = %d, want %d", i, ar[i], want)
-		}
-	}
-	if len(WindowAlign(nil)) != 0 {
-		t.Fatal("WindowAlign(nil) not empty")
-	}
 }
 
 // TestTiledStatsCompression pins the satellite telemetry: the compressed
@@ -401,10 +362,11 @@ func TestTiledStatsCompression(t *testing.T) {
 	}
 }
 
-// TestTiledValueCompression pins the uniform-column value compression:
-// an unweighted citation matrix (every column normalized to 1/out-degree)
-// stores one value per column, a weighted matrix falls back to per-entry
-// values, and both reproduce the serial reference bit for bit.
+// TestTiledValueCompression pins the one value layout: a 0/1 citation
+// matrix normalized to 1/out-degree stores one value per column and
+// reproduces the serial reference bit for bit under a random relabeling,
+// while a weighted matrix, whose columns hold differing values, is
+// refused at compile.
 func TestTiledValueCompression(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	n := 140
@@ -416,60 +378,42 @@ func TestTiledValueCompression(t *testing.T) {
 			uent = append(uent, Coord{Row: int32(r), Col: int32(c), Val: 1})
 		}
 	}
-	um, err := NewMatrix(n, n, uent)
-	if err != nil {
-		t.Fatal(err)
+	s := mustStochastic(t, mustMatrix2(t, n, n, uent))
+	ti := s.TiledRows(nil, randomPerm(rng, n), 16)
+	if st := ti.Stats(); st.ValueBytes != int64(n)*8 {
+		t.Fatalf("value bytes = %d, want one float64 per column (%d)", st.ValueBytes, n*8)
 	}
-	uniform := mustStochastic(t, um)
+	x, att, rec := randomVectors(rng, n)
+	want := make([]float64, n)
+	referenceStep(s, want, x, att, rec, 0.5, 0.3, 0.2)
+	perm := ti.Perm()
+	got := make([]float64, n)
+	ti.Step(got, permuteF64(x, perm), permuteF64(att, perm), permuteF64(rec, perm), 0.5, 0.3, 0.2, 1)
+	for i := range want {
+		if got[perm[i]] != want[i] {
+			t.Fatalf("score of original row %d = %v, want %v (not bit-identical)", i, got[perm[i]], want[i])
+		}
+	}
 
-	// Weighted: same pattern, random weights → per-entry fallback.
+	// Weighted: same pattern, random weights → non-uniform columns.
 	went := make([]Coord, len(uent))
 	copy(went, uent)
 	for i := range went {
 		went[i].Val = 0.25 + rng.Float64()
 	}
-	wm, err := NewMatrix(n, n, went)
-	if err != nil {
-		t.Fatal(err)
-	}
-	weighted := mustStochastic(t, wm)
-
-	for _, tc := range []struct {
-		name        string
-		s           *Stochastic
-		wantUniform bool
-	}{{"uniform", uniform, true}, {"weighted", weighted, false}} {
-		ti := tc.s.TiledRows(nil, randomPerm(rng, n), 16)
-		if ti.uniform != tc.wantUniform {
-			t.Fatalf("%s: uniform = %v, want %v", tc.name, ti.uniform, tc.wantUniform)
+	weighted := mustStochastic(t, mustMatrix2(t, n, n, went))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("weighted matrix compiled without panicking")
 		}
-		st := ti.Stats()
-		if tc.wantUniform {
-			if st.ValueBytes != int64(n)*8 {
-				t.Fatalf("uniform: value bytes = %d, want one float64 per column (%d)", st.ValueBytes, n*8)
-			}
-		} else if st.ValueBytes != int64(st.NNZ)*8 {
-			t.Fatalf("weighted: value bytes = %d, want one float64 per entry (%d)", st.ValueBytes, st.NNZ*8)
-		}
-		x, att, rec := randomVectors(rng, n)
-		want := make([]float64, n)
-		referenceStep(tc.s, want, x, att, rec, 0.5, 0.3, 0.2)
-		perm := ti.Perm()
-		got := make([]float64, n)
-		ti.Step(got, permuteF64(x, perm), permuteF64(att, perm), permuteF64(rec, perm), 0.5, 0.3, 0.2, 1)
-		for i := range want {
-			if got[perm[i]] != want[i] {
-				t.Fatalf("%s: score of original row %d = %v, want %v (not bit-identical)",
-					tc.name, i, got[perm[i]], want[i])
-			}
-		}
-	}
+	}()
+	weighted.TiledRows(nil, nil, 16)
 }
 
 // TestTiledStepAllocs pins the steady-state allocation cost of one
 // tiled power-iteration step. On the calling goroutine (parts=1) a step
-// allocates nothing: the uniform layout's premultiplied iterate cycles
-// through the layout's VecPool. Through the worker pool (parts=2) the
+// allocates nothing: the premultiplied iterate cycles through the
+// layout's VecPool. Through the worker pool (parts=2) the
 // dispatch costs a fixed handful — the task closure, its tile counter
 // and the WaitGroup — independent of the matrix size.
 func TestTiledStepAllocs(t *testing.T) {
@@ -489,17 +433,13 @@ func TestTiledStepAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name        string
-		s           *Stochastic
-		wantUniform bool
+		name string
+		s    *Stochastic
 	}{
-		{"uniform", mustStochastic(t, um), true},
-		{"weighted", mustStochastic(t, randomMatrix(t, 92, n, 15000)), false},
+		{"strided", mustStochastic(t, um)},
+		{"random", citationStochastic(t, randomMatrix(t, 92, n, 15000))},
 	} {
 		ti := tc.s.TiledRows(pool, nil, 16)
-		if ti.uniform != tc.wantUniform {
-			t.Fatalf("%s: uniform = %v, want %v", tc.name, ti.uniform, tc.wantUniform)
-		}
 		x, att, rec := randomVectors(rand.New(rand.NewSource(93)), n)
 		next := make([]float64, n)
 		for _, c := range []struct{ parts, max int }{{1, 0}, {2, 3}} {

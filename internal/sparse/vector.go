@@ -57,42 +57,9 @@ func Uniform(n int) []float64 {
 	return x
 }
 
-// AXPY computes dst[i] += a·x[i].
-func AXPY(dst []float64, a float64, x []float64) {
-	if len(dst) != len(x) {
-		panic(fmt.Sprintf("sparse: AXPY length mismatch %d vs %d", len(dst), len(x)))
-	}
-	for i := range dst {
-		dst[i] += a * x[i]
-	}
-}
-
 // Fill sets every entry of x to v.
 func Fill(x []float64, v float64) {
 	for i := range x {
 		x[i] = v
 	}
-}
-
-// MaxAbs returns max |x[i]|, or 0 for an empty slice.
-func MaxAbs(x []float64) float64 {
-	m := 0.0
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Dot returns Σ a[i]·b[i].
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("sparse: Dot length mismatch %d vs %d", len(a), len(b)))
-	}
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }

@@ -50,7 +50,7 @@ echo "==> go vet ./... (benchmark module)"
 
 if [ "${1:-}" = "quick" ]; then
 	echo "==> go test -race -short (kernel packages)"
-	go test -race -short -run 'Parallel|Operator|Pool|RankBatch|Tiled|RCM|Relabel|Window|Degree|Explain|TopPage|Tracker|CitationMatrix|FromCSC|Validate' \
+	go test -race -short -run 'Parallel|Operator|Pool|RankBatch|Tiled|RCM|Relabel|Degree|Explain|TopPage|Tracker|CitationMatrix|FromCSC|Validate' \
 		./internal/sparse/ ./internal/core/
 	echo "==> go test -race (scratch metrics bit-equality)"
 	go test -race -run 'Scratch|Ordering|Ranks' ./internal/metrics/
