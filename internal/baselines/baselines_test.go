@@ -106,6 +106,35 @@ func TestAllMethodsProduceProbabilityVectors(t *testing.T) {
 	}
 }
 
+// TestAllMethodsRankWithDefaults: each of the ten baselines, built
+// with its default parameters, names itself and scores every paper.
+func TestAllMethodsRankWithDefaults(t *testing.T) {
+	net := metaNet(t)
+	for _, m := range []rank.Method{
+		PageRank{Alpha: 0.5},
+		CitationCount{},
+		CiteRank{Alpha: 0.5, TauDir: 2.6},
+		FutureRank{Alpha: 0.4, Beta: 0.1, Gamma: 0.5, Rho: -0.62},
+		RAM{Gamma: 0.6},
+		ECM{Alpha: 0.3, Gamma: 0.3},
+		WSDM{Alpha: 1.7, Beta: 3, Iters: 4},
+		HITS{},
+		Katz{Alpha: 0.3},
+		TimeAwarePageRank{Alpha: 0.5, Tau: 2.6},
+	} {
+		if m.Name() == "" {
+			t.Errorf("%T: empty Name()", m)
+		}
+		scores, err := m.Scores(net, net.MaxYear())
+		if err != nil {
+			t.Fatalf("%s.Scores: %v", m.Name(), err)
+		}
+		if len(scores) != net.N() {
+			t.Errorf("%s: %d scores for %d papers", m.Name(), len(scores), net.N())
+		}
+	}
+}
+
 func TestAllMethodsRejectEmptyNetwork(t *testing.T) {
 	empty, err := graph.NewBuilder().Build()
 	if err != nil {

@@ -161,12 +161,6 @@ func NewPusher(net *graph.Network, now int, p Params, cfg PushConfig, scores []f
 	return pu, nil
 }
 
-// Base returns the immutable network the pusher was seeded over.
-func (pu *Pusher) Base() *graph.Network { return pu.ov.Base() }
-
-// Now returns the ranking time the pusher is pinned to.
-func (pu *Pusher) Now() int { return pu.now }
-
 // Applied returns how many mutations have been absorbed since seeding.
 func (pu *Pusher) Applied() int { return pu.applied }
 

@@ -31,7 +31,7 @@ type pushMut struct {
 // the accepted sequence.
 func applyRandomMuts(t *testing.T, pu *Pusher, rng *rand.Rand, count int) []pushMut {
 	t.Helper()
-	n := pu.Base().N()
+	n := pu.ov.N()
 	var muts []pushMut
 	for tries := 0; len(muts) < count && tries < 100*count; tries++ {
 		citing, cited := int32(rng.Intn(n)), int32(rng.Intn(n))
@@ -338,14 +338,14 @@ func TestTrackerSeedMismatchClearsChain(t *testing.T) {
 	if err := tr.Seed(net, res.Scores); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Tracked() != net.N() {
-		t.Fatalf("Tracked() = %d after valid seed, want %d", tr.Tracked(), net.N())
+	if len(tr.last) != net.N() {
+		t.Fatalf("tracker holds %d scores after valid seed, want %d", len(tr.last), net.N())
 	}
 	if err := tr.Seed(net, res.Scores[:net.N()-1]); err == nil {
 		t.Fatal("short seed vector accepted")
 	}
-	if tr.Tracked() != 0 {
-		t.Fatalf("Tracked() = %d after failed seed, want 0 (stale chain must be cleared)", tr.Tracked())
+	if len(tr.last) != 0 {
+		t.Fatalf("tracker holds %d scores after failed seed, want 0 (stale chain must be cleared)", len(tr.last))
 	}
 	// The next Update must behave like a cold start, not resume the
 	// discarded chain.

@@ -43,9 +43,6 @@ func NewTracker(p Params) (*Tracker, error) {
 // Params returns the tracker's configuration.
 func (t *Tracker) Params() Params { return t.params }
 
-// Tracked returns how many paper scores the tracker currently holds.
-func (t *Tracker) Tracked() int { return len(t.last) }
-
 // Seed primes the warm-start state from externally computed scores, as
 // if the previous Update had produced them. This is how a replication
 // follower joins a leader's warm-start chain mid-stream: seeded with

@@ -26,8 +26,8 @@ func TestNewTrackerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Tracked() != 0 {
-		t.Errorf("fresh tracker holds %d scores", tr.Tracked())
+	if len(tr.last) != 0 {
+		t.Errorf("fresh tracker holds %d scores", len(tr.last))
 	}
 }
 
@@ -56,8 +56,8 @@ func TestTrackerMatchesColdRank(t *testing.T) {
 				i, warm.Scores[i], cold.Scores[i])
 		}
 	}
-	if tr.Tracked() != n2.N() {
-		t.Errorf("tracker holds %d scores, want %d", tr.Tracked(), n2.N())
+	if len(tr.last) != n2.N() {
+		t.Errorf("tracker holds %d scores, want %d", len(tr.last), n2.N())
 	}
 }
 
@@ -298,8 +298,8 @@ func TestTrackerMatchesMapReference(t *testing.T) {
 				t.Fatalf("%s: residual %d = %v, want %v", step.name, i, got.Residuals[i], want.Residuals[i])
 			}
 		}
-		if tr.Tracked() != len(ref.last) {
-			t.Fatalf("%s: tracker holds %d scores, want %d", step.name, tr.Tracked(), len(ref.last))
+		if len(tr.last) != len(ref.last) {
+			t.Fatalf("%s: tracker holds %d scores, want %d", step.name, len(tr.last), len(ref.last))
 		}
 		// The published scores belong to the caller.
 		for i := range got.Scores {

@@ -178,9 +178,18 @@ func TestFilterKeepNothing(t *testing.T) {
 	}
 }
 
+func dotString(t *testing.T, n *Network, maxNodes int) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := n.WriteDOT(&sb, maxNodes); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
 func TestWriteDOT(t *testing.T) {
 	n := buildTiny(t)
-	dot := n.DOTString(0)
+	dot := dotString(t, n, 0)
 	if !strings.HasPrefix(dot, "digraph citations {") {
 		t.Fatalf("bad DOT prefix:\n%s", dot)
 	}
@@ -197,7 +206,7 @@ func TestWriteDOT(t *testing.T) {
 
 func TestWriteDOTTopCore(t *testing.T) {
 	n := buildTiny(t)
-	dot := n.DOTString(2) // p0 and p2 are the most cited
+	dot := dotString(t, n, 2) // p0 and p2 are the most cited
 	if !strings.Contains(dot, `"p0"`) || !strings.Contains(dot, `"p2"`) {
 		t.Errorf("core nodes missing:\n%s", dot)
 	}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // WriteDOT renders the network (or its most-cited core, when maxNodes is
@@ -55,13 +54,4 @@ func (n *Network) WriteDOT(w io.Writer, maxNodes int) error {
 		return fmt.Errorf("graph: dot: %w", err)
 	}
 	return nil
-}
-
-// DOTString is a convenience wrapper returning the DOT document as a
-// string; intended for small networks and tests.
-func (n *Network) DOTString(maxNodes int) string {
-	var sb strings.Builder
-	// strings.Builder never errors.
-	_ = n.WriteDOT(&sb, maxNodes)
-	return sb.String()
 }

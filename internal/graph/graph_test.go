@@ -348,14 +348,6 @@ func TestBipartiteEdges(t *testing.T) {
 	}
 }
 
-func TestCountByYear(t *testing.T) {
-	n := buildTiny(t)
-	c := n.CountByYear()
-	if c[1998] != 2 || c[1990] != 1 {
-		t.Errorf("CountByYear = %v", c)
-	}
-}
-
 func TestHasEdge(t *testing.T) {
 	n := buildTiny(t)
 	lookup := func(id string) int32 {

@@ -200,15 +200,6 @@ func (n *Network) PapersByTime() []int32 {
 	return order
 }
 
-// CountByYear returns a map year → number of papers published that year.
-func (n *Network) CountByYear() map[int]int {
-	out := make(map[int]int)
-	for i := range n.papers {
-		out[n.papers[i].Year]++
-	}
-	return out
-}
-
 // Until returns the sub-network C(t): papers with Year ≤ t and the
 // citations among them, along with a mapping from new node indices to the
 // original ones. Metadata tables are shared with the parent.

@@ -21,7 +21,6 @@ import "fmt"
 type Overlay struct {
 	base  *Network
 	extra map[int32][]int32 // per-node fringe references, arrival order
-	edges int
 }
 
 // NewOverlay starts an empty fringe over base.
@@ -29,14 +28,8 @@ func NewOverlay(base *Network) *Overlay {
 	return &Overlay{base: base, extra: make(map[int32][]int32)}
 }
 
-// Base returns the underlying immutable network.
-func (o *Overlay) Base() *Network { return o.base }
-
 // N returns the node count (the base's: the fringe holds edges only).
 func (o *Overlay) N() int { return o.base.N() }
-
-// ExtraEdges returns the number of uncompacted edges in the fringe.
-func (o *Overlay) ExtraEdges() int { return o.edges }
 
 // Year returns the publication year of node i.
 func (o *Overlay) Year(i int32) int { return o.base.Year(i) }
@@ -81,6 +74,5 @@ func (o *Overlay) AddEdge(citing, cited int32) error {
 		return fmt.Errorf("graph: overlay duplicate edge %d→%d", citing, cited)
 	}
 	o.extra[citing] = append(o.extra[citing], cited)
-	o.edges++
 	return nil
 }

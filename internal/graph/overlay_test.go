@@ -35,8 +35,8 @@ func refList(o *Overlay, v int32) []int32 {
 func TestOverlayMirrorsBase(t *testing.T) {
 	base := overlayBase(t)
 	o := NewOverlay(base)
-	if o.N() != base.N() || o.ExtraEdges() != 0 {
-		t.Fatalf("fresh overlay: N=%d extra edges=%d", o.N(), o.ExtraEdges())
+	if o.N() != base.N() || len(o.extra) != 0 {
+		t.Fatalf("fresh overlay: N=%d fringe %v", o.N(), o.extra)
 	}
 	for i := int32(0); int(i) < base.N(); i++ {
 		if o.Year(i) != base.Year(i) {
@@ -80,8 +80,12 @@ func TestOverlayMutations(t *testing.T) {
 	if got := refList(o, 3); len(got) != 3 || got[0] != 2 || got[1] != 1 || got[2] != 0 {
 		t.Fatalf("refs of 3 = %v, want [2 1 0] (base then fringe in arrival order)", got)
 	}
-	if o.OutDegree(3) != 3 || o.OutDegree(0) != 1 || o.ExtraEdges() != 4 {
-		t.Fatalf("outdeg(3)=%d outdeg(0)=%d extraEdges=%d", o.OutDegree(3), o.OutDegree(0), o.ExtraEdges())
+	extra := 0
+	for _, refs := range o.extra {
+		extra += len(refs)
+	}
+	if o.OutDegree(3) != 3 || o.OutDegree(0) != 1 || extra != 4 {
+		t.Fatalf("outdeg(3)=%d outdeg(0)=%d extra edges=%d", o.OutDegree(3), o.OutDegree(0), extra)
 	}
 	if !o.HasEdge(3, 0) || !o.HasEdge(0, 3) || !o.HasEdge(3, 2) || o.HasEdge(2, 3) {
 		t.Fatal("HasEdge does not see base and fringe edges")

@@ -12,9 +12,11 @@ import (
 // This file is the one place an epoch's Ranking is built. Every
 // publisher — the ingester's full and push paths, the replication
 // follower's marker replay and bootstrap seeding, and the static
-// server — goes through these functions, so a follower replaying the
-// leader's log reproduces the leader's Rankings field for field rather
-// than by keeping a parallel copy in step (DESIGN.md §7, §12).
+// server — goes through these functions, and the leader and the
+// follower carry the state between epochs in one Chain each, so a
+// follower replaying the leader's log reproduces the leader's Rankings
+// field for field rather than by keeping a parallel copy in step
+// (DESIGN.md §7, §12).
 
 // index returns a ranking's order (node indices by score descending,
 // ties by ascending index) and its inverse, the 0-based position of
@@ -67,60 +69,140 @@ func FullRanking(epoch uint64, net *graph.Network, res *core.Result, rankedAt in
 	}
 }
 
-// Pushed builds a push epoch that follows full epoch r. pu was seeded
-// from r's scores and has since absorbed backlog citations; pushes is
-// the push count of its latest Settle, published as Result.Iterations.
-// Net, RankedAt, attention, recency and the impact state carry over
-// from r. Stats advances r's edge counters by the backlog; degree
-// distributions stay as compacted until the reconciling full epoch.
-func (r *Ranking) Pushed(epoch uint64, pu *core.Pusher, pushes, backlog int) *Ranking {
-	scores := pu.CopyScores()
-	bound := pu.Bound()
+// Chain carries the state between epochs: the warm-start tracker, the
+// last full epoch, and the push streak since it (nil between streaks).
+// The leader and each follower own one, so both start every epoch
+// from the same exact state. A Chain is owned by one goroutine.
+type Chain struct {
+	tracker   *core.Tracker
+	pushCfg   core.PushConfig
+	impactCfg impact.Config
+	logf      func(string, ...any)
+	last      *Ranking
+	pusher    *core.Pusher
+}
+
+// NewChain returns an empty chain. Push epochs settle under pushCfg
+// (the leader's budgets, or core.ReplayPushConfig on a follower).
+func NewChain(params core.Params, pushCfg core.PushConfig, impactCfg impact.Config, logf func(string, ...any)) (*Chain, error) {
+	tracker, err := core.NewTracker(params)
+	if err != nil {
+		return nil, err
+	}
+	return &Chain{tracker: tracker, pushCfg: pushCfg, impactCfg: impactCfg, logf: logf}, nil
+}
+
+// Seed starts the chain at a full epoch whose exact result is already
+// known — a follower's bootstrap or saved state — and returns it.
+func (c *Chain) Seed(epoch uint64, net *graph.Network, res *core.Result, rankedAt int) (*Ranking, error) {
+	c.pusher = nil
+	if err := c.tracker.Seed(net, res.Scores); err != nil {
+		return nil, err
+	}
+	c.last = FullRanking(epoch, net, res, rankedAt, c.impactCfg, c.logf)
+	return c.last, nil
+}
+
+// Rank builds the full epoch that compacts muts onto base, ranked at
+// rankedAt and warm-started from the previous full epoch. It ends any
+// push streak, also when it fails.
+func (c *Chain) Rank(epoch uint64, base *graph.Network, muts []Mutation, rankedAt int) (*Ranking, error) {
+	c.pusher = nil
+	net, err := Compact(base, muts)
+	if err != nil {
+		return nil, fmt.Errorf("compacting: %w", err)
+	}
+	res, err := c.tracker.Update(net, rankedAt)
+	if err != nil {
+		return nil, err
+	}
+	c.last = FullRanking(epoch, net, res, rankedAt, c.impactCfg, c.logf)
+	return c.last, nil
+}
+
+// Push builds the push epoch that absorbs muts into the streak since
+// Last; the streak's first Push seeds a core.Pusher from Last's exact
+// scores. Only citations between papers of Last's network can be
+// pushed. Any error — another mutation, one the pusher rejects, a
+// budget breach — ends the streak, so the next Push starts afresh.
+//
+// The push epoch keeps Last's corpus, clock, attention, recency and
+// impact state. Stats advances Last's edge counters by the streak's
+// citations; degree distributions stay as compacted until the
+// reconciling full epoch.
+func (c *Chain) Push(epoch uint64, muts []Mutation) (_ *Ranking, err error) {
+	defer func() {
+		if err != nil {
+			c.pusher = nil
+		}
+	}()
+	last := c.last
+	if last == nil {
+		return nil, fmt.Errorf("push epoch %d without a full epoch", epoch)
+	}
+	if c.pusher == nil {
+		pu, err := core.NewPusher(last.Net, last.RankedAt, c.tracker.Params(), c.pushCfg, last.Result.Scores)
+		if err != nil {
+			return nil, fmt.Errorf("push seed: %w", err)
+		}
+		c.pusher = pu
+	}
+	for _, m := range muts {
+		if m.Kind != KindCitation {
+			return nil, fmt.Errorf("push batch holds a non-citation mutation (kind %d)", m.Kind)
+		}
+		ci, okc := last.Net.Lookup(m.Citation.Citing)
+		ti, okt := last.Net.Lookup(m.Citation.Cited)
+		if !okc || !okt {
+			return nil, fmt.Errorf("push cites unknown paper %q→%q", m.Citation.Citing, m.Citation.Cited)
+		}
+		if err := c.pusher.AddCitation(ci, ti); err != nil {
+			return nil, err
+		}
+	}
+	st, err := c.pusher.Settle()
+	if err != nil {
+		return nil, err
+	}
+	scores := c.pusher.CopyScores()
 	order, positions := index(scores)
-	stats := r.Stats
-	stats.Edges += backlog
+	stats := last.Stats
+	stats.Edges += c.pusher.Applied()
 	if stats.Papers > 0 {
 		stats.MeanOutDeg = float64(stats.Edges) / float64(stats.Papers)
 	}
 	return &Ranking{
 		Epoch: epoch,
-		Net:   r.Net,
+		Net:   last.Net,
 		Result: &core.Result{
 			Scores:     scores,
-			Iterations: pushes,
+			Iterations: st.Pushes,
 			Converged:  true,
-			Residuals:  []float64{bound},
-			Attention:  r.Result.Attention,
-			Recency:    r.Result.Recency,
+			Residuals:  []float64{st.Bound},
+			Attention:  last.Result.Attention,
+			Recency:    last.Result.Recency,
 		},
 		Order:       order,
 		Positions:   positions,
 		Stats:       stats,
-		RankedAt:    r.RankedAt,
+		RankedAt:    last.RankedAt,
 		Incremental: true,
-		Staleness:   bound,
-		Impact:      r.Impact,
-	}
+		Staleness:   st.Bound,
+		Impact:      last.Impact,
+	}, nil
 }
 
-// PushCitations feeds muts to pu in order, resolving paper IDs against
-// base (the network pu was seeded over). Only citations between papers
-// of base can be pushed; any other mutation is an error, as is one pu
-// rejects. On error pu has absorbed an unknown prefix and must be
-// discarded.
-func PushCitations(pu *core.Pusher, base *graph.Network, muts []Mutation) error {
-	for _, m := range muts {
-		if m.Kind != KindCitation {
-			return fmt.Errorf("push batch holds a non-citation mutation (kind %d)", m.Kind)
-		}
-		ci, okc := base.Lookup(m.Citation.Citing)
-		ti, okt := base.Lookup(m.Citation.Cited)
-		if !okc || !okt {
-			return fmt.Errorf("push cites unknown paper %q→%q", m.Citation.Citing, m.Citation.Cited)
-		}
-		if err := pu.AddCitation(ci, ti); err != nil {
-			return err
-		}
+// EndStreak drops the push streak, as a leader must when it cannot
+// publish the epoch its last Push built.
+func (c *Chain) EndStreak() { c.pusher = nil }
+
+// Backlog returns how many citations the push streak has absorbed.
+func (c *Chain) Backlog() int {
+	if c.pusher == nil {
+		return 0
 	}
-	return nil
+	return c.pusher.Applied()
 }
+
+// Last returns the last full epoch (nil before the first Seed or Rank).
+func (c *Chain) Last() *Ranking { return c.last }

@@ -168,32 +168,26 @@ type Ingester struct {
 	// Open mutate it). delta[:pushed] is the push backlog: mutations
 	// already absorbed into published scores by the push updater but not
 	// yet compacted — the next full epoch compacts the whole delta and
-	// resets pushed to 0. pusher carries the score/residual state across
-	// the epochs of one push streak; pushStreak counts them for the
-	// ReconcileEvery policy.
+	// resets pushed to 0. pushStreak counts the push epochs published
+	// since then, for the ReconcileEvery policy.
 	pushed     int
-	pusher     *core.Pusher
 	pushStreak int
 
 	ranking atomic.Pointer[Ranking]
 	lastDur atomic.Int64 // last re-rank wall time, ns
 	lastIt  atomic.Int64 // last re-rank iterations
-	epoch   atomic.Uint64
 	snaps   atomic.Uint64
 	pushEp  atomic.Uint64 // push epochs published since Open
 
-	// fullRank/fullCursor anchor replication bootstrap at the last FULL
-	// epoch boundary: a follower seeds its warm-start chain from exact
-	// scores and replays any subsequent push epochs from the WAL, so
-	// push-mode publication never ships approximate state as a seed.
-	fullRank   atomic.Pointer[Ranking]
-	fullCursor atomic.Pointer[ReplCursor]
+	// anchor pairs the last FULL epoch with the cursor right after its
+	// marker: the replication bootstrap (see ReplState). Stored under mu.
+	anchor atomic.Pointer[replAnchor]
 
 	// claimed is the highest epoch number committed to the WAL as a
 	// marker (the scheduler claims the epoch before ranking it, so the
-	// marker lands ahead of any mutation that arrives mid-rank); epoch
-	// above tracks published rankings and trails claimed while a re-rank
-	// is in flight. On recovery claimed resumes from the largest marker
+	// marker lands ahead of any mutation that arrives mid-rank); the
+	// published ranking's epoch trails claimed while a re-rank is in
+	// flight. On recovery claimed resumes from the largest marker
 	// in the WAL, so epoch numbers never regress across restarts.
 	claimed atomic.Uint64
 	// instance is a random nonce minted per Open. Followers carry it so
@@ -202,7 +196,7 @@ type Ingester struct {
 	instance uint64
 	cursor   atomic.Pointer[ReplCursor]
 
-	tracker *core.Tracker // owned by the scheduler goroutine (and Open)
+	chain *Chain // owned by the scheduler goroutine (and Open)
 
 	kick    chan struct{}
 	flushCh chan chan error
@@ -244,7 +238,10 @@ func Open(seed *graph.Network, cfg Config) (*Ingester, error) {
 			return nil, fmt.Errorf("ingest: %w", err)
 		}
 	}
-	tracker, err := core.NewTracker(cfg.Params)
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
+	}
+	chain, err := NewChain(cfg.Params, core.PushConfig{Tol: cfg.PushTol}, cfg.Impact, cfg.Logf)
 	if err != nil {
 		return nil, err
 	}
@@ -257,14 +254,11 @@ func Open(seed *graph.Network, cfg Config) (*Ingester, error) {
 		logf:       cfg.Logf,
 		deltaIDs:   make(map[string]struct{}),
 		deltaEdges: make(map[[2]string]struct{}),
-		tracker:    tracker,
+		chain:      chain,
 		kick:       make(chan struct{}, 1),
 		flushCh:    make(chan chan error),
 		stopCh:     make(chan struct{}),
 		done:       make(chan struct{}),
-	}
-	if ing.logf == nil {
-		ing.logf = func(string, ...any) {}
 	}
 
 	freshDir := true
@@ -368,13 +362,12 @@ func (ing *Ingester) Status() Status {
 		WALBytes:    ing.wal.Size(),
 	}
 	ing.mu.Unlock()
-	st.Epoch = ing.epoch.Load()
 	st.LastRerank = time.Duration(ing.lastDur.Load())
 	st.LastIterations = int(ing.lastIt.Load())
 	st.Snapshots = ing.snaps.Load()
 	st.PushEpochs = ing.pushEp.Load()
 	if r := ing.ranking.Load(); r != nil {
-		st.Staleness = r.Staleness
+		st.Epoch, st.Staleness = r.Epoch, r.Staleness
 	}
 	return st
 }
@@ -668,12 +661,12 @@ func (ing *Ingester) loop() {
 
 // rerank publishes a new epoch. With the push path enabled and
 // eligible (citation-only batch, bounded backlog and drift, same
-// corpus and clock as the last full epoch) it absorbs the batch
-// incrementally via tryPushLocked; otherwise — or when forceFull is
-// set (Open's initial rank, Flush, fallback) — it compacts the whole
-// delta into a fresh immutable network, ranks it (warm-started by the
-// tracker), publishes the new epoch, and swaps the compacted network
-// in as the new base. Readers are never blocked: they keep using the
+// clock as the last full epoch) it absorbs the batch incrementally via
+// tryPushLocked; otherwise — or when forceFull is set (Open's initial
+// rank, Flush, fallback) — the chain compacts the whole delta into a
+// fresh immutable network and ranks it warm-started, and rerank
+// publishes the new epoch and swaps the compacted network in as the
+// new base. Readers are never blocked: they keep using the
 // previous Ranking until the atomic pointer swap.
 //
 // The epoch is claimed — and its marker appended to the WAL — inside
@@ -725,38 +718,25 @@ func (ing *Ingester) rerank(forceFull bool) error {
 		ing.mu.Unlock()
 		return fmt.Errorf("epoch marker: %w", err)
 	}
-	cur := ing.storeCursor()
+	ing.storeCursor()
 	ing.mu.Unlock()
 
-	net, err := Compact(base, deltaPrefix)
-	if err != nil {
-		return fmt.Errorf("compacting: %w", err)
-	}
-	res, err := ing.tracker.Update(net, now)
+	r, err := ing.chain.Rank(e, base, deltaPrefix, now)
 	if err != nil {
 		return err
 	}
-	r := FullRanking(e, net, res, now, ing.cfg.Impact, ing.logf)
 
 	ing.mu.Lock()
-	ing.base = net
-	ing.delta = append([]Mutation(nil), ing.delta[upTo:]...)
-	ing.deltaIDs = make(map[string]struct{})
-	ing.deltaEdges = make(map[[2]string]struct{})
-	for _, m := range ing.delta {
-		switch m.Kind {
-		case KindPaper:
-			ing.deltaIDs[m.Paper.ID] = struct{}{}
-		case KindCitation:
-			ing.deltaEdges[[2]string{m.Citation.Citing, m.Citation.Cited}] = struct{}{}
-		}
+	ing.base = r.Net
+	rest := ing.delta[upTo:]
+	ing.delta, ing.deltaIDs, ing.deltaEdges = nil, make(map[string]struct{}), make(map[[2]string]struct{})
+	for _, m := range rest {
+		ing.applyToDelta(m)
 	}
-	// A full epoch reconciles: the push backlog is compacted, the streak
-	// ends, and the pusher (whose base network just changed) is dropped —
-	// the next streak re-seeds from this epoch's exact scores.
+	// A full epoch reconciles: the push backlog is compacted and the
+	// streak ends (Rank dropped the chain's pusher).
 	ing.pushed = 0
 	ing.pushStreak = 0
-	ing.pusher = nil
 	// Mutations that arrived while this re-rank ran start their pending
 	// clock now: their true arrival is unrecorded, and "since the last
 	// compaction" is the tight upper bound on their lag.
@@ -767,6 +747,9 @@ func (ing *Ingester) rerank(forceFull bool) error {
 	}
 	mPending.Set(float64(len(ing.delta)))
 	ing.sinceSnapshot += upTo
+	// The cursor is this epoch's marker, or a snapshot's since: only
+	// this scheduler claims epochs.
+	ing.anchor.Store(&replAnchor{r, *ing.cursor.Load()})
 	ing.mu.Unlock()
 
 	if upTo > 0 {
@@ -777,13 +760,10 @@ func (ing *Ingester) rerank(forceFull bool) error {
 	mPushBound.Set(0)
 	mPushBacklog.Set(0)
 	ing.lastDur.Store(int64(time.Since(started)))
-	ing.lastIt.Store(int64(res.Iterations))
-	ing.fullRank.Store(r)
-	ing.fullCursor.Store(cur)
-	ing.epoch.Store(e)
+	ing.lastIt.Store(int64(r.Result.Iterations))
 	ing.ranking.Store(r)
 	ing.logf("ingest: epoch %d published: %d papers, %d mutations compacted, %d iterations in %s",
-		r.Epoch, net.N(), upTo, res.Iterations, time.Since(started).Round(time.Millisecond))
+		r.Epoch, r.Net.N(), upTo, r.Result.Iterations, time.Since(started).Round(time.Millisecond))
 	return nil
 }
 
@@ -791,8 +771,8 @@ func (ing *Ingester) rerank(forceFull bool) error {
 // incremental push epoch. It requires ing.mu held; on success it
 // publishes the epoch, releases the lock and returns true. On any
 // refusal or failure it returns false with the lock still held and the
-// corpus state untouched (a partially fed pusher is discarded — the
-// full path that follows rebuilds push state from its own exact
+// corpus state untouched (a failed push ends the chain's streak — the
+// full path that follows starts the next one from its own exact
 // result), so the caller proceeds with the full path.
 func (ing *Ingester) tryPushLocked(now, upTo int, started time.Time) bool {
 	cfg := &ing.cfg
@@ -813,10 +793,10 @@ func (ing *Ingester) tryPushLocked(now, upTo int, started time.Time) bool {
 			return false
 		}
 	}
-	lastFull := ing.fullRank.Load()
-	if lastFull == nil || lastFull.Net != ing.base || lastFull.RankedAt != now {
-		// No exact anchor for this corpus at this clock (e.g. cfg.Now
-		// advanced between epochs): reconcile fully.
+	if last := ing.chain.Last(); last == nil || last.RankedAt != now {
+		// A push epoch keeps the last full epoch's clock; with no
+		// pending papers the clock cannot have moved, so this only
+		// guards that invariant.
 		return false
 	}
 	if upTo > pushMaxBacklog {
@@ -825,69 +805,49 @@ func (ing *Ingester) tryPushLocked(now, upTo int, started time.Time) bool {
 	if cfg.ReconcileEvery > 0 && ing.pushStreak >= cfg.ReconcileEvery {
 		return false // cadence reconciliation
 	}
-	pu := ing.pusher
-	if pu == nil || pu.Base() != ing.base || pu.Now() != now {
-		if ing.pushed > 0 {
-			// Backlog absorbed by a pusher we no longer hold — cannot
-			// happen while the invariants hold, but never push blind.
-			return false
-		}
-		var err error
-		pu, err = core.NewPusher(ing.base, now, cfg.Params, core.PushConfig{Tol: cfg.PushTol}, lastFull.Result.Scores)
-		if err != nil {
-			ing.logf("ingest: push seed: %v", err)
-			mPushFallbacksTotal.Inc()
-			return false
-		}
-	}
-	if err := PushCitations(pu, ing.base, newMuts); err != nil {
-		ing.logf("ingest: push apply: %v", err)
-		ing.pusher = nil
-		mPushFallbacksTotal.Inc()
+	if ing.chain.Backlog() != ing.pushed {
+		// The streak ended without a full epoch (a failed push or push
+		// marker whose full fallback could not append its own marker):
+		// the published backlog is in no pusher, so never push blind.
 		return false
 	}
-	st, err := pu.Settle()
+	e := ing.claimed.Load() + 1
+	r, err := ing.chain.Push(e, newMuts)
 	if err != nil {
-		// Budget breach (core.ErrNeedFull): the exact adaptive behavior
-		// we want — large or non-local batches take the full path.
+		// Budget breach (core.ErrNeedFull) is the adaptive behavior we
+		// want — large or non-local batches take the full path.
 		ing.logf("ingest: push fallback: %v", err)
-		ing.pusher = nil
 		mPushFallbacksTotal.Inc()
 		return false
 	}
-	e := ing.claimed.Add(1)
+	ing.claimed.Add(1)
 	mark := Mutation{Kind: KindEpoch, Epoch: EpochMark{Epoch: e, RankedAt: now, Count: uint32(len(newMuts)), Flags: MarkPush}}
 	if err := ing.wal.Append(mark); err != nil {
 		ing.claimed.Add(^uint64(0)) // un-claim; nothing was committed
-		ing.pusher = nil
+		ing.chain.EndStreak()
 		ing.logf("ingest: push epoch marker: %v", err)
 		return false // the full path re-appends and surfaces the error
 	}
 	ing.storeCursor()
-	ing.pusher = pu
 	ing.pushed = upTo
 	ing.pushStreak++
 	ing.firstPending = time.Time{}
 	ing.mu.Unlock()
 
-	// The scheduler goroutine is pu's only user, so it is read unlocked.
-	r := lastFull.Pushed(e, pu, st.Pushes, upTo)
 	r.Result.Duration = time.Since(started)
-	bound := r.Staleness
 	mPushEpochsTotal.Inc()
 	mPushSeconds.ObserveSince(started)
-	mPushPushes.Observe(float64(st.Pushes))
-	mPushBound.Set(bound)
+	mPushPushes.Observe(float64(r.Result.Iterations))
+	mPushBound.Set(r.Staleness)
 	mPushBacklog.Set(float64(upTo))
 	mPending.Set(0)
 	mEpoch.Set(float64(e))
 	ing.lastDur.Store(int64(time.Since(started)))
-	ing.lastIt.Store(int64(st.Pushes))
+	ing.lastIt.Store(int64(r.Result.Iterations))
 	ing.pushEp.Add(1)
-	ing.epoch.Store(e)
 	ing.ranking.Store(r)
 	ing.logf("ingest: epoch %d published incrementally: %d citations absorbed, %d pushes, residual bound %.2g in %s",
-		e, len(newMuts), st.Pushes, bound, time.Since(started).Round(time.Microsecond))
+		e, len(newMuts), r.Result.Iterations, r.Staleness, time.Since(started).Round(time.Microsecond))
 	return true
 }
 
@@ -934,9 +894,10 @@ func (ing *Ingester) snapshotLocked() error {
 	}
 	cur := ing.storeCursor()
 	// The delta is empty, so the last epoch was a full one; re-anchor
-	// the replication bootstrap cursor in the fresh WAL generation.
-	if r := ing.fullRank.Load(); r != nil && r.Epoch == cur.Epoch {
-		ing.fullCursor.Store(cur)
+	// the replication bootstrap cursor in the fresh WAL generation
+	// (unless that epoch is still ranking: rerank anchors it itself).
+	if a := ing.anchor.Load(); a != nil && a.r.Epoch == cur.Epoch {
+		ing.anchor.Store(&replAnchor{a.r, *cur})
 	}
 	ing.sinceSnapshot = 0
 	ing.snaps.Add(1)

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -122,6 +123,59 @@ func TestPushEpochPublishesIncrementalRanking(t *testing.T) {
 	for i := range sr.Result.Scores {
 		if sr.Result.Scores[i] != rec.Result.Scores[i] {
 			t.Fatalf("node %d: reconciled score %v differs from full-only chain %v", i, rec.Result.Scores[i], sr.Result.Scores[i])
+		}
+	}
+}
+
+// TestPushMarkerFailureFallsBackToFull: when a push epoch's marker and
+// then its full fallback's marker both fail to append, no epoch is
+// published, the unpublished citation leaves the pusher, and so does
+// the published backlog. The next re-rank must take the full path,
+// never push the new citation alone, and land on a full-only chain's
+// bits.
+func TestPushMarkerFailureFallsBackToFull(t *testing.T) {
+	cfg := testConfig(t.TempDir()) // re-ranks only when the test calls rerank
+	cfg.PushTol = 1e-8
+	ing := mustOpen(t, pushSeedNet(t), cfg)
+	if _, err := ing.AddCitation(CitationMut{Citing: "s150", Cited: "s3"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ing.rerank(false); err != nil || !ing.Ranking().Incremental {
+		t.Fatalf("first citation: err %v, incremental %v", err, ing.Ranking().Incremental)
+	}
+	if _, err := ing.AddCitation(CitationMut{Citing: "s150", Cited: "s4"}); err != nil {
+		t.Fatal(err)
+	}
+	ing.mu.Lock()
+	ff := &flakyFile{walFile: ing.wal.f, failWrites: 2}
+	ing.wal.f = ff
+	ing.mu.Unlock()
+	if err := ing.rerank(false); !errors.Is(err, errInjected) || ff.failWrites != 0 {
+		t.Fatalf("re-rank with failing markers: %v", err)
+	}
+	if r := ing.Ranking(); r.Epoch != 2 || ing.ReplCursor().Epoch != 2 {
+		t.Fatalf("failed markers published epoch %d (cursor at %d)", r.Epoch, ing.ReplCursor().Epoch)
+	}
+	if n := ing.chain.Backlog(); n != 0 {
+		t.Fatalf("the failed push marker left a streak of %d citations", n)
+	}
+	if err := ing.rerank(false); err != nil {
+		t.Fatal(err)
+	}
+	r := ing.Ranking()
+	if r.Epoch != 3 || r.Incremental {
+		t.Fatalf("after the failures: epoch %d, incremental %v; want full epoch 3", r.Epoch, r.Incremental)
+	}
+	shadow := mustOpen(t, pushSeedNet(t), testConfig(t.TempDir()))
+	if _, err := shadow.ApplyBatch([]Mutation{citation("s150", "s3"), citation("s150", "s4")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := shadow.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range shadow.Ranking().Result.Scores {
+		if r.Result.Scores[i] != v {
+			t.Fatalf("paper %d: %v after the failures, full-only chain %v", i, r.Result.Scores[i], v)
 		}
 	}
 }

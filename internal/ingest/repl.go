@@ -3,7 +3,6 @@ package ingest
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"attrank/internal/impact"
 )
@@ -65,6 +64,13 @@ func (ing *Ingester) ReplCursor() ReplCursor {
 	return ReplCursor{Instance: ing.instance}
 }
 
+// replAnchor is a bootstrap-consistent pair: a full epoch and the
+// cursor right after its marker.
+type replAnchor struct {
+	r   *Ranking
+	cur ReplCursor
+}
+
 // ReplState returns the last FULL (exact-rank) ranking together with
 // the cursor that matches it: the cursor's epoch equals the ranking's
 // epoch and its offset points right after that epoch's marker, so a
@@ -72,32 +78,13 @@ func (ing *Ingester) ReplCursor() ReplCursor {
 // its state ends. Bootstrap is anchored at full boundaries on purpose —
 // a follower seeds its warm-start chain from exact scores and replays
 // any later push-mode epochs itself from the shipped WAL, so
-// approximate state is never used as a seed. A publish in flight makes
-// the pair momentarily disagree; ReplState waits the handful of
-// milliseconds until they line up again.
+// approximate state is never used as a seed.
 func (ing *Ingester) ReplState() (*Ranking, ReplCursor, error) {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		r := ing.fullRank.Load()
-		c := ing.fullCursor.Load()
-		if r != nil && c != nil && r.Epoch == c.Epoch {
-			return r, *c, nil
-		}
-		if r == nil && ing.ReplCursor().Epoch == 0 {
-			return nil, ing.ReplCursor(), fmt.Errorf("ingest: no ranking published yet (corpus empty)")
-		}
-		if time.Now().After(deadline) {
-			var have, want uint64
-			if r != nil {
-				have = r.Epoch
-			}
-			if c != nil {
-				want = c.Epoch
-			}
-			return nil, ing.ReplCursor(), fmt.Errorf("ingest: no consistent replication state (full-rank epoch %d, cursor epoch %d)", have, want)
-		}
-		time.Sleep(time.Millisecond)
+	a := ing.anchor.Load()
+	if a == nil {
+		return nil, ing.ReplCursor(), fmt.Errorf("ingest: no ranking published yet (corpus empty)")
 	}
+	return a.r, a.cur, nil
 }
 
 // PushTol returns the incremental-ranking settle tolerance (0 = push

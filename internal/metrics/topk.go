@@ -4,15 +4,9 @@ import "fmt"
 
 // PrecisionAtK returns the fraction of the method's top-k items that are
 // among the ground truth's top-k (by gains). With equal k on both sides
-// this equals recall@k; both names are provided for familiarity.
+// this equals recall@k, OverlapAtK(gains, scores, k).
 func PrecisionAtK(scores, gains []float64, k int) (float64, error) {
 	return OverlapAtK(scores, gains, k)
-}
-
-// RecallAtK returns the fraction of the ground truth's top-k items the
-// method retrieved in its own top-k.
-func RecallAtK(scores, gains []float64, k int) (float64, error) {
-	return OverlapAtK(gains, scores, k)
 }
 
 // MRR returns the mean reciprocal rank of the ground truth's top-t items

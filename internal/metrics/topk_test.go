@@ -16,7 +16,7 @@ func TestPrecisionRecallAtK(t *testing.T) {
 	if math.Abs(p-0.5) > 1e-12 {
 		t.Errorf("precision@2 = %v, want 0.5", p)
 	}
-	r, err := RecallAtK(scores, gains, 2)
+	r, err := OverlapAtK(gains, scores, 2) // recall@2
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestPrecisionEqualsRecallSameK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := RecallAtK(scores, gains, k)
+		r, err := OverlapAtK(gains, scores, k) // recall@k
 		if err != nil {
 			t.Fatal(err)
 		}

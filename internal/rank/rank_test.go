@@ -48,21 +48,3 @@ func TestFuncAdapterPropagatesError(t *testing.T) {
 
 // Compile-time check: Func satisfies Method.
 var _ Method = Func{}
-
-func TestRegisterPanics(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("empty name", func() { Register("", func(map[string]float64) (Method, error) { return nil, nil }) })
-	mustPanic("nil constructor", func() { Register("x-nil", nil) })
-	Register("x-dup", func(map[string]float64) (Method, error) { return Func{ID: "x"}, nil })
-	mustPanic("duplicate", func() {
-		Register("x-dup", func(map[string]float64) (Method, error) { return nil, nil })
-	})
-}

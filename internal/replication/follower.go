@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"attrank/internal/core"
-	"attrank/internal/graph"
 	"attrank/internal/impact"
 	"attrank/internal/ingest"
 )
@@ -83,38 +82,27 @@ type Follower struct {
 
 	// Chain state below is owned by the run goroutine; Close/Kill read
 	// it only after that goroutine has exited.
-	instance, gen   uint64
-	wp              wireParams
-	base            *graph.Network
+	instance, gen uint64
+	// chain replays the leader's epochs (nil before the first seed);
+	// delta holds the mutations since its last full epoch, of which
+	// delta[:chain.Backlog()] are in the push epochs since (DESIGN.md
+	// §14). The durable save point stays at the last full boundary.
+	chain           *ingest.Chain
 	delta           []ingest.Mutation
-	tracker         *core.Tracker
 	wal             *ingest.WAL
 	pend            []byte // shipped bytes not yet forming a whole record
 	streamOff       int64  // leader offset after the last applied record
 	localWALOff     int64  // local WAL offset after the last applied record
 	markerLeaderOff int64  // leader offset after the last applied FULL marker
 	markerLocalOff  int64  // local WAL offset after the last applied FULL marker
-	epochV          uint64 // last applied epoch
-	rankedAt        int
 	rng             *rand.Rand
 
-	// Push-replay state (DESIGN.md §14): the leader's push-mode epochs
-	// are replayed with core.Pusher rather than compaction. delta[:applied]
-	// has been absorbed into push scores; the next full marker compacts
-	// the whole delta and resets applied. lastFull anchors the replay —
-	// the exact scores and Ranking of the last full epoch — and the
-	// durable save point stays at that full boundary (markerLeaderOff /
-	// markerLocalOff above), so recovery replays push epochs itself.
-	applied  int
-	pusher   *core.Pusher
-	lastFull *ingest.Ranking
-	pushTol  float64
-	// impactCfg is the leader's indicator configuration (zero =
-	// disabled). Full markers recompute the impact.Epoch with it — the
+	// pushTol and impactCfg are the leader's push tolerance and
+	// indicator configuration (zero = disabled), shipped at bootstrap.
+	// The chain recomputes each full epoch's impact state with it — the
 	// computation is pure, so leader and follower classes are
-	// bit-identical; push markers carry lastFull's state forward exactly
-	// as the leader does. Set before seedChain runs: the seeded full
-	// boundary computes its impact state too.
+	// bit-identical.
+	pushTol   float64
 	impactCfg impact.Config
 
 	params      atomic.Pointer[core.Params]
@@ -341,7 +329,7 @@ func (f *Follower) bootstrap() error {
 	if f.cfg.Expect != nil && wireParamsOf(*f.cfg.Expect) != hdr.Params {
 		return fmt.Errorf("bootstrap: leader params %+v differ from expected %+v", hdr.Params, wireParamsOf(*f.cfg.Expect))
 	}
-	f.impactCfg = hdr.Impact.config()
+	f.impactCfg, f.pushTol = hdr.Impact.config(), hdr.PushTol
 	if err := f.seedChain(net, hdr.Params, vecs[0], vecs[1], vecs[2], hdr.Epoch, hdr.RankedAt); err != nil {
 		return fmt.Errorf("bootstrap: %w", err)
 	}
@@ -357,7 +345,6 @@ func (f *Follower) bootstrap() error {
 	f.wal = wal
 	f.pend = nil
 	f.instance, f.gen = hdr.Instance, hdr.Gen
-	f.pushTol = hdr.PushTol
 	f.streamOff, f.markerLeaderOff = hdr.Offset, hdr.Offset
 	f.localWALOff, f.markerLocalOff = wal.Size(), wal.Size()
 	f.localOffA.Store(hdr.Offset)
@@ -485,89 +472,44 @@ func (f *Follower) applyRecord(m ingest.Mutation, size int64, live bool) error {
 }
 
 // applyMarker is the follower half of the determinism contract (see
-// ingest.KindEpoch): for a full marker, compact exactly Count buffered
-// mutations, rank at the marker's RankedAt with the seeded tracker, and
-// publish the marker's epoch; for a push marker (MarkPush), replay the
-// leader's incremental update over the same mutations instead. Any
-// disagreement with the local chain means the stream and the state have
-// diverged — resync rather than guess.
+// ingest.KindEpoch): the chain ranks a full marker's epoch over the
+// whole delta at the marker's RankedAt, or pushes a push marker's
+// (MarkPush) Count new citations, and the follower publishes it. Any
+// disagreement with the local chain means the stream and the state
+// have diverged — resync rather than guess. Only full markers move the
+// durable save point, so approximate push state is never the anchor.
 func (f *Follower) applyMarker(mark ingest.EpochMark) error {
-	if mark.Epoch != f.epochV+1 {
-		return resyncf("marker for epoch %d after local epoch %d", mark.Epoch, f.epochV)
+	if local := f.localEpochA.Load(); mark.Epoch != local+1 {
+		return resyncf("marker for epoch %d after local epoch %d", mark.Epoch, local)
 	}
-	if mark.Flags&ingest.MarkPush != 0 {
-		return f.applyPushMarker(mark)
+	push := mark.Flags&ingest.MarkPush != 0
+	newMuts := f.delta[f.chain.Backlog():]
+	if int(mark.Count) != len(newMuts) {
+		return resyncf("marker for epoch %d covers %d mutations, %d buffered", mark.Epoch, mark.Count, len(newMuts))
 	}
-	if int(mark.Count) != len(f.delta)-f.applied {
-		return resyncf("marker for epoch %d covers %d mutations, %d buffered", mark.Epoch, mark.Count, len(f.delta)-f.applied)
+	if last := f.chain.Last(); push && (mark.RankedAt != last.RankedAt || f.pushTol <= 0) {
+		return resyncf("push marker for epoch %d at ranking time %d after a full epoch at %d (push tolerance %g)",
+			mark.Epoch, mark.RankedAt, last.RankedAt, f.pushTol)
 	}
-	net, err := ingest.Compact(f.base, f.delta)
+	var r *ingest.Ranking
+	var err error
+	if push {
+		r, err = f.chain.Push(mark.Epoch, newMuts)
+	} else {
+		r, err = f.chain.Rank(mark.Epoch, f.chain.Last().Net, f.delta, mark.RankedAt)
+	}
 	if err != nil {
-		return resyncf("compacting shipped mutations: %v", err)
+		return resyncf("epoch %d: %v", mark.Epoch, err)
 	}
-	res, err := f.tracker.Update(net, mark.RankedAt)
-	if err != nil {
-		return fmt.Errorf("ranking epoch %d: %w", mark.Epoch, err)
+	if push {
+		mPushEpochsApplied.Inc()
+	} else {
+		f.delta = nil
+		f.markerLeaderOff, f.markerLocalOff = f.streamOff, f.localWALOff
 	}
-	f.base, f.delta = net, nil
-	f.applied, f.pusher = 0, nil
-	f.epochV, f.rankedAt = mark.Epoch, mark.RankedAt
-	f.markerLeaderOff, f.markerLocalOff = f.streamOff, f.localWALOff
-	f.publishFull(ingest.FullRanking(mark.Epoch, net, res, mark.RankedAt, f.impactCfg, f.logf))
-	mEpochsApplied.Inc()
-	f.observeLag()
-	return nil
-}
-
-// publishFull publishes a full (exact) epoch and makes it the anchor of
-// the push replay that may follow.
-func (f *Follower) publishFull(r *ingest.Ranking) {
-	f.lastFull = r
 	f.ranking.Store(r)
 	f.localEpochA.Store(r.Epoch)
-}
-
-// applyPushMarker replays one incremental (push) epoch: feed the new
-// buffered citations to a core.Pusher seeded from the last full epoch's
-// exact scores, settle to the leader's shipped tolerance, and publish.
-// The pusher is deterministic and serial, so the published scores are
-// bit-identical to the leader's. The durable save point deliberately
-// stays at the last full boundary — recovery re-replays push epochs
-// from the local WAL, so approximate state is never the anchor.
-func (f *Follower) applyPushMarker(mark ingest.EpochMark) error {
-	newMuts := f.delta[f.applied:]
-	if int(mark.Count) != len(newMuts) {
-		return resyncf("push marker for epoch %d covers %d mutations, %d buffered", mark.Epoch, mark.Count, len(newMuts))
-	}
-	if mark.RankedAt != f.rankedAt {
-		return resyncf("push marker for epoch %d moves ranking time %d → %d", mark.Epoch, f.rankedAt, mark.RankedAt)
-	}
-	if f.pushTol <= 0 {
-		return resyncf("push marker for epoch %d but no push tolerance from bootstrap", mark.Epoch)
-	}
-	if f.pusher == nil {
-		if f.applied != 0 || f.lastFull == nil || f.lastFull.Net != f.base {
-			return resyncf("push marker for epoch %d without a full-epoch anchor", mark.Epoch)
-		}
-		pu, err := core.NewPusher(f.base, f.rankedAt, f.wp.params(), core.ReplayPushConfig(f.pushTol), f.lastFull.Result.Scores)
-		if err != nil {
-			return resyncf("push seed for epoch %d: %v", mark.Epoch, err)
-		}
-		f.pusher = pu
-	}
-	if err := ingest.PushCitations(f.pusher, f.base, newMuts); err != nil {
-		return resyncf("push epoch %d: %v", mark.Epoch, err)
-	}
-	st, err := f.pusher.Settle()
-	if err != nil {
-		return resyncf("push epoch %d settle: %v", mark.Epoch, err)
-	}
-	f.applied = len(f.delta)
-	f.epochV = mark.Epoch
-	f.ranking.Store(f.lastFull.Pushed(mark.Epoch, f.pusher, st.Pushes, f.applied))
-	f.localEpochA.Store(mark.Epoch)
 	mEpochsApplied.Inc()
-	mPushEpochsApplied.Inc()
 	f.observeLag()
 	return nil
 }

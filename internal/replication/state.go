@@ -57,11 +57,11 @@ type diskState struct {
 // in the local WAL, so recovery replays them through the same push
 // path the stream used.
 func (f *Follower) saveState() error {
-	r := f.lastFull
-	if r == nil || f.base == nil {
+	if f.chain == nil {
 		return fmt.Errorf("replication: no state to save")
 	}
-	if err := dataio.SaveBinaryAtomic(filepath.Join(f.dir, baseFile), f.base); err != nil {
+	r := f.chain.Last()
+	if err := dataio.SaveBinaryAtomic(filepath.Join(f.dir, baseFile), r.Net); err != nil {
 		return err
 	}
 	err := dataio.WriteFileAtomic(filepath.Join(f.dir, vectorsFile), func(w io.Writer) error {
@@ -82,8 +82,8 @@ func (f *Follower) saveState() error {
 		Epoch:          r.Epoch,
 		RankedAt:       r.RankedAt,
 		LocalWALOffset: f.markerLocalOff,
-		Papers:         f.base.N(),
-		Params:         f.wp,
+		Papers:         r.Net.N(),
+		Params:         wireParamsOf(f.Params()),
 		PushTol:        f.pushTol,
 		Impact:         wireImpactOf(f.impactCfg),
 	}
@@ -132,12 +132,11 @@ func (f *Follower) recover() error {
 			return err
 		}
 	}
-	f.impactCfg = st.Impact.config()
+	f.impactCfg, f.pushTol = st.Impact.config(), st.PushTol
 	if err := f.seedChain(net, st.Params, vecs[0], vecs[1], vecs[2], st.Epoch, st.RankedAt); err != nil {
 		return err
 	}
 	f.instance, f.gen = st.Instance, st.Gen
-	f.pushTol = st.PushTol
 	f.markerLeaderOff, f.markerLocalOff = st.LeaderOffset, st.LocalWALOffset
 	f.streamOff, f.localWALOff = st.LeaderOffset, st.LocalWALOffset
 
@@ -161,32 +160,31 @@ func (f *Follower) recover() error {
 		f.logf("repl: follower: local wal torn tail truncated: %v", torn)
 	}
 	f.wal = wal
-	f.logf("repl: follower recovered: epoch %d, %d papers, resume offset %d", f.epochV, f.base.N(), f.streamOff)
+	f.logf("repl: follower recovered: epoch %d, %d papers, resume offset %d", f.localEpochA.Load(), f.chain.Last().Net.N(), f.streamOff)
 	return nil
 }
 
 // seedChain installs a (corpus, vectors) pair as the follower's chain
-// state at the given epoch: corpus published, tracker seeded with the
-// scores so the next Update continues the leader's warm-start chain.
+// state at the given epoch: a fresh chain, seeded with the scores so
+// the next full marker continues the leader's warm-start chain, and its
+// full epoch published. It needs f.pushTol and f.impactCfg set.
 func (f *Follower) seedChain(net *graph.Network, wp wireParams, scores, att, rec []float64, epoch uint64, rankedAt int) error {
 	params := wp.params()
-	tracker, err := core.NewTracker(params)
+	chain, err := ingest.NewChain(params, core.ReplayPushConfig(f.pushTol), f.impactCfg, f.logf)
 	if err != nil {
 		return err
 	}
-	if err := tracker.Seed(net, scores); err != nil {
-		return err
-	}
-	f.base, f.delta, f.tracker = net, nil, tracker
-	f.applied, f.pusher = 0, nil
-	f.wp = wp
-	f.params.Store(&params)
-	f.epochV, f.rankedAt = epoch, rankedAt
 	// The seeded state is always a full (exact) boundary: ReplState
 	// anchors bootstraps there, and saveState anchors recovery there.
 	// Neither ships an iteration count, so the seeded Result reports 0.
-	res := &core.Result{Scores: scores, Attention: att, Recency: rec, Converged: true}
-	f.publishFull(ingest.FullRanking(epoch, net, res, rankedAt, f.impactCfg, f.logf))
+	r, err := chain.Seed(epoch, net, &core.Result{Scores: scores, Attention: att, Recency: rec, Converged: true}, rankedAt)
+	if err != nil {
+		return err
+	}
+	f.chain, f.delta = chain, nil
+	f.params.Store(&params)
+	f.ranking.Store(r)
+	f.localEpochA.Store(epoch)
 	return nil
 }
 
@@ -205,8 +203,7 @@ func (f *Follower) wipe() {
 		}
 	}
 	f.instance, f.gen = 0, 0
-	f.base, f.delta, f.tracker = nil, nil, nil
-	f.applied, f.pusher, f.lastFull, f.pushTol = 0, nil, nil, 0
+	f.chain, f.delta, f.pushTol = nil, nil, 0
 	f.impactCfg = impact.Config{}
 	f.pend = nil
 	f.streamOff, f.localWALOff = 0, 0

@@ -44,6 +44,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"attrank/internal/authors"
@@ -88,26 +89,8 @@ type Server struct {
 	now           int
 	tracker       *core.Tracker
 	staticEpoch   uint64
-	staticView    atomicRanking
+	staticView    atomic.Pointer[ingest.Ranking]
 	staticLastDur time.Duration
-}
-
-// atomicRanking is a tiny typed wrapper so the zero Server is useful.
-type atomicRanking struct {
-	mu sync.RWMutex
-	r  *ingest.Ranking
-}
-
-func (a *atomicRanking) Load() *ingest.Ranking {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.r
-}
-
-func (a *atomicRanking) Store(r *ingest.Ranking) {
-	a.mu.Lock()
-	a.r = r
-	a.mu.Unlock()
 }
 
 // New ranks the network at time now with the given parameters and

@@ -61,7 +61,7 @@ if [ "${1:-}" = "quick" ]; then
 	echo "==> go test -race -short (replication follower)"
 	go test -race -short -run 'Follower' ./internal/replication/
 	echo "==> go test -race (incremental push path and compaction: kernel, overlay, builder splice, metamorphic, ingest, replication)"
-	go test -race -run 'Push|Pusher|Overlay|Incremental|FlushDebounceRace|EpochMarkerLegacy|Builder|Compact|Tracker|CitationMatrix|FromCSC|Validate' \
+	go test -race -run 'Push|Pusher|Overlay|Incremental|FlushDebounceRace|EpochMarkerLegacy|Builder|Compact|Chain|Tracker|CitationMatrix|FromCSC|Validate' \
 		./internal/sparse/ ./internal/graph/ ./internal/core/ ./internal/ingest/ ./internal/replication/
 	echo "==> go test -race (impact indicators: classes, PageRank bit-equality, endpoints, replication)"
 	go test -race -run 'Impact|Class|Indicator|Influence|PageRank|Threshold|Impulse|NormalizeID|Golden|Resolve' \
