@@ -81,6 +81,13 @@ type report struct {
 	IterFusedSerialNS int64 `json:"iter_fused_parts1_ns"`
 	IterFusedNS       int64 `json:"iter_fused_ns"`
 
+	// One four-lane pass of the tiled kernel (StepLanes, which RankBatch
+	// runs for the cells of a sweep) at parts 1, and what one lane saves
+	// against one single-vector step: 4·iter_fused_parts1_ns divided by
+	// iter_lanes4_ns.
+	IterLanes4NS         int64   `json:"iter_lanes4_ns"`
+	Lanes4PerLaneSpeedup float64 `json:"lanes4_per_lane_speedup"`
+
 	// Full Rank wall clock: cold compiles everything, warm reuses the
 	// cached operator and warm-starts from the previous scores.
 	RankColdNS    int64   `json:"rank_cold_ns"`
@@ -208,6 +215,24 @@ func run(papers int, out string, reps int) error {
 	})
 	r.FusedVsSerial = float64(r.IterSerialNS) / float64(r.IterFusedNS)
 
+	// Four lanes with the fused step's coefficients, all starting from
+	// its iterate. StepLanes updates in place, so the reps time
+	// successive passes; a pass costs the same at any iterate.
+	xl, yl := make([]float64, sparse.Lanes*n), make([][sparse.Lanes]float64, n)
+	for i, v := range xp {
+		for l := 0; l < sparse.Lanes; l++ {
+			xl[sparse.Lanes*i+l] = v
+		}
+	}
+	var lanes sparse.LaneSet
+	for l := range lanes.Live {
+		lanes.Alpha[l], lanes.Beta[l], lanes.Gamma[l], lanes.Live[l] = 0.5, 0.3, 0.2, true
+	}
+	r.IterLanes4NS = best(reps, func() {
+		tiled.StepLanes(xl, yl, attP, recP, &lanes, 1)
+	})
+	r.Lanes4PerLaneSpeedup = float64(sparse.Lanes*r.IterFusedSerialNS) / float64(r.IterLanes4NS)
+
 	// Full cold vs warm rank through the operator cache.
 	p := core.Params{Alpha: 0.5, Beta: 0.3, Gamma: 0.2, AttentionYears: 3, W: -0.16, Workers: -1}
 	coldDur, coldRes, err := rankOnce(core.Compile(net), now, p)
@@ -294,6 +319,7 @@ func run(papers int, out string, reps int) error {
 	fmt.Printf("per-iteration: serial=%s tiled(1)=%s tiled(%d)=%s\n",
 		time.Duration(r.IterSerialNS), time.Duration(r.IterFusedSerialNS), pool.Size(), time.Duration(r.IterFusedNS))
 	fmt.Printf("tiled speedup: %.2fx vs serial\n", r.FusedVsSerial)
+	fmt.Printf("four-lane step: %s, %.2fx per lane vs tiled(1)\n", time.Duration(r.IterLanes4NS), r.Lanes4PerLaneSpeedup)
 	fmt.Printf("full rank: cold=%s (%d iters) warm=%s (%d iters)\n",
 		time.Duration(r.RankColdNS), r.RankColdIters, time.Duration(r.RankWarmNS), r.RankWarmIters)
 	fmt.Printf("metrics overhead: instrumented=%s/iter uninstrumented=%s/iter measured %+.2f%% ±%.2f%% noise -> reported %.2f%%\n",

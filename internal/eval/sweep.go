@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 
 	"attrank/internal/core"
@@ -100,43 +101,26 @@ type AttRankCell struct {
 
 // SweepAttRank evaluates the full AttRank grid on the split, returning
 // cells in grid order with a per-cell error, exactly as the sequential
-// sweep did. Internally the grid is partitioned by shared (y, w) — cells
-// that differ only in α/β/γ share one attention and one recency vector —
-// and each partition runs through one RankBatch, which also reuses one
-// pair of iteration buffers across its cells. Scores per cell are
-// bit-identical to the per-cell op.Rank the sequential sweep performed.
-// Partitions are spread over a fixed pool of GOMAXPROCS workers, each
-// reusing one metrics.Scratch.
+// sweep did. Internally the grid is cut into work units (sweepUnits):
+// at most core.Lanes cells that share (y, w), so one RankBatch ranks a
+// unit through one attention and one recency vector and, for a lane
+// group, one four-lane pass over the matrix per iteration. Scores per
+// cell are bit-identical to the per-cell op.Rank the sequential sweep
+// performed. Units go, longest first, to a fixed pool of GOMAXPROCS
+// workers, each reusing one metrics.Scratch, so no core idles behind
+// one long partition.
 func SweepAttRank(s *Split, truth []float64, grid []core.Params, m Metric) []AttRankCell {
 	op := core.OperatorFor(s.Current)
 	cells := make([]AttRankCell, len(grid))
-
-	// Partition the grid by (y, w) in first-seen order.
-	type ywKey struct {
-		y int
-		w float64
-	}
-	index := map[ywKey]int{}
-	var partitions [][]int // original grid indices per partition
-	for i, p := range grid {
-		k := ywKey{y: p.AttentionYears, w: p.W}
-		at, ok := index[k]
-		if !ok {
-			at = len(partitions)
-			index[k] = at
-			partitions = append(partitions, nil)
-		}
-		partitions[at] = append(partitions[at], i)
-	}
-
-	runWorkers(len(partitions), func(scratch *metrics.Scratch, pi int) {
-		part := partitions[pi]
-		ps := make([]core.Params, len(part))
-		for j, gi := range part {
+	units := sweepUnits(grid)
+	runWorkers(len(units), func(scratch *metrics.Scratch, ui int) {
+		unit := units[ui]
+		ps := make([]core.Params, len(unit))
+		for j, gi := range unit {
 			ps[j] = grid[gi]
 		}
 		results, errs := op.RankBatch(s.TN, ps)
-		for j, gi := range part {
+		for j, gi := range unit {
 			p := grid[gi]
 			if errs[j] != nil {
 				cells[gi] = AttRankCell{Params: p, Err: errs[j]}
@@ -144,10 +128,46 @@ func SweepAttRank(s *Split, truth []float64, grid []core.Params, m Metric) []Att
 			}
 			v, err := m.score(scratch, results[j].Scores, truth)
 			cells[gi] = AttRankCell{Params: p, Value: v, Err: err}
-			results[j] = nil // release the score vector before the next cell
 		}
 	})
 	return cells
+}
+
+// sweepUnits cuts the grid into work units of grid indices: every lane
+// group RankBatch forms from the whole grid (core.LaneGroups), then the
+// other cells of each (y, w) — α = 0 and warm starts, ranked one by
+// one — in grid order, in runs of at most core.Lanes. The units are
+// ordered longest first: a lane group iterates as long as its largest
+// α needs (the power method's error shrinks by a factor α per
+// iteration), so they are stably sorted by their leading α, descending.
+func sweepUnits(grid []core.Params) [][]int {
+	units := core.LaneGroups(grid)
+	inLane := make([]bool, len(grid))
+	for _, u := range units {
+		for _, gi := range u {
+			inLane[gi] = true
+		}
+	}
+	type ywKey struct {
+		y int
+		w float64
+	}
+	open := map[ywKey]int{} // each (y, w)'s unit still taking cells
+	for gi, p := range grid {
+		if inLane[gi] {
+			continue
+		}
+		k := ywKey{y: p.AttentionYears, w: p.W}
+		at, ok := open[k]
+		if !ok || len(units[at]) == core.Lanes {
+			at = len(units)
+			open[k] = at
+			units = append(units, nil)
+		}
+		units[at] = append(units[at], gi)
+	}
+	sort.SliceStable(units, func(a, b int) bool { return grid[units[a][0]].Alpha > grid[units[b][0]].Alpha })
+	return units
 }
 
 // BestCell returns the best successful cell, optionally filtered. The

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 )
 
@@ -104,8 +105,9 @@ type TiledStochastic struct {
 	perm     []int32 // old → new (shared, read-only; identity if nil given)
 	pool     *Pool
 
-	scratch  *VecPool // len-rows vectors, the per-step y buffer
-	partials *VecPool // len-tiles vectors, the per-step residual partials
+	scratch      *VecPool // len-rows vectors, the per-step y buffer
+	partials     *VecPool // len-tiles vectors, the per-step residual partials
+	lanePartials *VecPool // len Lanes·tiles, StepLanes' residual partials
 
 	occupiedRow int // rows with ≥1 entry (for occupancy telemetry)
 }
@@ -238,6 +240,7 @@ func (s *Stochastic) TiledRows(pool *Pool, perm []int32, tileRows int) *TiledSto
 		t.tiles = append(t.tiles, tileHeader{rowLo: int32(lo), rowHi: int32(hi)})
 	}
 	t.partials = NewVecPool(len(t.tiles))
+	t.lanePartials = NewVecPool(Lanes * len(t.tiles))
 	for r := 0; r < n; r++ {
 		if t.rowPtr[r+1] > t.rowPtr[r] {
 			t.occupiedRow++
@@ -482,6 +485,193 @@ func (t *TiledStochastic) stepTileSmall(h tileHeader, next, x, y, att, rec []flo
 			d = -d
 		}
 		resid += d
+	}
+	return resid
+}
+
+// Lanes is the number of iterates StepLanes carries through one pass.
+const Lanes = 4
+
+// LaneSet is one StepLanes pass's per-lane coefficients. A lane that is
+// not Live is frozen: its iterate is left as it is and its residual
+// reads 0. Padding lanes of a group smaller than Lanes are frozen lanes.
+type LaneSet struct {
+	Alpha, Beta, Gamma [Lanes]float64
+	Live               [Lanes]bool
+}
+
+// StepLanes is Step for Lanes iterates at once, sharing one pass over
+// the column words. x holds the iterates interleaved — x[Lanes·i+l] is
+// lane l's entry i — and every live lane is updated in place: a row's
+// new value depends on the other rows only through the premultiplied
+// y, so row r may overwrite x[r] once its residual term is taken. y is
+// a caller-owned n-entry scratch block, overwritten with the
+// premultiplied iterates; its array entries let the gather index a
+// column's four lanes with one bounds check, or none through a window
+// view. att and rec are shared by every lane.
+//
+// Each lane repeats Step's arithmetic for its own coefficients in
+// Step's order — dangling mass in ascending original-column order, the
+// premultiply by colVal, the row gather-add in entry order, the α/β/γ
+// combine, per-tile residual partials tree-summed in tile order — so
+// lane l's iterate and residual are bit-identical to Step on that lane
+// alone, at every window count and every parts.
+func (t *TiledStochastic) StepLanes(x []float64, y [][Lanes]float64, att, rec []float64, ls *LaneSet, parts int) [Lanes]float64 {
+	n := t.rows
+	x, y = x[:Lanes*n], y[:n]
+	hasDangling := len(t.dangling) > 0
+	var share [Lanes]float64
+	if hasDangling {
+		var mass [Lanes]float64
+		for _, c := range t.dangling {
+			xc := (*[Lanes]float64)(x[Lanes*int(c):])
+			for l := range mass {
+				mass[l] += xc[l]
+			}
+		}
+		for l := range share {
+			share[l] = mass[l] / float64(n)
+		}
+	}
+	for i, v := range t.colVal {
+		xi := (*[Lanes]float64)(x[Lanes*i:])
+		yi := &y[i]
+		yi[0] = v * xi[0]
+		yi[1] = v * xi[1]
+		yi[2] = v * xi[2]
+		yi[3] = v * xi[3]
+	}
+	tiles := len(t.tiles)
+	partial := t.lanePartials.Get()
+	defer t.lanePartials.Put(partial)
+	if parts <= 1 || t.pool == nil {
+		for ti := 0; ti < tiles; ti++ {
+			t.laneTile(ti, partial, x, y, att, rec, ls, &share, hasDangling)
+		}
+	} else {
+		var claimed atomic.Int64
+		sh := share // the tasks' copy, so the inline path keeps share on the stack
+		t.pool.Run(min(parts, tiles), func(int) {
+			for ti := int(claimed.Add(1) - 1); ti < tiles; ti = int(claimed.Add(1) - 1) {
+				t.laneTile(ti, partial, x, y, att, rec, ls, &sh, hasDangling)
+			}
+		})
+	}
+	var resid [Lanes]float64
+	for l := range resid {
+		if ls.Live[l] {
+			resid[l] = treeSum(partial[l*tiles : (l+1)*tiles])
+		}
+	}
+	return resid
+}
+
+// laneTile runs StepLanes over tile ti and stores each lane's residual
+// in partial[l·tiles+ti].
+func (t *TiledStochastic) laneTile(ti int, partial, x []float64, y [][Lanes]float64, att, rec []float64, ls *LaneSet, share *[Lanes]float64, hasDangling bool) {
+	var resid [Lanes]float64
+	if t.rows < windowSize {
+		resid = t.laneTileSmall(t.tiles[ti], x, y, att, rec, ls, share, hasDangling)
+	} else {
+		resid = t.laneTileWide(t.tiles[ti], x, y, att, rec, ls, share, hasDangling)
+	}
+	for l, v := range resid {
+		partial[l*len(t.tiles)+ti] = v
+	}
+}
+
+// update finishes lane l of row r, whose gathered sum (dangling share
+// included) is s and whose attention and recency are a and b: if the
+// lane is live, apply its α/β/γ exactly as stepTile does, add
+// |new − old| to its residual and store the new value in xr, row r's
+// interleaved iterate. math.Abs is branch-free where stepTile's
+// `if d < 0` mispredicts on about half the rows; the two differ only on
+// −0, which adds nothing to a residual that starts at +0, so the bits
+// agree.
+func (ls *LaneSet) update(l int, s, a, b float64, xr, resid *[Lanes]float64) {
+	if !ls.Live[l] {
+		return
+	}
+	v := ls.Alpha[l]*s + ls.Beta[l]*a + ls.Gamma[l]*b
+	resid[l] += math.Abs(v - xr[l])
+	xr[l] = v
+}
+
+// laneTileSmall is StepLanes over one tile of a single-window layout
+// (stepTileSmall's shape): column words are absolute storage ids. Each
+// tile body spells out a row's tail — the dangling share, then update
+// per lane — as Step's bodies spell out their combine: a shared helper
+// is too big to inline, and a call per row cost 13% of a pass on the
+// sweep benchmark's split.
+func (t *TiledStochastic) laneTileSmall(h tileHeader, x []float64, y [][Lanes]float64, att, rec []float64, ls *LaneSet, share *[Lanes]float64, hasDangling bool) [Lanes]float64 {
+	var resid [Lanes]float64
+	rowPtr, colw := t.rowPtr, t.cols
+	for r := int(h.rowLo); r < int(h.rowHi); r++ {
+		var s0, s1, s2, s3 float64
+		for _, c := range colw[rowPtr[r]:rowPtr[r+1]] {
+			yc := &y[c]
+			s0 += yc[0]
+			s1 += yc[1]
+			s2 += yc[2]
+			s3 += yc[3]
+		}
+		if hasDangling {
+			s0 += share[0]
+			s1 += share[1]
+			s2 += share[2]
+			s3 += share[3]
+		}
+		xr := (*[Lanes]float64)(x[Lanes*r:])
+		a, b := att[r], rec[r]
+		ls.update(0, s0, a, b, xr, &resid)
+		ls.update(1, s1, a, b, xr, &resid)
+		ls.update(2, s2, a, b, xr, &resid)
+		ls.update(3, s3, a, b, xr, &resid)
+	}
+	return resid
+}
+
+// laneTileWide is StepLanes over one tile of a layout with two or more
+// windows (stepTile's generic shape): each row gathers its window runs
+// in window order through fixed-length 64Ki views of y. Step keeps a
+// two-window body (stepTileW2) because serving ranks 100k corpora; the
+// lane step's one end-to-end workload, the sweep, ranks a one-window
+// split.
+func (t *TiledStochastic) laneTileWide(h tileHeader, x []float64, y [][Lanes]float64, att, rec []float64, ls *LaneSet, share *[Lanes]float64, hasDangling bool) [Lanes]float64 {
+	var resid [Lanes]float64
+	rowPtr, colw := t.rowPtr, t.cols
+	for r := int(h.rowLo); r < int(h.rowHi); r++ {
+		k := int(rowPtr[r])
+		end := int(rowPtr[r+1])
+		var s0, s1, s2, s3 float64
+		for j := range t.wbase {
+			segEnd := end
+			if j < len(t.splits) {
+				segEnd = int(t.splits[j][r])
+			}
+			yw := y[t.wbase[j]:]
+			yw = yw[:windowSize:windowSize]
+			for _, c := range colw[k:segEnd] {
+				yc := &yw[c]
+				s0 += yc[0]
+				s1 += yc[1]
+				s2 += yc[2]
+				s3 += yc[3]
+			}
+			k = segEnd
+		}
+		if hasDangling {
+			s0 += share[0]
+			s1 += share[1]
+			s2 += share[2]
+			s3 += share[3]
+		}
+		xr := (*[Lanes]float64)(x[Lanes*r:])
+		a, b := att[r], rec[r]
+		ls.update(0, s0, a, b, xr, &resid)
+		ls.update(1, s1, a, b, xr, &resid)
+		ls.update(2, s2, a, b, xr, &resid)
+		ls.update(3, s3, a, b, xr, &resid)
 	}
 	return resid
 }

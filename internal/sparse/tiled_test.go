@@ -256,26 +256,8 @@ func TestTiledTwoWindows(t *testing.T) {
 	for _, tc := range []struct{ n, windows int }{{70000, 2}, {150000, 3}} {
 		t.Run(fmt.Sprintf("n=%d", tc.n), func(t *testing.T) {
 			n := tc.n
-			entries := []Coord{
-				{Row: 5, Col: 0, Val: 1},
-				{Row: 5, Col: int32(n - 1), Val: 1}, // first and last windows
-				{Row: 9, Col: 1, Val: 1},
-				{Row: 9, Col: windowSize, Val: 1}, // every window
-				{Row: 9, Col: int32(n - 2), Val: 1},
-				{Row: 2100, Col: 7, Val: 1},                          // second tile, window 0 only
-				{Row: int32(n - 1000), Col: int32(n - 2000), Val: 1}, // last window only
-			}
 			rng := rand.New(rand.NewSource(71))
-			for i := 0; i < 3000; i++ {
-				// Half the entries land on 64 dense rows that span every
-				// window, half on rows anywhere.
-				row := rng.Intn(64)
-				if i%2 == 1 {
-					row = rng.Intn(n)
-				}
-				entries = append(entries, Coord{Row: int32(row), Col: int32(rng.Intn(n)), Val: 1})
-			}
-			s := citationStochastic(t, mustMatrix2(t, n, n, entries))
+			s := windowedStochastic(t, rng, n)
 
 			x, att, rec := randomVectors(rng, n)
 			want := make([]float64, n)
@@ -325,6 +307,32 @@ func TestTiledTwoWindows(t *testing.T) {
 			}()
 		})
 	}
+}
+
+// windowedStochastic builds an n×n citation matrix whose rows straddle
+// the 64Ki column windows: rows with entries in the first and last
+// windows, a row with an entry in every window, a second-tile row in
+// window 0 only, a last-window-only row, and 3000 random entries, half
+// on 64 dense rows that span every window. Most columns stay dangling.
+func windowedStochastic(t testing.TB, rng *rand.Rand, n int) *Stochastic {
+	t.Helper()
+	entries := []Coord{
+		{Row: 5, Col: 0, Val: 1},
+		{Row: 5, Col: int32(n - 1), Val: 1}, // first and last windows
+		{Row: 9, Col: 1, Val: 1},
+		{Row: 9, Col: windowSize, Val: 1}, // every window
+		{Row: 9, Col: int32(n - 2), Val: 1},
+		{Row: 2100, Col: 7, Val: 1},                          // second tile, window 0 only
+		{Row: int32(n - 1000), Col: int32(n - 2000), Val: 1}, // last window only
+	}
+	for i := 0; i < 3000; i++ {
+		row := rng.Intn(64)
+		if i%2 == 1 {
+			row = rng.Intn(n)
+		}
+		entries = append(entries, Coord{Row: int32(row), Col: int32(rng.Intn(n)), Val: 1})
+	}
+	return citationStochastic(t, mustMatrix2(t, n, n, entries))
 }
 
 // mustMatrix2 is mustMatrix for testing.TB (the wide-tile test builds a
@@ -449,5 +457,120 @@ func TestTiledStepAllocs(t *testing.T) {
 				t.Fatalf("%s parts=%d: %.1f allocs/step, want ≤ %d", tc.name, c.parts, got, c.max)
 			}
 		}
+	}
+}
+
+// TestTiledStepLanesMatchesStep pins the lane step to Step. On layouts
+// of one, two and three column windows under DegreeOrder, every one
+// with dangling columns, four lanes with different α/β/γ step through
+// three passes while lanes freeze one by one. After each pass a live
+// lane's iterate and residual must == a Step of that lane alone; a
+// frozen lane's iterate must be untouched and its residual 0. A second
+// schedule runs two live lanes beside two padding lanes, which must stay
+// zero. Both hold at every parts; y starts as NaN to show no pass reads
+// a stale premultiplied value.
+func TestTiledStepLanesMatchesStep(t *testing.T) {
+	pool := NewPool(4)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(81))
+	for _, tc := range []struct {
+		name    string
+		s       *Stochastic
+		tile    int
+		windows int
+	}{
+		{"windows=1", powerLawStochastic(t, 82, 3000, 20000), 256, 1},
+		{"windows=2", windowedStochastic(t, rng, 70000), DefaultTileRows, 2},
+		{"windows=3", windowedStochastic(t, rng, 150000), DefaultTileRows, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.s
+			n := s.N()
+			ti := s.TiledRows(pool, s.DegreeOrder(nil), tc.tile)
+			if st := ti.Stats(); st.Windows != tc.windows || st.Tiles < 2 || s.DanglingCount() == 0 {
+				t.Fatalf("layout has %d windows, %d tiles, %d dangling columns; want %d windows, several tiles, some dangling",
+					st.Windows, st.Tiles, s.DanglingCount(), tc.windows)
+			}
+			_, att, rec := randomVectors(rng, n)
+			var start [Lanes][]float64
+			for l := range start {
+				start[l], _, _ = randomVectors(rng, n)
+			}
+			coef := LaneSet{
+				Alpha: [Lanes]float64{0.5, 0.3, 0.15, 0.45},
+				Beta:  [Lanes]float64{0.3, 0.6, 0, 0.1},
+				Gamma: [Lanes]float64{0.2, 0.1, 0.85, 0.45},
+			}
+			schedules := []struct {
+				name  string
+				lanes int // lanes ≥ this are padding: zero iterate, zero coefficients
+				live  [][Lanes]bool
+			}{
+				{"freezing", Lanes, [][Lanes]bool{{true, true, true, true}, {true, false, true, true}, {false, false, true, false}}},
+				{"padding", 2, [][Lanes]bool{{true, true, false, false}, {true, true, false, false}}},
+			}
+			for _, sc := range schedules {
+				ls := coef
+				var want [Lanes][]float64
+				for l := range want {
+					want[l] = make([]float64, n)
+					if l < sc.lanes {
+						copy(want[l], start[l])
+					} else {
+						ls.Alpha[l], ls.Beta[l], ls.Gamma[l] = 0, 0, 0
+					}
+				}
+				// The Step reference, pass by pass, once for every parts.
+				var wantResid [][Lanes]float64
+				var wantX [][Lanes][]float64
+				for _, live := range sc.live {
+					var resid [Lanes]float64
+					for l := range want {
+						if live[l] {
+							next := make([]float64, n)
+							resid[l] = ti.Step(next, want[l], att, rec, ls.Alpha[l], ls.Beta[l], ls.Gamma[l], 1)
+							want[l] = next
+						}
+					}
+					wantResid = append(wantResid, resid)
+					wantX = append(wantX, want)
+				}
+				for _, parts := range []int{1, 2, 3, 7} {
+					x := make([]float64, Lanes*n)
+					for l := 0; l < sc.lanes; l++ {
+						for i, v := range start[l] {
+							x[Lanes*i+l] = v
+						}
+					}
+					y := make([][Lanes]float64, n)
+					for i := range y {
+						y[i] = [Lanes]float64{math.NaN(), math.NaN(), math.NaN(), math.NaN()}
+					}
+					for pass, live := range sc.live {
+						ls.Live = live
+						resid := ti.StepLanes(x, y, att, rec, &ls, parts)
+						if resid != wantResid[pass] {
+							t.Fatalf("%s parts=%d pass %d: residuals %v, want exactly %v", sc.name, parts, pass, resid, wantResid[pass])
+						}
+						for l, w := range wantX[pass] {
+							for i := range w {
+								if x[Lanes*i+l] != w[i] {
+									t.Fatalf("%s parts=%d pass %d lane %d (live %v): x[%d] = %v, want %v (not bit-identical)",
+										sc.name, parts, pass, l, live[l], i, x[Lanes*i+l], w[i])
+								}
+							}
+						}
+					}
+				}
+			}
+
+			// Inline, a lane pass allocates nothing, as Step does not.
+			x, y := make([]float64, Lanes*n), make([][Lanes]float64, n)
+			ls := coef
+			ls.Live = [Lanes]bool{true, true, true, true}
+			if got := testing.AllocsPerRun(5, func() { ti.StepLanes(x, y, att, rec, &ls, 1) }); got != 0 {
+				t.Fatalf("%.1f allocs per inline lane pass, want 0", got)
+			}
+		})
 	}
 }

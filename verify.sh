@@ -11,9 +11,10 @@
 #   ./verify.sh quick   kernel + durability + overload gate: gofmt +
 #                       build + vet, then a short-mode race pass over the
 #                       ranking hot path (sparse pool/tiled kernel, core
-#                       operator/parallel/RankBatch/Explain/Tracker tests,
-#                       the FromCSC and CitationMatrix wraps, scratch
-#                       metrics), the compaction tests, the ingest WAL
+#                       operator/parallel/RankBatch/lane-step/Explain/
+#                       Tracker tests, the FromCSC and CitationMatrix
+#                       wraps, the sweep's work units, scratch metrics),
+#                       the compaction tests, the ingest WAL
 #                       tests, the admission-control tests, the replication
 #                       follower tests and the impact-indicator suites —
 #                       seconds instead of minutes, for tight iteration
@@ -50,8 +51,10 @@ echo "==> go vet ./... (benchmark module)"
 
 if [ "${1:-}" = "quick" ]; then
 	echo "==> go test -race -short (kernel packages)"
-	go test -race -short -run 'Parallel|Operator|Pool|RankBatch|Tiled|RCM|Relabel|Degree|Explain|TopPage|Tracker|CitationMatrix|FromCSC|Validate' \
+	go test -race -short -run 'Parallel|Operator|Pool|RankBatch|Tiled|Lanes|RCM|Relabel|Degree|Explain|TopPage|Tracker|CitationMatrix|FromCSC|Validate' \
 		./internal/sparse/ ./internal/core/
+	echo "==> go test -race (sweep work units and their bit-equality at every GOMAXPROCS)"
+	go test -race -run SweepAttRank ./internal/eval/
 	echo "==> go test -race (scratch metrics bit-equality)"
 	go test -race -run 'Scratch|Ordering|Ranks' ./internal/metrics/
 	echo "==> go test -race -run WAL (ingest durability + replication log)"
