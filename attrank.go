@@ -195,9 +195,8 @@ func Explain(net *Network, res *Result, p Params, i int32) (Explanation, error) 
 	return core.Explain(net, res, p, i)
 }
 
-// Server exposes a ranked corpus over HTTP (see internal/service for the
-// endpoint list: /v1/stats, /v1/top, /v1/paper/{id}, /v1/compare,
-// /v1/authors, /v1/related/{id}, /v1/refresh).
+// Server exposes a ranked corpus over HTTP. The package doc of
+// internal/service lists its endpoints.
 type Server = service.Server
 
 // NewServer ranks the network and returns an HTTP service over it. Serve

@@ -9,14 +9,14 @@ import (
 	"attrank/internal/metrics"
 )
 
-// This file is the one place an epoch's Ranking is built. Every
-// publisher — the ingester's full and push paths, the replication
-// follower's marker replay and bootstrap seeding, and the static
-// server — goes through these functions, and the leader and the
-// follower carry the state between epochs in one Chain each, so a
-// follower replaying the leader's log reproduces the leader's Rankings
-// field for field rather than by keeping a parallel copy in step
-// (DESIGN.md §7, §12).
+// This file is the one place an epoch's Ranking is built: Chain's
+// Seed, Rank and Push. Every publisher owns one Chain — the ingester
+// (full and push epochs), the replication follower (marker replay and
+// bootstrap seeding) and the static server (startup rank, /v1/refresh
+// and enabling indicators) — so the state between epochs has one owner
+// type, and a follower replaying the leader's log reproduces the
+// leader's Rankings field for field rather than by keeping a parallel
+// copy in step (DESIGN.md §7, §12).
 
 // index returns a ranking's order (node indices by score descending,
 // ties by ascending index) and its inverse, the 0-based position of
@@ -51,28 +51,11 @@ func Compact(base *graph.Network, muts []Mutation) (*graph.Network, error) {
 	return b.Build()
 }
 
-// FullRanking builds the Ranking of a full epoch: res holds exact
-// scores of net at ranking time rankedAt. The read-side indexes, the
-// corpus statistics and (when impactCfg enables them) the impact
-// indicators are all derived here.
-func FullRanking(epoch uint64, net *graph.Network, res *core.Result, rankedAt int, impactCfg impact.Config, logf func(string, ...any)) *Ranking {
-	order, positions := index(res.Scores)
-	return &Ranking{
-		Epoch:     epoch,
-		Net:       net,
-		Result:    res,
-		Order:     order,
-		Positions: positions,
-		Stats:     net.ComputeStats(),
-		RankedAt:  rankedAt,
-		Impact:    impact.ForRanking(net, res.Scores, rankedAt, impactCfg, logf),
-	}
-}
-
 // Chain carries the state between epochs: the warm-start tracker, the
 // last full epoch, and the push streak since it (nil between streaks).
-// The leader and each follower own one, so both start every epoch
-// from the same exact state. A Chain is owned by one goroutine.
+// Every publisher owns one (the leader, each follower, a static
+// server), so a leader and its followers start every epoch from the
+// same exact state. A Chain is owned by one goroutine.
 type Chain struct {
 	tracker   *core.Tracker
 	pushCfg   core.PushConfig
@@ -99,7 +82,7 @@ func (c *Chain) Seed(epoch uint64, net *graph.Network, res *core.Result, rankedA
 	if err := c.tracker.Seed(net, res.Scores); err != nil {
 		return nil, err
 	}
-	c.last = FullRanking(epoch, net, res, rankedAt, c.impactCfg, c.logf)
+	c.last = c.full(epoch, net, res, rankedAt)
 	return c.last, nil
 }
 
@@ -116,8 +99,26 @@ func (c *Chain) Rank(epoch uint64, base *graph.Network, muts []Mutation, rankedA
 	if err != nil {
 		return nil, err
 	}
-	c.last = FullRanking(epoch, net, res, rankedAt, c.impactCfg, c.logf)
+	c.last = c.full(epoch, net, res, rankedAt)
 	return c.last, nil
+}
+
+// full builds the Ranking of a full epoch: res holds exact scores of
+// net at ranking time rankedAt. The read-side indexes, the corpus
+// statistics and (when the chain's impact config enables them) the
+// impact indicators are all derived here.
+func (c *Chain) full(epoch uint64, net *graph.Network, res *core.Result, rankedAt int) *Ranking {
+	order, positions := index(res.Scores)
+	return &Ranking{
+		Epoch:     epoch,
+		Net:       net,
+		Result:    res,
+		Order:     order,
+		Positions: positions,
+		Stats:     net.ComputeStats(),
+		RankedAt:  rankedAt,
+		Impact:    impact.ForRanking(net, res.Scores, rankedAt, c.impactCfg, c.logf),
+	}
 }
 
 // Push builds the push epoch that absorbs muts into the streak since

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"fmt"
 	"net/http"
 	"strings"
 
@@ -185,34 +184,16 @@ func (s *Server) handleImpactBatch(w http.ResponseWriter, r *http.Request) {
 
 // EnableIndicators turns the multi-indicator layer on for a static-mode
 // server (live and replica servers inherit it from the ingest pipeline's
-// configuration instead). The indicators are attached to the already
-// published view rather than re-ranking it: they overlay the ranking
-// and must not perturb it (a tracker re-rank warm-starts and lands ulps
-// away from the scores the first epoch served).
+// configuration instead). The indicators are attached to the published
+// scores as the next epoch, without re-ranking them.
 func (s *Server) EnableIndicators(cfg impact.Config) error {
 	cfg.Enabled = true
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	s.impactCfg = cfg
-	if s.ing != nil || s.repl != nil {
-		return nil
+	if st, ok := s.src.(*staticSource); ok {
+		return st.enableIndicators(cfg)
 	}
-	s.staticMu.Lock()
-	defer s.staticMu.Unlock()
-	v := s.staticView.Load()
-	if v == nil {
-		return nil
-	}
-	e := impact.ForRanking(s.net, v.Result.Scores, v.RankedAt, cfg, s.logf)
-	if e == nil {
-		return fmt.Errorf("computing impact indicators failed (see log)")
-	}
-	nv := *v
-	s.staticEpoch++
-	nv.Epoch = s.staticEpoch
-	nv.Impact = e
-	s.staticView.Store(&nv)
 	return nil
 }

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +14,9 @@ import (
 
 	"attrank/internal/core"
 	"attrank/internal/graph"
+	"attrank/internal/impact"
 	"attrank/internal/ingest"
+	"attrank/internal/synth"
 )
 
 func liveSeed(t testing.TB) *graph.Network {
@@ -220,6 +224,86 @@ func TestStaticServerRejectsWrites(t *testing.T) {
 			t.Errorf("POST %s on static server: %d, want 503", path, rec.Code)
 		}
 	}
+}
+
+// TestStaticEpochChain pins the static server's epochs across startup,
+// /v1/refresh, EnableIndicators and another /v1/refresh: they read 1 to
+// 4, their scores equal a core.Tracker driven by hand (Update, Update,
+// Seed with the served scores, Update), and enabling the indicators
+// attaches them without changing a served ranking byte.
+func TestStaticEpochChain(t *testing.T) {
+	net, err := synth.GenerateSeeded(synth.DBLP().Scale(0.1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.Params{Alpha: 0.2, Beta: 0.5, Gamma: 0.3, AttentionYears: 3, W: -0.16, Workers: -1}
+	now := net.MaxYear()
+	s, err := New(net, now, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetLogf(nil)
+	h := s.Handler()
+	tr, err := core.NewTracker(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	update := func() *core.Result {
+		t.Helper()
+		res, err := tr.Update(net, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	refresh := func() {
+		t.Helper()
+		if rec, body := post(t, h, "/v1/refresh", ""); rec.Code != http.StatusOK {
+			t.Fatalf("refresh: %d %v", rec.Code, body)
+		}
+	}
+	check := func(epoch uint64, want *core.Result, withImpact bool) *ingest.Ranking {
+		t.Helper()
+		v := s.view()
+		if v.Epoch != epoch {
+			t.Fatalf("epoch %d, want %d", v.Epoch, epoch)
+		}
+		if !slices.Equal(v.Result.Scores, want.Scores) {
+			t.Fatalf("epoch %d: served scores differ from the hand-driven tracker's", epoch)
+		}
+		if (v.Impact != nil) != withImpact {
+			t.Fatalf("epoch %d: impact attached = %v, want %v", epoch, v.Impact != nil, withImpact)
+		}
+		return v
+	}
+	body := func(path string) []byte {
+		t.Helper()
+		rec, _ := get(t, h, path)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d", path, rec.Code)
+		}
+		return rec.Body.Bytes()
+	}
+
+	check(1, update(), false)
+	refresh()
+	want := update()
+	v := check(2, want, false)
+	paper := "/v1/paper/" + v.Net.Paper(int32(v.Order[7])).ID
+	top, one := body("/v1/top?n=50"), body(paper)
+
+	if err := s.EnableIndicators(impact.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Seed(net, want.Scores); err != nil {
+		t.Fatal(err)
+	}
+	check(3, want, true)
+	if !bytes.Equal(body("/v1/top?n=50"), top) || !bytes.Equal(body(paper), one) {
+		t.Fatal("enabling indicators changed a served /v1/top or /v1/paper body")
+	}
+	refresh()
+	check(4, update(), true)
 }
 
 func TestHealthAndReadiness(t *testing.T) {

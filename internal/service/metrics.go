@@ -25,7 +25,7 @@ var (
 	// are the only view into what the admission controller is doing.
 	mShedTotal = obs.NewCounterVec("attrank_http_shed_total",
 		"Requests rejected by the admission controller, by reason: "+
-			"queue_full, queue_timeout, backpressure.",
+			"queue_full, queue_timeout, backpressure, rate_limited, stale_replica.",
 		"reason")
 	mQueueWaitSeconds = obs.NewHistogram("attrank_http_queue_wait_seconds",
 		"Time requests spent in the admission queue (admitted and shed alike).",

@@ -4,8 +4,6 @@ import (
 	"log"
 	"net/http"
 
-	"attrank/internal/core"
-	"attrank/internal/ingest"
 	"attrank/internal/replication"
 )
 
@@ -14,9 +12,8 @@ import (
 // lag gating and /v1/epoch, and the ranking parameters adopted from the
 // leader. *replication.Follower implements it.
 type Replica interface {
-	Ranking() *ingest.Ranking
+	source
 	Info() replication.Info
-	Params() core.Params
 }
 
 // replicaState marks a Server as follower-mode.
@@ -41,6 +38,7 @@ func NewReplica(src Replica, maxLag int) *Server {
 		maxLag = DefaultMaxLag
 	}
 	return &Server{
+		src:  src,
 		logf: log.Printf,
 		repl: &replicaState{src: src, maxLag: uint64(maxLag)},
 	}
@@ -51,16 +49,6 @@ func NewReplica(src Replica, maxLag int) *Server {
 // admission control: shedding the shipping path during overload would
 // grow follower lag exactly when the followers are needed most.
 func (s *Server) AttachReplication(h http.Handler) { s.replHandler = h }
-
-// rankParams returns the parameters the current rankings were computed
-// with: the replica's adopted leader parameters in follower mode, the
-// server's own otherwise.
-func (s *Server) rankParams() core.Params {
-	if s.repl != nil {
-		return s.repl.src.Params()
-	}
-	return s.params
-}
 
 // replicaEpochBody extends /v1/epoch with the replication status.
 type replicaEpochBody struct {
@@ -75,7 +63,7 @@ type replicaEpochBody struct {
 // handleReplicaEpoch is the follower branch of /v1/epoch.
 func (s *Server) handleReplicaEpoch(w http.ResponseWriter) {
 	body := replicaEpochBody{Role: "follower", Replication: s.repl.src.Info()}
-	if v := s.repl.src.Ranking(); v != nil {
+	if v := s.view(); v != nil {
 		body.Epoch = v.Epoch
 		body.Papers = v.Stats.Papers
 		body.Citations = v.Stats.Edges
@@ -88,7 +76,7 @@ func (s *Server) handleReplicaEpoch(w http.ResponseWriter) {
 // is non-empty exactly when not ready.
 func (s *Server) replicaReady() (replication.Info, string) {
 	info := s.repl.src.Info()
-	if s.repl.src.Ranking() == nil {
+	if s.view() == nil {
 		return info, "no ranking replicated yet"
 	}
 	if info.EpochLag > s.repl.maxLag {

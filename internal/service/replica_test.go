@@ -38,7 +38,7 @@ func replicaFixture(t *testing.T) *fakeReplica {
 		t.Fatal(err)
 	}
 	return &fakeReplica{
-		ranking: s.staticView.Load(),
+		ranking: s.view(),
 		params:  params,
 		info: replication.Info{
 			Leader:      "http://leader:8080",
@@ -183,11 +183,15 @@ func TestReplicaStaleShedsReads(t *testing.T) {
 		t.Fatalf("in-sync read: %d", rec.Code)
 	}
 
+	before := mShedTotal.With("stale_replica").Value()
 	rep.info.EpochLag = 5
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/top", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("stale read: %d, want 503", rec.Code)
+	}
+	if got := mShedTotal.With("stale_replica").Value() - before; got != 1 {
+		t.Errorf("stale_replica shed counter moved by %d, want 1", got)
 	}
 	if rec.Header().Get("Retry-After") == "" {
 		t.Error("stale shed response has no Retry-After")
@@ -234,6 +238,7 @@ func TestMaxRPSShedsWith429(t *testing.T) {
 	srv.SetLogf(nil)
 	srv.ConfigureAdmission(AdmissionConfig{MaxRPS: 5})
 	h := srv.Handler()
+	before := mShedTotal.With("rate_limited").Value()
 	var ok, limited int
 	for i := 0; i < 50; i++ {
 		rec := httptest.NewRecorder()
@@ -252,6 +257,9 @@ func TestMaxRPSShedsWith429(t *testing.T) {
 	}
 	if ok == 0 || limited == 0 {
 		t.Fatalf("ok=%d limited=%d: the cap should admit a burst and shed the rest", ok, limited)
+	}
+	if got := mShedTotal.With("rate_limited").Value() - before; got != int64(limited) {
+		t.Errorf("rate_limited shed counter moved by %d, want %d", got, limited)
 	}
 }
 

@@ -2,7 +2,9 @@
 // deployment shape of AttRank as a scholarly-search backend. The server
 // serves every read from an immutable, atomically swapped epoch view
 // (ingest.Ranking), so readers never observe a half-built state while the
-// corpus is re-ranked behind them.
+// corpus is re-ranked behind them. The views come from one epoch source
+// per server: a static network (New), an ingester (NewLive) or a
+// replication follower (NewReplica).
 //
 // Read endpoints:
 //
@@ -12,14 +14,17 @@
 //	GET /v1/compare?a=x&b=y  two papers side by side
 //	GET /v1/authors?n=20     top authors by aggregated impact
 //	GET /v1/related/{id}     related papers (co-citation + coupling)
+//	GET /v1/impact/{id}      impact indicators and classes (503 unless enabled)
+//	POST /v1/impact/batch    the same for {"ids": [...]}
 //	GET /v1/epoch            ranking epoch, WAL size, pending mutations, last re-rank cost
 //	GET /metrics             Prometheus text-format metrics (internal/obs registry)
 //	GET /healthz             process liveness (always 200)
 //	GET /readyz              200 once an initial ranking is published
 //	POST /v1/refresh         re-rank (warm-started) and report iterations
+//	/repl/...                a leader's replication endpoints (AttachReplication)
 //
-// Write endpoints (enabled when the server is attached to a live
-// ingester via NewLive; a static server answers 503):
+// Write endpoints (only a live server, NewLive, accepts writes; a
+// static server or a replica answers 503):
 //
 //	POST /v1/papers          {"id": ..., "year": ..., "authors": [...], "venue": ...}
 //	POST /v1/citations       {"citing": ..., "cited": ...}
@@ -56,54 +61,99 @@ import (
 )
 
 // Server serves a ranked view of a citation corpus. It is safe for
-// concurrent use. Two modes share every endpoint:
-//
-//   - static (New): one immutable network ranked at startup; /v1/refresh
-//     re-ranks it in place and write endpoints are disabled.
-//   - live (NewLive): reads follow the attached ingester's published
-//     epochs and writes stream mutations into it.
+// concurrent use. Every read goes through its one epoch source: a
+// static network that /v1/refresh re-ranks in place (New), an ingester
+// (NewLive) or a follower (NewReplica). Only a live server takes writes.
 type Server struct {
-	params core.Params
-	logf   func(format string, args ...any)
+	src  source
+	logf func(format string, args ...any)
 
 	adm *admission // overload protection; nil = no admission control
 
-	ing *ingest.Ingester // nil in static mode
+	ing *ingest.Ingester // live mode: the write path; nil otherwise
 
-	// repl marks follower mode (NewReplica): reads come from the
-	// replica's views, writes answer 503, and staleness is gated by the
-	// admission layer. replHandler is the leader side: the replication
-	// wire endpoints mounted under /repl/ (AttachReplication).
+	// repl marks follower mode (NewReplica): writes answer 503, and
+	// staleness is gated by the admission layer. replHandler is the
+	// leader side: the replication wire endpoints mounted under /repl/
+	// (AttachReplication).
 	repl        *replicaState
 	replHandler http.Handler
+}
 
-	// impactCfg enables the /v1/impact indicator layer in static mode
-	// (EnableIndicators); live and replica servers get impact state from
-	// the published Rankings instead.
-	impactCfg impact.Config
+// source is where a Server reads its epochs and the parameters they
+// were ranked with: the *ingest.Ingester, a Replica, or staticSource.
+type source interface {
+	Ranking() *ingest.Ranking
+	Params() core.Params
+}
 
-	// Static-mode state: the network is fixed, but /v1/refresh still
-	// re-ranks (warm-started) and publishes a new epoch view.
-	staticMu      sync.Mutex // serializes static refreshes
-	net           *graph.Network
-	now           int
-	tracker       *core.Tracker
-	staticEpoch   uint64
-	staticView    atomic.Pointer[ingest.Ranking]
-	staticLastDur time.Duration
+// staticSource is a static server's epoch source: one Chain over a
+// fixed network, re-ranked in place by /v1/refresh.
+type staticSource struct {
+	params core.Params
+	logf   func(format string, args ...any)
+	mu     sync.Mutex // serializes refreshes and EnableIndicators
+	chain  *ingest.Chain
+	view   atomic.Pointer[ingest.Ranking]
+}
+
+func (st *staticSource) Ranking() *ingest.Ranking { return st.view.Load() }
+func (st *staticSource) Params() core.Params      { return st.params }
+
+// refresh re-ranks the last epoch's network (warm-started) and
+// publishes the result as the next epoch.
+func (st *staticSource) refresh() error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	last := st.chain.Last()
+	v, err := st.chain.Rank(last.Epoch+1, last.Net, nil, last.RankedAt)
+	if err != nil {
+		return err
+	}
+	st.view.Store(v)
+	return nil
+}
+
+// enableIndicators moves the source onto a chain that computes the
+// impact indicators, seeded from the published epoch without a re-rank
+// (which would warm-start and land ulps away from its scores).
+func (st *staticSource) enableIndicators(cfg impact.Config) error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	chain, err := ingest.NewChain(st.params, core.PushConfig{}, cfg, st.logf)
+	if err != nil {
+		return err
+	}
+	last := st.chain.Last()
+	v, err := chain.Seed(last.Epoch+1, last.Net, last.Result, last.RankedAt)
+	if err != nil {
+		return err
+	}
+	if v.Impact == nil {
+		return errors.New("computing impact indicators failed (see log)")
+	}
+	st.chain = chain
+	st.view.Store(v)
+	return nil
 }
 
 // New ranks the network at time now with the given parameters and
 // returns a ready static-mode Server.
 func New(net *graph.Network, now int, params core.Params) (*Server, error) {
-	tracker, err := core.NewTracker(params)
+	s := &Server{logf: log.Printf}
+	// The chain logs through s.logf as SetLogf last set it.
+	st := &staticSource{params: params, logf: func(format string, args ...any) { s.logf(format, args...) }}
+	chain, err := ingest.NewChain(params, core.PushConfig{}, impact.Config{}, st.logf)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{params: params, net: net, now: now, tracker: tracker, logf: log.Printf}
-	if err := s.refreshStatic(); err != nil {
+	v, err := chain.Rank(1, net, nil, now)
+	if err != nil {
 		return nil, err
 	}
+	st.chain = chain
+	st.view.Store(v)
+	s.src = st
 	return s, nil
 }
 
@@ -113,7 +163,7 @@ func New(net *graph.Network, now int, params core.Params) (*Server, error) {
 // an initially empty corpus, /readyz reports 503 until the first paper
 // is ranked).
 func NewLive(ing *ingest.Ingester) *Server {
-	return &Server{params: ing.Params(), ing: ing, logf: log.Printf}
+	return &Server{src: ing, ing: ing, logf: log.Printf}
 }
 
 // SetLogf redirects the request log (nil silences it).
@@ -124,39 +174,15 @@ func (s *Server) SetLogf(logf func(format string, args ...any)) {
 	s.logf = logf
 }
 
-// view returns the current epoch view, or nil if no ranking has been
-// published yet (live mode over an initially empty corpus).
-func (s *Server) view() *ingest.Ranking {
-	if s.repl != nil {
-		return s.repl.src.Ranking()
-	}
-	if s.ing != nil {
-		return s.ing.Ranking()
-	}
-	return s.staticView.Load()
-}
-
-// refreshStatic re-ranks the static network (warm-started) and publishes
-// a fresh epoch view, stats included, so serving them is lock-free.
-func (s *Server) refreshStatic() error {
-	s.staticMu.Lock()
-	defer s.staticMu.Unlock()
-	started := time.Now()
-	res, err := s.tracker.Update(s.net, s.now)
-	if err != nil {
-		return err
-	}
-	s.staticEpoch++
-	s.staticLastDur = time.Since(started)
-	s.staticView.Store(ingest.FullRanking(s.staticEpoch, s.net, res, s.now, s.impactCfg, s.logf))
-	return nil
-}
+// view returns the current epoch view, or nil if none is published yet
+// (an ingester over an empty corpus, or a replica not bootstrapped).
+func (s *Server) view() *ingest.Ranking { return s.src.Ranking() }
 
 // ListenAndServe runs the service on addr until the context is
 // cancelled, then shuts down gracefully (draining in-flight requests for
 // up to 5 seconds). It returns nil on a clean shutdown.
 func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	return Serve(ctx, addr, s.Handler())
+	return ServeWith(ctx, addr, s.Handler(), ServeOptions{})
 }
 
 // Fixed http.Server lifecycle bounds. The read timeouts exist for
@@ -189,16 +215,11 @@ func (o ServeOptions) withDefaults() ServeOptions {
 	return o
 }
 
-// Serve runs handler on addr until the context is cancelled, then shuts
-// down gracefully (draining in-flight requests). It exists separately
-// from Server.ListenAndServe so attrank-serve can mount extras — the
-// pprof handlers behind its -pprof flag — around the service handler
-// while keeping the same lifecycle.
-func Serve(ctx context.Context, addr string, handler http.Handler) error {
-	return ServeWith(ctx, addr, handler, ServeOptions{})
-}
-
-// ServeWith is Serve with explicit lifecycle options.
+// ServeWith runs handler on addr until the context is cancelled, then
+// shuts down gracefully (draining in-flight requests). It exists
+// separately from Server.ListenAndServe so attrank-serve can mount
+// extras — the pprof handlers behind its -pprof flag — around the
+// service handler while keeping the same lifecycle.
 func ServeWith(ctx context.Context, addr string, handler http.Handler, opts ServeOptions) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -358,7 +379,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := v.Stats
-	p := s.rankParams()
+	p := s.src.Params()
 	s.writeJSON(w, http.StatusOK, statsBody{
 		Papers: st.Papers, Citations: st.Edges, Authors: st.Authors,
 		Venues: st.Venues, MinYear: st.MinYear, MaxYear: st.MaxYear,
@@ -396,7 +417,7 @@ func (s *Server) paperBody(v *ingest.Ranking, idx int32) (paperBody, error) {
 	for _, a := range p.Authors {
 		b.Authors = append(b.Authors, v.Net.AuthorName(a))
 	}
-	e, err := core.Explain(v.Net, v.Result, s.rankParams(), idx)
+	e, err := core.Explain(v.Net, v.Result, s.src.Params(), idx)
 	if err != nil {
 		return b, err
 	}
@@ -597,7 +618,7 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	if s.ing != nil {
 		err = s.ing.FlushContext(r.Context())
 	} else {
-		err = s.refreshStatic()
+		err = s.src.(*staticSource).refresh()
 	}
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		w.Header().Set("Retry-After", "1")

@@ -140,7 +140,7 @@ func TestTopPageMatchesTopK(t *testing.T) {
 			t.Fatal("fixture has no score plateaus")
 		}
 		checkTopPages(t, s, false)
-		if err := s.refreshStatic(); err != nil {
+		if err := s.src.(*staticSource).refresh(); err != nil {
 			t.Fatal(err)
 		}
 		checkTopPages(t, s, false)

@@ -286,17 +286,12 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	body := epochBody{}
-	if v := s.staticView.Load(); v != nil {
-		s.staticMu.Lock()
-		body.LastRerankMs = float64(s.staticLastDur) / float64(time.Millisecond)
-		s.staticMu.Unlock()
-		body.Epoch = v.Epoch
-		body.Papers = v.Stats.Papers
-		body.Citations = v.Stats.Edges
-		body.LastIterations = v.Result.Iterations
-	}
-	s.writeJSON(w, http.StatusOK, body)
+	v := s.view() // a static server publishes its first epoch in New
+	s.writeJSON(w, http.StatusOK, epochBody{
+		Epoch: v.Epoch, Papers: v.Stats.Papers, Citations: v.Stats.Edges,
+		LastRerankMs:   float64(v.Result.Duration) / float64(time.Millisecond),
+		LastIterations: v.Result.Iterations,
+	})
 }
 
 // handleHealthz is the liveness probe: the process is up and serving.

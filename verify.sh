@@ -15,8 +15,10 @@
 #                       Tracker tests, the FromCSC and CitationMatrix
 #                       wraps, the sweep's work units, scratch metrics),
 #                       the compaction tests, the ingest WAL
-#                       tests, the admission-control tests, the replication
-#                       follower tests and the impact-indicator suites —
+#                       tests, the admission-control tests, the static
+#                       server's refresh and indicator epochs, the
+#                       replication follower tests and the
+#                       impact-indicator suites —
 #                       seconds instead of minutes, for tight iteration
 #   ./verify.sh fuzz    short coverage-guided fuzz sessions for the
 #                       dataio readers, HTTP query parsing, the write
@@ -59,8 +61,8 @@ if [ "${1:-}" = "quick" ]; then
 	go test -race -run 'Scratch|Ordering|Ranks' ./internal/metrics/
 	echo "==> go test -race -run WAL (ingest durability + replication log)"
 	go test -race -run 'WAL|WireSize|ReplState' ./internal/ingest/
-	echo "==> go test -race (admission control, replica serving policy, top pages, shutdown drain)"
-	go test -race -run 'Admission|Backpressure|Deadline|Replica|RateLimiter|MaxRPS|Explain|TopPage|ServeListener' ./internal/service/
+	echo "==> go test -race (admission control, replica serving policy, static refresh epochs, top pages, shutdown drain)"
+	go test -race -run 'Admission|Backpressure|Deadline|Replica|RateLimiter|MaxRPS|Explain|TopPage|ServeListener|Refresh|Static|EnableIndicators' ./internal/service/
 	echo "==> go test -race -short (replication follower)"
 	go test -race -short -run 'Follower' ./internal/replication/
 	echo "==> go test -race (incremental push path and compaction: kernel, overlay, builder splice, metamorphic, ingest, replication)"
