@@ -128,20 +128,21 @@ func LoadNetwork(path string) (*Network, error) { return dataio.LoadFile(path) }
 func SaveNetwork(path string, net *Network) error { return dataio.SaveFile(path, net) }
 
 // Rank computes AttRank scores for the network's state at time now.
-// Repeated ranks of the same *Network reuse a compiled ranking operator
-// (normalized matrix, tiled layout, worker pool) behind the scenes; see
-// Operator to manage one explicitly.
+// Repeated ranks of the same *Network reuse its compiled ranking operator
+// (tiled layout, worker pool) behind the scenes; see Operator to manage
+// one explicitly.
 func Rank(net *Network, now int, p Params) (*Result, error) { return core.Rank(net, now, p) }
 
 // Operator is the compiled form of AttRank over one immutable network:
 // matrix state is built once and reused across ranks. Obtain one with
 // CompileOperator for long-lived, explicitly managed reuse (a server, a
-// sweep); plain Rank manages a small operator cache automatically.
+// sweep); plain Rank keeps one operator per network, for as long as the
+// network lives.
 type Operator = core.Operator
 
 // CompileOperator returns a ranking operator for the network. The heavy
-// state (normalized matrix, tiled layout, worker pool) is built lazily on
-// first use, so compiling is cheap.
+// state (tiled layout, worker pool) is built lazily on first use, so
+// compiling is cheap.
 func CompileOperator(net *Network) *Operator { return core.Compile(net) }
 
 // RecommendedParams returns a strong general-purpose AttRank setting:

@@ -10,9 +10,9 @@
 // production tiled kernel (degree-run relabeled, compressed 16-bit
 // tiles) on one worker and on one worker per core. It also reports the
 // layout's compression (bytes per nonzero, tile shape), the one-off
-// compile pipeline costs the operator cache amortizes (normalization,
-// degree-run relabeling, then tile cutting) and a full cold-vs-warm
-// Rank comparison.
+// compile pipeline costs a network's operator pays once and every later
+// rank of that network reuses (normalization, degree-run relabeling,
+// then tile cutting) and a full cold-vs-warm Rank comparison.
 //
 // With -ingest it writes BENCH_ingest.json: single-citation incremental
 // push re-ranks against warm full re-ranks, with reconciliation
@@ -26,11 +26,9 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"time"
 
 	"attrank/internal/core"
-	"attrank/internal/obs"
 	"attrank/internal/sparse"
 	"attrank/internal/synth"
 )
@@ -89,26 +87,13 @@ type report struct {
 	Lanes4PerLaneSpeedup float64 `json:"lanes4_per_lane_speedup"`
 
 	// Full Rank wall clock: cold compiles everything, warm reuses the
-	// cached operator and warm-starts from the previous scores.
+	// network's compiled operator (core.OperatorFor) and warm-starts
+	// from the previous scores.
 	RankColdNS    int64   `json:"rank_cold_ns"`
 	RankWarmNS    int64   `json:"rank_warm_ns"`
 	RankColdIters int     `json:"rank_cold_iterations"`
 	RankWarmIters int     `json:"rank_warm_iterations"`
 	FusedVsSerial float64 `json:"fused_vs_serial_speedup"`
-
-	// Observability overhead: the same fixed-iteration rank with the
-	// obs metric sites live vs turned into no-ops (obs.SetEnabled),
-	// normalized per power iteration. The budget is < 2%. The measured
-	// delta on a quiet machine is routinely smaller than run-to-run
-	// timing noise and can come out negative; the headline figure is
-	// therefore clamped at zero, with the raw measurement and the
-	// noise floor (the rep spread, per arm: (median−min)/min) reported
-	// alongside so the clamp is auditable.
-	IterInstrumentedNS         int64   `json:"iter_instrumented_ns"`
-	IterUninstrumentedNS       int64   `json:"iter_uninstrumented_ns"`
-	MetricsOverheadPct         float64 `json:"metrics_overhead_pct"`
-	MetricsOverheadMeasuredPct float64 `json:"metrics_overhead_measured_pct"`
-	MetricsOverheadNoisePct    float64 `json:"metrics_overhead_noise_pct"`
 }
 
 func main() {
@@ -233,7 +218,8 @@ func run(papers int, out string, reps int) error {
 	})
 	r.Lanes4PerLaneSpeedup = float64(sparse.Lanes*r.IterFusedSerialNS) / float64(r.IterLanes4NS)
 
-	// Full cold vs warm rank through the operator cache.
+	// Full cold rank on a fresh operator vs warm rank on the network's
+	// already compiled one.
 	p := core.Params{Alpha: 0.5, Beta: 0.3, Gamma: 0.2, AttentionYears: 3, W: -0.16, Workers: -1}
 	coldDur, coldRes, err := rankOnce(core.Compile(net), now, p)
 	if err != nil {
@@ -253,54 +239,6 @@ func run(papers int, out string, reps int) error {
 	}
 	r.RankWarmNS = warmDur
 	r.RankWarmIters = warmRes.Iterations
-
-	// Metrics overhead: run the identical warm rank pinned to a fixed
-	// iteration count (Tol unreachable, MaxIter as the stop), with the
-	// obs sites recording and then disabled. Per-iteration cost is the
-	// honest unit — the per-iteration residual histogram is the only
-	// metric site inside the iteration loop.
-	const fixedIters = 30
-	fixed := warm
-	fixed.Tol = 1e-300
-	fixed.MaxIter = fixedIters
-	rankFixed := func() {
-		if _, _, err := rankOnce(op, now, fixed); err != nil {
-			panic(err)
-		}
-	}
-	rankFixed() // warm the cache under the fixed parameters
-	// Interleave the enabled/disabled reps so thermal and scheduler
-	// drift hits both sides equally instead of biasing whichever batch
-	// ran second.
-	onNS := make([]int64, 0, reps)
-	offNS := make([]int64, 0, reps)
-	for i := 0; i < reps; i++ {
-		obs.SetEnabled(true)
-		t0 := time.Now()
-		rankFixed()
-		onNS = append(onNS, time.Since(t0).Nanoseconds())
-		obs.SetEnabled(false)
-		t0 = time.Now()
-		rankFixed()
-		offNS = append(offNS, time.Since(t0).Nanoseconds())
-	}
-	obs.SetEnabled(true)
-	bestOn, noiseOn := repSpread(onNS)
-	bestOff, noiseOff := repSpread(offNS)
-	r.IterInstrumentedNS = bestOn / fixedIters
-	r.IterUninstrumentedNS = bestOff / fixedIters
-	r.MetricsOverheadMeasuredPct = 100 * (float64(r.IterInstrumentedNS) - float64(r.IterUninstrumentedNS)) /
-		float64(r.IterUninstrumentedNS)
-	r.MetricsOverheadNoisePct = noiseOn
-	if noiseOff > noiseOn {
-		r.MetricsOverheadNoisePct = noiseOff
-	}
-	// A negative measured overhead only means the delta drowned in
-	// scheduler noise — report the true cost as zero, never negative.
-	r.MetricsOverheadPct = r.MetricsOverheadMeasuredPct
-	if r.MetricsOverheadPct < 0 {
-		r.MetricsOverheadPct = 0
-	}
 
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
@@ -322,9 +260,6 @@ func run(papers int, out string, reps int) error {
 	fmt.Printf("four-lane step: %s, %.2fx per lane vs tiled(1)\n", time.Duration(r.IterLanes4NS), r.Lanes4PerLaneSpeedup)
 	fmt.Printf("full rank: cold=%s (%d iters) warm=%s (%d iters)\n",
 		time.Duration(r.RankColdNS), r.RankColdIters, time.Duration(r.RankWarmNS), r.RankWarmIters)
-	fmt.Printf("metrics overhead: instrumented=%s/iter uninstrumented=%s/iter measured %+.2f%% ±%.2f%% noise -> reported %.2f%%\n",
-		time.Duration(r.IterInstrumentedNS), time.Duration(r.IterUninstrumentedNS),
-		r.MetricsOverheadMeasuredPct, r.MetricsOverheadNoisePct, r.MetricsOverheadPct)
 	fmt.Printf("wrote %s\n", out)
 	return nil
 }
@@ -350,19 +285,4 @@ func best(reps int, fn func()) int64 {
 		}
 	}
 	return bestNS
-}
-
-// repSpread reduces one arm's rep timings to its minimum and a noise
-// floor: the median's relative distance from that minimum, in percent.
-// A measured delta between two arms smaller than either arm's spread is
-// indistinguishable from scheduler noise.
-func repSpread(ns []int64) (min int64, noisePct float64) {
-	sorted := append([]int64(nil), ns...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	min = sorted[0]
-	median := sorted[len(sorted)/2]
-	if min > 0 {
-		noisePct = 100 * float64(median-min) / float64(min)
-	}
-	return min, noisePct
 }

@@ -159,8 +159,8 @@ var ErrEmptyNetwork = errors.New("core: empty network")
 // (normally net.MaxYear() when net is already the current state C(tN)).
 // It delegates to the compiled operator for the network (see Operator and
 // OperatorFor), so repeated ranks of the same *graph.Network — a live
-// re-rank loop, a parameter sweep — reuse the normalized matrix, the tiled
-// layout, and the worker pool instead of rebuilding them per call.
+// re-rank loop, a parameter sweep — reuse the tiled layout and the worker
+// pool instead of rebuilding them per call.
 func Rank(net *graph.Network, now int, p Params) (*Result, error) {
 	return OperatorFor(net).Rank(now, p)
 }

@@ -161,7 +161,7 @@ func (op *Operator) rankLanes(now int, ps []Params, cells []int, res []*Result, 
 	started := time.Now()
 	n := op.net.N()
 	p := ps[cells[0]]
-	ti, release, err := op.acquireTiled()
+	ti, err := op.acquireTiled()
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
@@ -205,7 +205,6 @@ func (op *Operator) rankLanes(now int, ps []Params, cells []int, res []*Result, 
 			took[l] = time.Since(started)
 		}
 	}
-	release()
 	for i := range y {
 		copy(y[i][:], scores[Lanes*i:])
 	}

@@ -13,9 +13,10 @@ import (
 )
 
 // Operator is the compiled form of AttRank over one immutable network: it
-// owns the normalized citation matrix (CSC), the tiled kernel with its
+// owns the tiled kernel of the column-stochastic citation matrix with its
 // relabeling, a persistent worker pool, and small caches of the
-// attention and recency vectors. Compile once, then call Rank as
+// attention and recency vectors. The CSC form the tiles are cut from is
+// not kept. Compile once, then call Rank as
 // many times as needed — across power iterations, across warm-started
 // re-ranks of a live corpus, and across the cells of a parameter sweep —
 // without ever rebuilding matrix state.
@@ -32,7 +33,6 @@ type Operator struct {
 	net *graph.Network
 
 	mu    sync.Mutex // guards the lazy state below
-	stoch *sparse.Stochastic
 	tiled *sparse.TiledStochastic
 	pool  *sparse.Pool
 	att   vecCache[attKey]
@@ -49,13 +49,6 @@ type Operator struct {
 	// degree-run ordering. Test hook for the relabeling-invariance suite.
 	forcedPerm []int32
 	compile    CompileStats
-
-	// inflight counts Ranks currently stepping on the tiled kernel;
-	// evicted marks an operator dropped from the OperatorFor cache. The
-	// pair lets eviction close the pool deterministically the moment it
-	// goes idle, instead of waiting for the finalizer.
-	inflight int
-	evicted  bool
 }
 
 // CompileStats records the cost and shape of the kernel compilation
@@ -155,52 +148,17 @@ func Compile(net *graph.Network) *Operator {
 	return &Operator{net: net}
 }
 
-// operatorCacheSize bounds the process-wide operator cache. Each entry
-// pins its network plus up to two copies of the matrix (CSC + tiled), so
-// the cache is deliberately small: big enough for a live service (one
-// corpus), a sweep (one split), and the tests' churn, without keeping
-// every historical epoch alive.
-const operatorCacheSize = 4
-
-var (
-	opCacheMu sync.Mutex
-	opCache   []*Operator // most recently used first
-)
-
-// OperatorFor returns the cached operator for the network, compiling one
-// on first sight. Networks are immutable and compared by identity, so a
-// re-rank of the same *graph.Network — the ingest debounce loop between
-// compactions, every cell of a parameter sweep, repeated API calls —
-// reuses the compiled matrix state instead of rebuilding it. An evicted
-// operator closes its worker pool as soon as no rank is using it (the
-// pool finalizer remains as the backstop for operators dropped without
-// ever entering the cache).
+// OperatorFor returns the network's operator, compiling one on first
+// sight. Networks are immutable and compared by identity, so a re-rank
+// of the same *graph.Network — the ingest debounce loop between
+// compactions, every cell of a parameter sweep, the impact layer's
+// PageRank of a ranked epoch, repeated API calls — reuses the compiled
+// matrix state instead of rebuilding it. The operator lives in the
+// network's memo (graph.Network.Compiled), so it lives exactly as long
+// as the network: once the network is unreachable, so is the operator,
+// and the pool's finalizer stops its workers.
 func OperatorFor(net *graph.Network) *Operator {
-	opCacheMu.Lock()
-	for i, op := range opCache {
-		if op.net == net {
-			if i > 0 {
-				copy(opCache[1:i+1], opCache[:i])
-				opCache[0] = op
-			}
-			opCacheMu.Unlock()
-			return op
-		}
-	}
-	op := Compile(net)
-	var dropped *Operator
-	if len(opCache) < operatorCacheSize {
-		opCache = append(opCache, nil)
-	} else {
-		dropped = opCache[len(opCache)-1]
-	}
-	copy(opCache[1:], opCache)
-	opCache[0] = op
-	opCacheMu.Unlock()
-	if dropped != nil {
-		dropped.markEvicted()
-	}
-	return op
+	return net.Compiled(func() any { return Compile(net) }).(*Operator)
 }
 
 // Network returns the network this operator was compiled from.
@@ -224,48 +182,23 @@ func (op *Operator) closePoolLocked() {
 	}
 }
 
-// markEvicted is called by the operator cache when this entry falls out:
-// the pool is closed the moment no rank is stepping on it
-// (immediately if idle, else by the last release). A caller that kept
-// the *Operator may still Rank afterwards — the pool is then recompiled
-// exactly as after Close, and only that recompiled pool falls back to
-// finalizer cleanup.
-func (op *Operator) markEvicted() {
-	op.mu.Lock()
-	op.evicted = true
-	if op.inflight == 0 {
-		op.closePoolLocked()
-	}
-	op.mu.Unlock()
-}
-
-func (op *Operator) stochasticLocked() (*sparse.Stochastic, error) {
-	if op.stoch == nil {
-		s, err := op.net.StochasticMatrix()
-		if err != nil {
-			return nil, err
-		}
-		op.stoch = s
-		kernelCompiles.Add(1)
-		mKernelCompiles.Inc()
-	}
-	return op.stoch, nil
-}
-
 // buildTiledLocked compiles the tiled kernel pipeline: the
 // column-stochastic normalization, then the degree-run ordering of its
 // rows (sparse.Stochastic.DegreeOrder), then the tiled layout cut under
-// that ordering. Requires op.mu.
+// that ordering. The normalized CSC matrix is dropped once the tiles are
+// cut; a rebuild after Close normalizes again. Requires op.mu.
 func (op *Operator) buildTiledLocked() error {
 	if op.tiled != nil {
 		return nil
 	}
 	t0 := time.Now()
-	s, err := op.stochasticLocked()
+	s, err := op.net.StochasticMatrix()
 	stochNS := time.Since(t0).Nanoseconds()
 	if err != nil {
 		return err
 	}
+	kernelCompiles.Add(1)
+	mKernelCompiles.Inc()
 	tr := time.Now()
 	perm := op.forcedPerm
 	if perm == nil {
@@ -291,27 +224,14 @@ func (op *Operator) buildTiledLocked() error {
 }
 
 // acquireTiled returns the tiled kernel, compiling it (and the pool and
-// relabeling) on first use, and registers the caller as an in-flight
-// pool user. The returned release must be called once stepping is done;
-// it lets an operator evicted mid-rank close its pool as soon as it
-// goes idle.
-func (op *Operator) acquireTiled() (*sparse.TiledStochastic, func(), error) {
+// relabeling) on first use.
+func (op *Operator) acquireTiled() (*sparse.TiledStochastic, error) {
 	op.mu.Lock()
 	defer op.mu.Unlock()
 	if err := op.buildTiledLocked(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	op.inflight++
-	return op.tiled, op.releaseKernel, nil
-}
-
-func (op *Operator) releaseKernel() {
-	op.mu.Lock()
-	op.inflight--
-	if op.evicted && op.inflight == 0 {
-		op.closePoolLocked()
-	}
-	op.mu.Unlock()
+	return op.tiled, nil
 }
 
 // PrimeKernel forces compilation of the tiled kernel — the work the
@@ -492,7 +412,7 @@ func (op *Operator) rankInto(res *Result, now int, p Params, x, next []float64, 
 	// vector copies bits, so every iterate is the exact permutation of the
 	// serial CSC iterate (see sparse.TiledStochastic on the canonical
 	// accumulation order).
-	ti, release, err := op.acquireTiled()
+	ti, err := op.acquireTiled()
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
@@ -513,7 +433,6 @@ func (op *Operator) rankInto(res *Result, now int, p Params, x, next []float64, 
 			break
 		}
 	}
-	release()
 	for i := range scores {
 		scores[i] = cur[perm[i]]
 	}

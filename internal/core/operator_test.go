@@ -9,9 +9,11 @@ import (
 	"attrank/internal/sparse"
 )
 
+// TestOperatorForCachesByIdentity: a network has one operator for its
+// whole lifetime. OperatorFor has no capacity, so the identity survives
+// any number of other networks compiled in between.
 func TestOperatorForCachesByIdentity(t *testing.T) {
 	a := randomNet(t, 61, 80)
-	b := randomNet(t, 62, 80)
 	opA := OperatorFor(a)
 	if opA.Network() != a {
 		t.Fatal("operator does not report its network")
@@ -19,24 +21,14 @@ func TestOperatorForCachesByIdentity(t *testing.T) {
 	if OperatorFor(a) != opA {
 		t.Error("same network must yield the same operator")
 	}
-	if OperatorFor(b) == opA {
-		t.Error("distinct networks must yield distinct operators")
-	}
-	// a was pushed behind b; looking it up again must still hit.
-	if OperatorFor(a) != opA {
-		t.Error("cache lost an entry while within capacity")
-	}
-}
-
-func TestOperatorCacheEviction(t *testing.T) {
-	first := randomNet(t, 70, 50)
-	op := OperatorFor(first)
-	// Fill the cache past capacity with fresh networks.
-	for i := 0; i < operatorCacheSize+1; i++ {
-		OperatorFor(randomNet(t, 71+int64(i), 50))
-	}
-	if OperatorFor(first) == op {
-		t.Error("operator survived eviction past cache capacity")
+	for i := 0; i < 16; i++ {
+		b := randomNet(t, 62+int64(i), 50)
+		if OperatorFor(b) == opA {
+			t.Fatal("distinct networks must yield distinct operators")
+		}
+		if OperatorFor(a) != opA {
+			t.Fatalf("operator lost after %d other networks", i+1)
+		}
 	}
 }
 
@@ -166,17 +158,11 @@ func TestVectorCacheKeepsHotEntry(t *testing.T) {
 	}
 }
 
-// TestOperatorEvictionStopsPoolWorkers is the resource-lifecycle
-// regression test: evicting an operator from the OperatorFor cache must
-// stop its pool's worker goroutines (deterministically when idle, with
-// the finalizer as backstop), verified through the sparse.LiveWorkers
-// hook.
-func TestOperatorEvictionStopsPoolWorkers(t *testing.T) {
-	// Flush operators cached by earlier tests so our churn below is the
-	// only thing evicting pools, then let their workers settle.
-	for i := 0; i < operatorCacheSize; i++ {
-		OperatorFor(randomNet(t, 900+int64(i), 20))
-	}
+// TestUnreachableOperatorStopsPoolWorkers is the resource-lifecycle
+// regression test: once a network is unreachable, so is its operator,
+// and the pool's finalizer must stop the worker goroutines a parallel
+// rank started, verified through the sparse.LiveWorkers hook.
+func TestUnreachableOperatorStopsPoolWorkers(t *testing.T) {
 	settle := func() int64 {
 		prev := sparse.LiveWorkers()
 		for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
@@ -192,28 +178,24 @@ func TestOperatorEvictionStopsPoolWorkers(t *testing.T) {
 	}
 	base := settle()
 
-	net := randomNet(t, 950, 150)
-	op := OperatorFor(net)
-	p := Params{Alpha: 0.5, Beta: 0.3, Gamma: 0.2, AttentionYears: 3, W: -0.2, Workers: 2}
-	if _, err := op.Rank(net.MaxYear(), p); err != nil {
-		t.Fatal(err)
-	}
+	// The network and its operator live only inside this call.
+	func() {
+		net := randomNet(t, 950, 150)
+		p := Params{Alpha: 0.5, Beta: 0.3, Gamma: 0.2, AttentionYears: 3, W: -0.2, Workers: 2}
+		if _, err := OperatorFor(net).Rank(net.MaxYear(), p); err != nil {
+			t.Fatal(err)
+		}
+	}()
 	if sparse.LiveWorkers() <= base {
 		t.Fatal("parallel rank did not start pool workers")
-	}
-
-	// Evict op by churning fresh (never-ranked, poolless) networks
-	// through the cache.
-	for i := 0; i < operatorCacheSize; i++ {
-		OperatorFor(randomNet(t, 960+int64(i), 20))
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for sparse.LiveWorkers() > base {
 		if time.Now().After(deadline) {
-			t.Fatalf("evicted operator leaked pool workers: %d live, want ≤ %d",
+			t.Fatalf("unreachable operator leaked pool workers: %d live, want ≤ %d",
 				sparse.LiveWorkers(), base)
 		}
-		runtime.GC() // also exercises the finalizer backstop
+		runtime.GC()
 		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -95,7 +95,7 @@ func (op *Operator) PageRank(p PageRankParams) (*Result, error) {
 		jumpVec[i] = jump
 	}
 
-	ti, release, err := op.acquireTiled()
+	ti, err := op.acquireTiled()
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -116,7 +116,6 @@ func (op *Operator) PageRank(p PageRankParams) (*Result, error) {
 			break
 		}
 	}
-	release()
 	res.Scores = next // the spare iterate buffer; every entry is overwritten
 	for i, s := range op.perm {
 		res.Scores[i] = x[s]

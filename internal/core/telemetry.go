@@ -9,8 +9,8 @@ import (
 
 // The core metric catalogue (see DESIGN.md §9): convergence behaviour
 // of the power method (Theorem 1 observed in production rather than
-// assumed), compilation churn of the operator cache, and rank latency
-// split by warm vs cold start.
+// assumed), compilation churn of operators (one per network), and rank
+// latency split by warm vs cold start.
 var (
 	mRankIterations = obs.NewHistogram("attrank_core_rank_iterations",
 		"Power-method iterations per Rank call (warm starts converge in few).",
@@ -21,7 +21,7 @@ var (
 	mFinalResidual = obs.NewGauge("attrank_core_rank_final_residual",
 		"L1 residual of the most recently completed Rank.")
 	mKernelCompiles = obs.NewCounter("attrank_core_kernel_compiles_total",
-		"Citation-matrix normalizations into ranking-operator form (cache misses).")
+		"Citation-matrix normalizations into ranking-operator form (one per network, again after Close).")
 	mRankSeconds = obs.NewHistogramVec("attrank_core_rank_seconds",
 		"Full Rank wall time, labeled by start=cold (uniform start) or start=warm.",
 		obs.ExpBuckets(1e-4, 2, 20), "start")

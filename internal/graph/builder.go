@@ -38,7 +38,7 @@ type Builder struct {
 const newIDsFold = 8
 
 // emptyNetwork is the base of every NewBuilder.
-var emptyNetwork = &Network{refPtr: []int32{0}, citPtr: []int32{0}}
+var emptyNetwork = &Network{refPtr: []int32{0}, citPtr: []int32{0}, compiled: new(memo)}
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder { return NewBuilderFrom(emptyNetwork) }
@@ -201,13 +201,14 @@ func (b *Builder) Build() (*Network, error) {
 		}
 	}
 	net := &Network{
-		papers:  papers,
-		idx:     idx,
-		newIDs:  newIDs,
-		authors: b.authors,
-		venues:  b.venues,
-		minYear: base.minYear,
-		maxYear: base.maxYear,
+		papers:   papers,
+		idx:      idx,
+		newIDs:   newIDs,
+		authors:  b.authors,
+		venues:   b.venues,
+		minYear:  base.minYear,
+		maxYear:  base.maxYear,
+		compiled: new(memo),
 	}
 	if nb == 0 && n > 0 {
 		net.minYear, net.maxYear = papers[0].Year, papers[0].Year

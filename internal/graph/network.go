@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // NoVenue marks a paper without venue metadata.
@@ -57,6 +58,30 @@ type Network struct {
 	venues  []string // venue table; may be empty
 
 	minYear, maxYear int
+
+	// compiled is the network's one derived value (see Compiled). It is
+	// a pointer, set by Build, so a Network value stays copyable and a
+	// spliced successor starts with a memo of its own.
+	compiled *memo
+}
+
+// memo holds one lazily built value.
+type memo struct {
+	once sync.Once
+	v    any
+}
+
+// Compiled returns the value build produced on the first call for this
+// network, calling build exactly once however many goroutines ask. The
+// network holds the value for as long as it lives; a successor spliced
+// from it (NewBuilderFrom) starts empty. The ranking layer keeps its
+// compiled operator here (core.OperatorFor), so every caller ranking one
+// network shares one operator, and a retired epoch's operator goes with
+// its network. Every call on one network must pass a build that returns
+// the same kind of value.
+func (n *Network) Compiled(build func() any) any {
+	n.compiled.once.Do(func() { n.compiled.v = build() })
+	return n.compiled.v
 }
 
 // N returns the number of papers.

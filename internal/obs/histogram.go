@@ -36,15 +36,6 @@ func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	if !enabled.Load() {
-		return
-	}
-	h.observe(v)
-}
-
-// observe is the unguarded recording path, shared with the vec children
-// (the enabled check already happened at the family level).
-func (h *Histogram) observe(v float64) {
 	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
 	h.count.Add(1)
 	for {

@@ -15,9 +15,7 @@
 // are a single atomic add, a histogram observation is a binary search
 // over a small bounds slice plus two atomic adds and one CAS loop for
 // the sum. Exposition walks the registry under its lock but never
-// blocks writers. SetEnabled(false) turns every recording site into a
-// cheap no-op — the hook the benchmark harness uses to prove the
-// instrumentation overhead on the ranking kernel stays negligible.
+// blocks writers.
 package obs
 
 import (
@@ -27,22 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// enabled gates every recording site; exposition still works while
-// disabled (values simply stop moving). Enabled by default.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns metric recording on or off process-wide and reports
-// the previous state. Used by benchmarks to measure instrumentation
-// overhead; production code never calls it.
-func SetEnabled(on bool) (was bool) {
-	return enabled.Swap(on)
-}
-
-// Enabled reports whether metric recording is on.
-func Enabled() bool { return enabled.Load() }
 
 // A sampler renders the current samples of one metric family. add is
 // called once per exposition line: suffix extends the family name
@@ -118,9 +100,6 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n (which must be non-negative; counters only go up).
 func (c *Counter) Add(n int64) {
-	if !enabled.Load() {
-		return
-	}
 	c.v.Add(n)
 }
 
@@ -146,17 +125,11 @@ func (r *Registry) NewGauge(name, help string) *Gauge {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) {
-	if !enabled.Load() {
-		return
-	}
 	g.bits.Store(math.Float64bits(v))
 }
 
 // Add adds d to the gauge.
 func (g *Gauge) Add(d float64) {
-	if !enabled.Load() {
-		return
-	}
 	for {
 		old := g.bits.Load()
 		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {

@@ -135,25 +135,6 @@ func TestExpositionFormat(t *testing.T) {
 	}
 }
 
-func TestSetEnabled(t *testing.T) {
-	r := NewRegistry()
-	c := r.NewCounter("gate_total", "")
-	h := r.NewHistogram("gate_seconds", "", []float64{1})
-	was := SetEnabled(false)
-	defer SetEnabled(was)
-	c.Inc()
-	h.Observe(0.5)
-	if c.Value() != 0 || h.Count() != 0 {
-		t.Errorf("disabled recording moved: counter=%d hist=%d", c.Value(), h.Count())
-	}
-	SetEnabled(true)
-	c.Inc()
-	h.Observe(0.5)
-	if c.Value() != 1 || h.Count() != 1 {
-		t.Errorf("re-enabled recording stuck: counter=%d hist=%d", c.Value(), h.Count())
-	}
-}
-
 // TestConcurrentRecording exercises every metric type from many
 // goroutines; run under -race this is the data-race gate, and the
 // final counts check that no observation is lost.

@@ -14,8 +14,12 @@
 #                       operator/parallel/RankBatch/lane-step/Explain/
 #                       Tracker tests, the FromCSC and CitationMatrix
 #                       wraps, the sweep's work units, scratch metrics),
-#                       the compaction tests, the ingest WAL
-#                       tests, the admission-control tests, the static
+#                       the compaction tests with the network's
+#                       compiled-operator memo, the ingest WAL tests
+#                       and its compiled-operator lifetime tests (an
+#                       epoch reuses one operator, a retired epoch's
+#                       operator is collected), the admission-control
+#                       tests, the static
 #                       server's refresh and indicator epochs, the
 #                       replication follower tests and the
 #                       impact-indicator suites —
@@ -59,14 +63,14 @@ if [ "${1:-}" = "quick" ]; then
 	go test -race -run SweepAttRank ./internal/eval/
 	echo "==> go test -race (scratch metrics bit-equality)"
 	go test -race -run 'Scratch|Ordering|Ranks' ./internal/metrics/
-	echo "==> go test -race -run WAL (ingest durability + replication log)"
-	go test -race -run 'WAL|WireSize|ReplState' ./internal/ingest/
+	echo "==> go test -race (ingest durability, replication log, compiled-operator lifetime)"
+	go test -race -run 'WAL|WireSize|ReplState|Operator' ./internal/ingest/
 	echo "==> go test -race (admission control, replica serving policy, static refresh epochs, top pages, shutdown drain)"
 	go test -race -run 'Admission|Backpressure|Deadline|Replica|RateLimiter|MaxRPS|Explain|TopPage|ServeListener|Refresh|Static|EnableIndicators' ./internal/service/
 	echo "==> go test -race -short (replication follower)"
 	go test -race -short -run 'Follower' ./internal/replication/
-	echo "==> go test -race (incremental push path and compaction: kernel, overlay, builder splice, metamorphic, ingest, replication)"
-	go test -race -run 'Push|Pusher|Overlay|Incremental|FlushDebounceRace|EpochMarkerLegacy|Builder|Compact|Chain|Tracker|CitationMatrix|FromCSC|Validate' \
+	echo "==> go test -race (incremental push path and compaction: kernel, overlay, builder splice, network memo, metamorphic, ingest, replication)"
+	go test -race -run 'Push|Pusher|Overlay|Incremental|FlushDebounceRace|EpochMarkerLegacy|Builder|Compact|Compiled|Chain|Tracker|CitationMatrix|FromCSC|Validate' \
 		./internal/sparse/ ./internal/graph/ ./internal/core/ ./internal/ingest/ ./internal/replication/
 	echo "==> go test -race (impact indicators: classes, PageRank bit-equality, endpoints, replication)"
 	go test -race -run 'Impact|Class|Indicator|Influence|PageRank|Threshold|Impulse|NormalizeID|Golden|Resolve' \
