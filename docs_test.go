@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -137,4 +138,46 @@ func matchesAny(field string, keys []string) bool {
 		}
 	}
 	return false
+}
+
+// TestBenchFieldsCarrySpread: every field of a committed BENCH file
+// (an object-valued top-level key) is a bench.sh reduction of at least
+// five go test -bench runs, {median, min, max, runs} with
+// min ≤ median ≤ max.
+func TestBenchFieldsCarrySpread(t *testing.T) {
+	files, err := filepath.Glob("BENCH_*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no BENCH files: %v", err)
+	}
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var root map[string]json.RawMessage
+		if err := json.Unmarshal(data, &root); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		fields := 0
+		for k, raw := range root {
+			if raw[0] != '{' {
+				continue
+			}
+			fields++
+			var f struct {
+				Median, Min, Max *float64
+				Runs             int
+			}
+			if err := json.Unmarshal(raw, &f); err != nil || f.Median == nil || f.Min == nil || f.Max == nil {
+				t.Errorf("%s: %s = %s, want {median, min, max, runs}", file, k, raw)
+				continue
+			}
+			if !(*f.Min <= *f.Median && *f.Median <= *f.Max) || f.Runs < 5 {
+				t.Errorf("%s: %s = %s, want min ≤ median ≤ max over at least 5 runs", file, k, raw)
+			}
+		}
+		if fields == 0 {
+			t.Errorf("%s holds no fields", file)
+		}
+	}
 }

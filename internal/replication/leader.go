@@ -29,6 +29,17 @@ type LeaderConfig struct {
 // ingester lock, so much larger values would stall writers.
 const chunkSize = 64 << 10
 
+// The replication endpoints bypass the service's admission control, so
+// they carry their own bounds. An open /repl/wal stream holds a
+// goroutine and a chunkSize buffer for as long as its client stays; a
+// /repl/state download pins an epoch's Ranking until it is written out.
+// Beyond either cap the leader answers 503 with Retry-After, and a
+// follower's reconnect loop backs off and retries.
+const (
+	maxStreams    = 64
+	maxBootstraps = 4
+)
+
 // Leader serves the replication wire protocol for one Ingester. Mount
 // Handler under /repl/ (the service layer does this via
 // Server.AttachReplication).
@@ -36,6 +47,8 @@ type Leader struct {
 	ing  *ingest.Ingester
 	cfg  LeaderConfig
 	logf func(string, ...any)
+
+	streams, bootstraps chan struct{} // semaphores of maxStreams, maxBootstraps
 }
 
 // NewLeader wraps an ingester with the replication endpoints.
@@ -50,7 +63,23 @@ func NewLeader(ing *ingest.Ingester, cfg LeaderConfig) *Leader {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Leader{ing: ing, cfg: cfg, logf: logf}
+	return &Leader{
+		ing: ing, cfg: cfg, logf: logf,
+		streams:    make(chan struct{}, maxStreams),
+		bootstraps: make(chan struct{}, maxBootstraps),
+	}
+}
+
+// acquire takes a slot of sem, or answers 503 and reports false.
+func acquire(w http.ResponseWriter, sem chan struct{}, what string) bool {
+	select {
+	case sem <- struct{}{}:
+		return true
+	default:
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "too many open "+what, http.StatusServiceUnavailable)
+		return false
+	}
 }
 
 // Handler returns the /repl/* endpoints.
@@ -70,6 +99,10 @@ func (l *Leader) handleState(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
+	if !acquire(w, l.bootstraps, "bootstraps") {
+		return
+	}
+	defer func() { <-l.bootstraps }()
 	rank, cur, err := l.ing.ReplState()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
@@ -126,6 +159,10 @@ func (l *Leader) handleWAL(w http.ResponseWriter, r *http.Request) {
 			http.StatusConflict)
 		return
 	}
+	if !acquire(w, l.streams, "streams") {
+		return
+	}
+	defer func() { <-l.streams }()
 	// The stream outlives any per-request write timeout the surrounding
 	// http.Server sets for ordinary responses; followers resume cleanly
 	// if clearing it is unsupported and the stream gets cut anyway.

@@ -93,28 +93,6 @@ func (m *Matrix) At(row, col int) float64 {
 	return 0
 }
 
-// Column calls fn(row, val) for each nonzero in column c, in increasing
-// row order.
-func (m *Matrix) Column(c int, fn func(row int32, val float64)) {
-	lo, hi := m.colPtr[c], m.colPtr[c+1]
-	for k := lo; k < hi; k++ {
-		fn(m.rowIdx[k], m.val[k])
-	}
-}
-
-// ColSum returns the sum of the entries of column c.
-func (m *Matrix) ColSum(c int) float64 {
-	lo, hi := m.colPtr[c], m.colPtr[c+1]
-	s := 0.0
-	for k := lo; k < hi; k++ {
-		s += m.val[k]
-	}
-	return s
-}
-
-// ColNNZ returns the number of stored entries in column c.
-func (m *Matrix) ColNNZ(c int) int { return int(m.colPtr[c+1] - m.colPtr[c]) }
-
 // Scale returns a copy of the matrix with every entry multiplied by f.
 func (m *Matrix) Scale(f float64) *Matrix {
 	out := &Matrix{

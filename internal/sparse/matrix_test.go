@@ -195,26 +195,6 @@ func TestFromCSCMatchesNewMatrix(t *testing.T) {
 	}
 }
 
-func TestColumnIteration(t *testing.T) {
-	m := mustMatrix(t, 4, 2, []Coord{
-		{Row: 3, Col: 0, Val: 3},
-		{Row: 1, Col: 0, Val: 1},
-		{Row: 0, Col: 1, Val: 5},
-	})
-	var rows []int32
-	var vals []float64
-	m.Column(0, func(r int32, v float64) { rows = append(rows, r); vals = append(vals, v) })
-	if len(rows) != 2 || rows[0] != 1 || rows[1] != 3 || vals[0] != 1 || vals[1] != 3 {
-		t.Errorf("Column(0) rows=%v vals=%v", rows, vals)
-	}
-	if got := m.ColSum(0); got != 4 {
-		t.Errorf("ColSum(0) = %v, want 4", got)
-	}
-	if got := m.ColNNZ(1); got != 1 {
-		t.Errorf("ColNNZ(1) = %d, want 1", got)
-	}
-}
-
 func TestMulVecAgainstDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 30

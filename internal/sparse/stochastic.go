@@ -51,9 +51,6 @@ func NewColumnStochastic(m *Matrix) (*Stochastic, error) {
 // N returns the dimension of the (square) matrix.
 func (s *Stochastic) N() int { return s.m.rows }
 
-// DanglingCount returns the number of dangling (zero out-sum) columns.
-func (s *Stochastic) DanglingCount() int { return len(s.dangling) }
-
 // Dangling reports whether column c is dangling.
 func (s *Stochastic) Dangling(c int) bool {
 	lo, hi := 0, len(s.dangling)

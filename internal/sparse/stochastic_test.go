@@ -29,10 +29,7 @@ func TestStochasticNormalization(t *testing.T) {
 	if s.N() != 4 {
 		t.Fatalf("N = %d, want 4", s.N())
 	}
-	if s.DanglingCount() != 1 {
-		t.Fatalf("DanglingCount = %d, want 1", s.DanglingCount())
-	}
-	if !s.Dangling(0) || s.Dangling(1) || s.Dangling(3) {
+	if !s.Dangling(0) || s.Dangling(1) || s.Dangling(2) || s.Dangling(3) {
 		t.Error("dangling flags wrong")
 	}
 	// Column 3 cites two papers: each entry 0.5.

@@ -15,15 +15,18 @@
 #                       Tracker tests, the FromCSC and CitationMatrix
 #                       wraps, the sweep's work units, scratch metrics),
 #                       the compaction tests with the network's
-#                       compiled-operator memo, the ingest WAL tests
-#                       and its compiled-operator lifetime tests (an
-#                       epoch reuses one operator, a retired epoch's
-#                       operator is collected), the admission-control
-#                       tests, the static
-#                       server's refresh and indicator epochs, the
-#                       replication follower tests and the
-#                       impact-indicator suites —
-#                       seconds instead of minutes, for tight iteration
+#                       compiled-operator memo, the ingest WAL tests,
+#                       its compiled-operator lifetime tests (an epoch
+#                       reuses one operator, a retired epoch's operator
+#                       is collected) and the push-path gates at 5k
+#                       papers, the guards that hold each BENCH_*.json
+#                       to the metrics its benchmarks report, the
+#                       admission-control tests, the static server's
+#                       refresh and indicator epochs, the replication
+#                       follower tests and the leader's stream and
+#                       bootstrap caps, and the impact-indicator
+#                       suites — seconds instead of minutes, for tight
+#                       iteration
 #   ./verify.sh fuzz    short coverage-guided fuzz sessions for the
 #                       dataio readers, HTTP query parsing, the write
 #                       endpoints' bodies, the replication stream and
@@ -34,8 +37,9 @@
 # it fails the gate instead of the next benchmark run.
 #
 # Benchmarks are separate: bench.sh regenerates BENCH_core.json and
-# BENCH_ingest.json, and bash benchmark/run.sh runs the end-to-end
-# benchmark.
+# BENCH_ingest.json from go test -bench runs, and bash benchmark/run.sh
+# runs the end-to-end benchmark. The gates the push benchmark holds run
+# here too, at 5k papers (TestIngestGates).
 set -eu
 
 echo "==> gofmt -l"
@@ -57,18 +61,18 @@ echo "==> go vet ./... (benchmark module)"
 
 if [ "${1:-}" = "quick" ]; then
 	echo "==> go test -race -short (kernel packages)"
-	go test -race -short -run 'Parallel|Operator|Pool|RankBatch|Tiled|Lanes|RCM|Relabel|Degree|Explain|TopPage|Tracker|CitationMatrix|FromCSC|Validate' \
+	go test -race -short -run 'Parallel|Operator|Pool|RankBatch|Tiled|Lanes|RCM|Relabel|Degree|Explain|TopPage|Tracker|CitationMatrix|FromCSC|Validate|BenchCoreFields' \
 		./internal/sparse/ ./internal/core/
 	echo "==> go test -race (sweep work units and their bit-equality at every GOMAXPROCS)"
 	go test -race -run SweepAttRank ./internal/eval/
 	echo "==> go test -race (scratch metrics bit-equality)"
 	go test -race -run 'Scratch|Ordering|Ranks' ./internal/metrics/
-	echo "==> go test -race (ingest durability, replication log, compiled-operator lifetime)"
-	go test -race -run 'WAL|WireSize|ReplState|Operator' ./internal/ingest/
+	echo "==> go test -race (ingest durability, replication log, compiled-operator lifetime, push-path gates, BENCH_ingest.json fields)"
+	go test -race -run 'WAL|WireSize|ReplState|Operator|IngestGates|IngestArmWaitIsBounded|BenchIngestFields' ./internal/ingest/
 	echo "==> go test -race (admission control, replica serving policy, static refresh epochs, top pages, shutdown drain)"
 	go test -race -run 'Admission|Backpressure|Deadline|Replica|RateLimiter|MaxRPS|Explain|TopPage|ServeListener|Refresh|Static|EnableIndicators' ./internal/service/
-	echo "==> go test -race -short (replication follower)"
-	go test -race -short -run 'Follower' ./internal/replication/
+	echo "==> go test -race -short (replication follower, leader caps)"
+	go test -race -short -run 'Follower|LeaderCaps' ./internal/replication/
 	echo "==> go test -race (incremental push path and compaction: kernel, overlay, builder splice, network memo, metamorphic, ingest, replication)"
 	go test -race -run 'Push|Pusher|Overlay|Incremental|FlushDebounceRace|EpochMarkerLegacy|Builder|Compact|Compiled|Chain|Tracker|CitationMatrix|FromCSC|Validate' \
 		./internal/sparse/ ./internal/graph/ ./internal/core/ ./internal/ingest/ ./internal/replication/
