@@ -18,7 +18,8 @@
 # correctness gates as it goes (deviation within the pusher's bound,
 # replay bit-identity, reconciliation == the full-only chain and within
 # 1e-6 of exact, bounded live staleness); a failed gate fails the run
-# and no file is written.
+# and no file is written. One run of it goes first, before the timed
+# passes, so a failed gate exits early instead of after the core pass.
 #
 # The core benchmarks then run once at every core (printed, not
 # committed) so a regression in the pool fan-out shows next to the
@@ -31,11 +32,13 @@ count=5
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# bench OUT PKG REGEX BENCHTIME: run the benchmarks at -cpu 1, print
-# their output and append it to $tmp/OUT.
+# bench OUT PKG REGEX BENCHTIME [COUNT]: run the benchmarks COUNT times
+# (default $count) at -cpu 1, print their output and append it to
+# $tmp/OUT.
 bench() {
-	echo "==> go test -bench '$3' -benchtime $4 -count $count -cpu 1 $2"
-	if ! go test -run '^$' -bench "$3" -benchtime "$4" -count "$count" -cpu 1 "$2" >"$tmp/run"; then
+	n=${5:-$count}
+	echo "==> go test -bench '$3' -benchtime $4 -count $n -cpu 1 $2"
+	if ! go test -run '^$' -bench "$3" -benchtime "$4" -count "$n" -cpu 1 "$2" >"$tmp/run"; then
 		cat "$tmp/run"
 		echo "bench.sh: $3 failed" >&2
 		exit 1
@@ -67,6 +70,7 @@ reduce() {
 			END { flush(); print "\n}" }'
 }
 
+bench gates ./internal/ingest/ 'PushRerank100k' 200x 1
 bench core ./internal/core/ '100k' 1s
 bench ingest ./internal/ingest/ 'FullRerank100k' 25x
 bench ingest ./internal/ingest/ 'PushRerank100k' 200x

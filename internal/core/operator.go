@@ -52,14 +52,18 @@ type Operator struct {
 }
 
 // CompileStats records the cost and shape of the kernel compilation
-// pipeline: the stochastic-matrix normalization, the degree-run
-// ordering of its rows, then the tiled layout built under it, one after
-// the other. WallNS is the end-to-end pipeline time.
+// pipeline: the stochastic matrix over the network's reference lists,
+// the degree-run ordering of its rows, then the tiled layout built under
+// it, one after the other. A derived compile (Derived) carries the
+// previous epoch's layout over instead (sparse.Stochastic.DeriveTiled):
+// it has no ordering pass, and TiledNS times the derive. WallNS is the
+// end-to-end pipeline time.
 type CompileStats struct {
-	StochasticNS int64 // CSC build + column normalization
+	StochasticNS int64 // dangling list over the reference lists
 	RelabelNS    int64 // degree-run ordering of the matrix rows
-	TiledNS      int64 // tile cutting + index compression
+	TiledNS      int64 // tile cutting + index compression, or the derive
 	WallNS       int64 // wall clock of the whole pipeline
+	Derived      bool  // layout derived from the previous epoch's
 	Layout       sparse.LayoutStats
 }
 
@@ -129,16 +133,18 @@ func (c *vecCache[K]) put(k K, v []float64) *vecEntry {
 	return e
 }
 
-// kernelCompiles counts stochastic-matrix compilations process-wide; with
-// sparse.TiledBuilds it backs the compile-once regression tests.
+// kernelCompiles counts kernel compilations, derived or from scratch,
+// process-wide; with sparse.TiledBuilds it backs the compile-once
+// regression tests.
 var kernelCompiles atomic.Int64
 
 // vectorComputes counts attention/recency vector computations (cache
 // misses) process-wide. Diagnostic hook for the cache-eviction tests.
 var vectorComputes atomic.Int64
 
-// KernelCompiles reports how many times this process normalized a
-// citation matrix into ranking-operator form. Diagnostic hook for tests.
+// KernelCompiles reports how many times this process compiled a
+// citation matrix into ranking-operator form, derived or from scratch.
+// Diagnostic hook for tests.
 func KernelCompiles() int64 { return kernelCompiles.Load() }
 
 // Compile returns a fresh operator for the network. Matrix state is built
@@ -183,11 +189,14 @@ func (op *Operator) closePoolLocked() {
 }
 
 // buildTiledLocked compiles the tiled kernel pipeline: the
-// column-stochastic normalization, then the degree-run ordering of its
-// rows (sparse.Stochastic.DegreeOrder), then the tiled layout cut under
-// that ordering. The normalized CSC matrix is dropped once the tiles are
-// cut; a rebuild after Close normalizes again. Requires op.mu.
-func (op *Operator) buildTiledLocked() error {
+// column-stochastic matrix over the network's reference lists, then the
+// degree-run ordering of its rows (sparse.Stochastic.DegreeOrder), then
+// the tiled layout cut under that ordering. With prev, the layout of
+// base's operator, it derives the layout from prev instead
+// (sparse.Stochastic.DeriveTiled) and compiles from scratch only if the
+// derive declines. The matrix is dropped once the tiles are cut. Requires
+// op.mu.
+func (op *Operator) buildTiledLocked(prev *sparse.TiledStochastic, base *graph.Network) error {
 	if op.tiled != nil {
 		return nil
 	}
@@ -197,30 +206,65 @@ func (op *Operator) buildTiledLocked() error {
 	if err != nil {
 		return err
 	}
-	kernelCompiles.Add(1)
-	mKernelCompiles.Inc()
-	tr := time.Now()
-	perm := op.forcedPerm
-	if perm == nil {
-		perm = s.DegreeOrder(nil)
-	}
-	relabelNS := time.Since(tr).Nanoseconds()
 	if op.pool == nil {
 		op.pool = sparse.NewPool(0)
 	}
+	var relabelNS int64
 	tt := time.Now()
-	op.tiled = s.Tiled(op.pool, perm)
+	if prev != nil {
+		if bs, err := base.StochasticMatrix(); err == nil {
+			op.tiled = s.DeriveTiled(op.pool, bs, prev)
+		}
+	}
+	kind := "derived"
+	if op.tiled == nil {
+		kind = "scratch"
+		tr := time.Now()
+		perm := op.forcedPerm
+		if perm == nil {
+			perm = s.DegreeOrder(nil)
+		}
+		relabelNS = time.Since(tr).Nanoseconds()
+		tt = time.Now()
+		op.tiled = s.Tiled(op.pool, perm)
+	}
 	tiledNS := time.Since(tt).Nanoseconds()
+	kernelCompiles.Add(1)
+	mKernelCompiles.With(kind).Inc()
 	op.perm = op.tiled.Perm()
 	op.compile = CompileStats{
 		StochasticNS: stochNS,
 		RelabelNS:    relabelNS,
 		TiledNS:      tiledNS,
 		WallNS:       time.Since(t0).Nanoseconds(),
+		Derived:      kind == "derived",
 		Layout:       op.tiled.Stats(),
 	}
 	observeLayout(op.compile)
 	return nil
+}
+
+// compileFrom compiles the tiled kernel, deriving its layout from
+// prev's when prev's tiles exist and neither operator has a forced
+// permutation; DeriveTiled itself declines unless op's matrix extends
+// prev's with the same window count, and the compile then runs from
+// scratch. If op is already compiled it does nothing. The previous
+// operator is held only for the call.
+func (op *Operator) compileFrom(prev *Operator) error {
+	var pt *sparse.TiledStochastic
+	if prev != op {
+		prev.mu.Lock()
+		if prev.forcedPerm == nil {
+			pt = prev.tiled
+		}
+		prev.mu.Unlock()
+	}
+	op.mu.Lock()
+	defer op.mu.Unlock()
+	if op.forcedPerm != nil {
+		pt = nil
+	}
+	return op.buildTiledLocked(pt, prev.net)
 }
 
 // acquireTiled returns the tiled kernel, compiling it (and the pool and
@@ -228,7 +272,7 @@ func (op *Operator) buildTiledLocked() error {
 func (op *Operator) acquireTiled() (*sparse.TiledStochastic, error) {
 	op.mu.Lock()
 	defer op.mu.Unlock()
-	if err := op.buildTiledLocked(); err != nil {
+	if err := op.buildTiledLocked(nil, nil); err != nil {
 		return nil, err
 	}
 	return op.tiled, nil
@@ -241,7 +285,7 @@ func (op *Operator) acquireTiled() (*sparse.TiledStochastic, error) {
 func (op *Operator) PrimeKernel() (CompileStats, error) {
 	op.mu.Lock()
 	defer op.mu.Unlock()
-	if err := op.buildTiledLocked(); err != nil {
+	if err := op.buildTiledLocked(nil, nil); err != nil {
 		return CompileStats{}, err
 	}
 	return op.compile, nil

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"reflect"
 	"sync"
@@ -46,6 +47,7 @@ func reportNS(b *testing.B, field string) {
 // coreBenches are the bodies behind BENCH_core.json.
 var coreBenches = []func(*testing.B, *graph.Network){
 	benchCompile,
+	benchCompileDerived,
 	benchSerialReference,
 	func(b *testing.B, net *graph.Network) { benchStep(b, net, 1, "iter_fused_parts1_ns") },
 	func(b *testing.B, net *graph.Network) { benchStep(b, net, 0, "iter_fused_ns") },
@@ -86,6 +88,49 @@ func benchCompile(b *testing.B, net *graph.Network) {
 	b.ReportMetric(float64(sum.Layout.Tiles), "tiles")
 	b.ReportMetric(float64(sum.Layout.Windows), "windows")
 	b.ReportMetric(sum.Layout.Occupancy, "tile_row_occupancy")
+}
+
+// BenchmarkCompileDerived100k times a full epoch's compile as the
+// tracker runs it: the layout of the network plus three new papers,
+// each citing one existing paper (the write_full workload's epoch
+// shape), derived from the network's compiled layout
+// (sparse.Stochastic.DeriveTiled) rather than compiled from scratch.
+func BenchmarkCompileDerived100k(b *testing.B) { benchCompileDerived(b, bench100k(b)) }
+
+func benchCompileDerived(b *testing.B, net *graph.Network) {
+	prev := Compile(net)
+	defer prev.Close()
+	if _, err := prev.PrimeKernel(); err != nil {
+		b.Fatal(err)
+	}
+	bld := graph.NewBuilderFrom(net)
+	for i := 0; i < 3; i++ {
+		idx, err := bld.AddPaper(fmt.Sprintf("bench-new-%d", i), net.MaxYear(), nil, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		bld.AddEdgeByIndex(idx, int32((2*i+1)*net.N()/7))
+	}
+	next, err := bld.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var wall int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op := Compile(next)
+		if err := op.compileFrom(prev); err != nil {
+			b.Fatal(err)
+		}
+		if !op.compile.Derived {
+			b.Fatal("the successor's compile ran from scratch")
+		}
+		wall += op.compile.WallNS
+		b.StopTimer()
+		op.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(wall)/float64(b.N), "compile_derived_ns")
 }
 
 // BenchmarkIteration100kSerialReference is one iteration of the serial

@@ -20,8 +20,8 @@ var (
 		obs.ExpBuckets(1e-14, 10, 15))
 	mFinalResidual = obs.NewGauge("attrank_core_rank_final_residual",
 		"L1 residual of the most recently completed Rank.")
-	mKernelCompiles = obs.NewCounter("attrank_core_kernel_compiles_total",
-		"Citation-matrix normalizations into ranking-operator form (one per network, again after Close).")
+	mKernelCompiles = obs.NewCounterVec("attrank_core_kernel_compiles_total",
+		"Kernel compiles (one per network, again after Close), by kind=derived (from the previous epoch's layout) or kind=scratch.", "kind")
 	mRankSeconds = obs.NewHistogramVec("attrank_core_rank_seconds",
 		"Full Rank wall time, labeled by start=cold (uniform start) or start=warm.",
 		obs.ExpBuckets(1e-4, 2, 20), "start")
@@ -82,6 +82,6 @@ func TelemetryLine() string {
 	iters := mRankIterations.Sum()
 	dur := mRankSeconds.With("cold").Sum() + mRankSeconds.With("warm").Sum()
 	return fmt.Sprintf("telemetry: ranks=%d iterations=%.0f kernel_compiles=%d final_residual=%.3e rank_time=%s",
-		ranks, iters, mKernelCompiles.Value(), mFinalResidual.Value(),
+		ranks, iters, KernelCompiles(), mFinalResidual.Value(),
 		time.Duration(dur*float64(time.Second)).Round(time.Microsecond))
 }

@@ -20,6 +20,12 @@ import (
 // network grown by graph.NewBuilderFrom) is matched by comparing one ID,
 // and only a paper that moved is looked up in the previous network's ID
 // index. The match is by ID either way.
+//
+// The previous network's compiled operator carries over too: before it
+// ranks, Update compiles the new network's kernel from it, which
+// derives the tiled layout when the new network extends the previous
+// one (sparse.Stochastic.DeriveTiled) and compiles it from scratch
+// otherwise. Either way the layout, and so every score, is the same.
 type Tracker struct {
 	params Params
 	// prev is the network of the previous Update (or Seed), and last
@@ -94,6 +100,11 @@ func (t *Tracker) Update(net *graph.Network, now int) (*Result, error) {
 			}
 		}
 		p.Start = start
+	}
+	if t.prev != nil && p.Alpha != 0 && net.N() > 0 {
+		if err := OperatorFor(net).compileFrom(OperatorFor(t.prev)); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
 	}
 	res, err := Rank(net, now, p)
 	if err != nil {

@@ -23,12 +23,11 @@ func (n *Network) CitationMatrix() (*sparse.Matrix, error) {
 // StochasticMatrix returns the column-stochastic matrix S of the paper:
 // each paper spreads unit mass uniformly over its references, and papers
 // without references are dangling columns handled by the Stochastic type.
+// It wraps the network's reference CSR in sparse's pattern form, so it
+// builds no 0/1 matrix and no value array: each entry's 1/k is computed
+// where it is read.
 func (n *Network) StochasticMatrix() (*sparse.Stochastic, error) {
-	c, err := n.CitationMatrix()
-	if err != nil {
-		return nil, err
-	}
-	s, err := sparse.NewColumnStochastic(c)
+	s, err := sparse.NewCitationStochastic(n.N(), n.refPtr, n.refs)
 	if err != nil {
 		return nil, fmt.Errorf("graph: stochastic matrix: %w", err)
 	}

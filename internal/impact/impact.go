@@ -186,6 +186,34 @@ func DeriveThresholds(scores []float64) Thresholds {
 	return t
 }
 
+// countThresholds is DeriveThresholds for a non-empty vector of
+// non-negative integers (stored as float64, as Compute stores citation
+// counts). The k-th highest value is read off a histogram of the
+// values, walking down from the maximum until k entries are at or
+// above it: O(n + max) with no copy and no selection. A value is
+// exact in float64, so the cutoffs carry DeriveThresholds' bits.
+func countThresholds(counts []float64) Thresholds {
+	top := 0
+	for _, v := range counts {
+		top = max(top, int(v))
+	}
+	hist := make([]int, top+1)
+	for _, v := range counts {
+		hist[int(v)]++
+	}
+	var t Thresholds
+	v, atOrAbove := top, hist[top]
+	for c, f := range ClassFractions {
+		k := max(1, int(f*float64(len(counts))))
+		for atOrAbove < k {
+			v--
+			atOrAbove += hist[v]
+		}
+		t.Top[c] = float64(v)
+	}
+	return t
+}
+
 // before reports whether a precedes b in descending order: the reverse
 // of sort.Float64Slice's order, so NaN sorts last and -0 ties +0.
 func before(a, b float64) bool {
@@ -344,8 +372,8 @@ func Compute(net *graph.Network, attrank []float64, rankedAt int, cfg Config) (*
 	e.PRConverged = pr.Converged
 
 	// Impulse and citation counts are exact integers stored as float64,
-	// so every arithmetic below (sorting, comparisons) is trivially
-	// deterministic.
+	// so every arithmetic below is trivially deterministic, and their
+	// cutoffs come from a count histogram (countThresholds).
 	impulse := make([]float64, n)
 	cc := make([]float64, n)
 	from := rankedAt - cfg.ImpulseWindow + 1
@@ -356,9 +384,10 @@ func Compute(net *graph.Network, attrank []float64, rankedAt int, cfg Config) (*
 	e.scores[Impulse] = impulse
 	e.scores[CitationCount] = cc
 
-	for ind := Indicator(0); ind < NumIndicators; ind++ {
-		e.thr[ind] = DeriveThresholds(e.scores[ind])
-	}
+	e.thr[Popularity] = DeriveThresholds(e.scores[Popularity])
+	e.thr[Influence] = DeriveThresholds(e.scores[Influence])
+	e.thr[Impulse] = countThresholds(impulse)
+	e.thr[CitationCount] = countThresholds(cc)
 
 	e.net, e.ids = net, make(map[string]int32)
 	for i := int32(0); int(i) < n; i++ {

@@ -71,3 +71,47 @@ func TestThresholdsMatchSortReference(t *testing.T) {
 		}
 	}
 }
+
+// TestCountThresholdsMatchSelection: the histogram cutoffs Compute
+// takes for the two integer indicators carry DeriveThresholds' bits on
+// random integer vectors with plateaus (mostly zero, a few distinct
+// counts, one heavy hub), on all-zero vectors and on one- and
+// two-valued ones, at sizes on both sides of N = 10,000, below which
+// k_C1 = max(1, ⌊1e-4·N⌋) is 1.
+func TestCountThresholdsMatchSelection(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	shapes := []struct {
+		name string
+		gen  func(i int) float64
+	}{
+		{"counts", func(int) float64 {
+			if rng.Intn(4) > 0 {
+				return 0
+			}
+			return float64(rng.Intn(30))
+		}},
+		{"plateaus", func(int) float64 { return float64(3 * rng.Intn(4)) }},
+		{"hub", func(i int) float64 {
+			if i == 7 {
+				return 5000
+			}
+			return float64(rng.Intn(2))
+		}},
+		{"zeros", func(int) float64 { return 0 }},
+		{"ones", func(int) float64 { return 1 }},
+	}
+	for _, n := range []int{1, 2, 9, 999, 9999, 10000, 10001, 123457} {
+		for _, sh := range shapes {
+			counts := make([]float64, n)
+			for i := range counts {
+				counts[i] = sh.gen(i)
+			}
+			got, want := countThresholds(counts), DeriveThresholds(counts)
+			for c := range want.Top {
+				if math.Float64bits(got.Top[c]) != math.Float64bits(want.Top[c]) {
+					t.Fatalf("n=%d %s: C%d cutoff %v, selection gives %v", n, sh.name, c+1, got.Top[c], want.Top[c])
+				}
+			}
+		}
+	}
+}

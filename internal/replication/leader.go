@@ -70,12 +70,14 @@ func NewLeader(ing *ingest.Ingester, cfg LeaderConfig) *Leader {
 	}
 }
 
-// acquire takes a slot of sem, or answers 503 and reports false.
-func acquire(w http.ResponseWriter, sem chan struct{}, what string) bool {
+// acquire takes a slot of sem, or answers 503, counts the rejection
+// under endpoint ("wal" or "state") and reports false.
+func acquire(w http.ResponseWriter, sem chan struct{}, what, endpoint string) bool {
 	select {
 	case sem <- struct{}{}:
 		return true
 	default:
+		mRejected.With(endpoint).Inc()
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "too many open "+what, http.StatusServiceUnavailable)
 		return false
@@ -99,7 +101,7 @@ func (l *Leader) handleState(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	if !acquire(w, l.bootstraps, "bootstraps") {
+	if !acquire(w, l.bootstraps, "bootstraps", "state") {
 		return
 	}
 	defer func() { <-l.bootstraps }()
@@ -159,7 +161,7 @@ func (l *Leader) handleWAL(w http.ResponseWriter, r *http.Request) {
 			http.StatusConflict)
 		return
 	}
-	if !acquire(w, l.streams, "streams") {
+	if !acquire(w, l.streams, "streams", "wal") {
 		return
 	}
 	defer func() { <-l.streams }()

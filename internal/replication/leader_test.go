@@ -12,7 +12,8 @@ import (
 )
 
 // TestLeaderCapsStreams: a leader holds at most maxStreams /repl/wal
-// streams open. The next one is answered 503 with Retry-After, and once
+// streams open. The next one is answered 503 with Retry-After and
+// counted in attrank_repl_rejected_total{endpoint="wal"}, and once
 // the clients cancel, the streams' goroutines and
 // attrank_repl_streams_open return to where they were.
 func TestLeaderCapsStreams(t *testing.T) {
@@ -22,7 +23,7 @@ func TestLeaderCapsStreams(t *testing.T) {
 	tr := &http.Transport{}
 	defer tr.CloseIdleConnections()
 	client := &http.Client{Transport: tr}
-	goroutines, open := runtime.NumGoroutine(), mStreamsOpen.Value()
+	goroutines, open, rejected := runtime.NumGoroutine(), mStreamsOpen.Value(), mRejected.With("wal").Value()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -51,6 +52,9 @@ func TestLeaderCapsStreams(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("stream %d: %s, Retry-After %q; want 503 with Retry-After", maxStreams+1, resp.Status, resp.Header.Get("Retry-After"))
 	}
+	if got := mRejected.With("wal").Value() - rejected; got != 1 {
+		t.Fatalf("attrank_repl_rejected_total{endpoint=\"wal\"} rose by %d after one rejected stream, want 1", got)
+	}
 	if got := mStreamsOpen.Value(); got != open+maxStreams {
 		t.Fatalf("attrank_repl_streams_open = %v with %d streams open, want %v", got, maxStreams, open+maxStreams)
 	}
@@ -68,8 +72,9 @@ func TestLeaderCapsStreams(t *testing.T) {
 }
 
 // TestLeaderCapsBootstraps: with maxBootstraps /repl/state downloads in
-// flight, the next is answered 503 with Retry-After; a freed slot
-// serves again.
+// flight, the next is answered 503 with Retry-After and counted in
+// attrank_repl_rejected_total{endpoint="state"}; a freed slot serves
+// again, uncounted.
 func TestLeaderCapsBootstraps(t *testing.T) {
 	ing, _ := startLeader(t)
 	l := NewLeader(ing, LeaderConfig{})
@@ -81,11 +86,18 @@ func TestLeaderCapsBootstraps(t *testing.T) {
 		l.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, statePath, nil))
 		return rec
 	}
+	rejected := mRejected.With("state").Value()
 	if rec := get(); rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
 		t.Fatalf("bootstrap %d: %d, Retry-After %q; want 503 with Retry-After", maxBootstraps+1, rec.Code, rec.Header().Get("Retry-After"))
+	}
+	if got := mRejected.With("state").Value() - rejected; got != 1 {
+		t.Fatalf("attrank_repl_rejected_total{endpoint=\"state\"} rose by %d after one rejected bootstrap, want 1", got)
 	}
 	<-l.bootstraps
 	if rec := get(); rec.Code != http.StatusOK {
 		t.Fatalf("bootstrap with a free slot: %d, want 200", rec.Code)
+	}
+	if got := mRejected.With("state").Value() - rejected; got != 1 {
+		t.Fatalf("attrank_repl_rejected_total{endpoint=\"state\"} rose by %d after a served bootstrap, want 1", got)
 	}
 }

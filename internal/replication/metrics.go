@@ -10,6 +10,8 @@ var (
 		"Bootstrap (/repl/state) downloads served by the leader.")
 	mStreamsOpen = obs.NewGauge("attrank_repl_streams_open",
 		"WAL segment streams currently open on the leader.")
+	mRejected = obs.NewCounterVec("attrank_repl_rejected_total",
+		"Replication requests the leader answered 503 at its cap, by endpoint=wal (streams) or endpoint=state (bootstraps).", "endpoint")
 	mBytesShipped = obs.NewCounter("attrank_repl_bytes_shipped_total",
 		"WAL bytes shipped to followers (data frame payloads only).")
 	mBytesReceived = obs.NewCounter("attrank_repl_bytes_received_total",

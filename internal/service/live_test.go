@@ -464,3 +464,24 @@ func TestConcurrentReadsDuringEpochSwaps(t *testing.T) {
 		t.Fatalf("streamed paper: %d %v", rec.Code, body)
 	}
 }
+
+// TestWriteBodyLimit: a write body beyond maxWriteBody is refused with
+// 400 before anything reaches the WAL, on every write endpoint.
+func TestWriteBodyLimit(t *testing.T) {
+	s, ing := liveServer(t, liveSeed(t), ingest.Config{})
+	h := s.Handler()
+	huge := strings.Repeat("x", maxWriteBody)
+	for path, body := range map[string]string{
+		"/v1/papers":    `{"id":"` + huge + `","year":2000}`,
+		"/v1/citations": `{"citing":"` + huge + `","cited":"hot"}`,
+		"/v1/batch":     `{"papers":[{"id":"` + huge + `","year":2000}]}`,
+	} {
+		rec, _ := post(t, h, path, body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "too large") {
+			t.Errorf("POST %s with a %d-byte body: %d %.80s, want 400 naming the size", path, len(body), rec.Code, rec.Body.String())
+		}
+	}
+	if st := ing.Status(); st.Pending != 0 {
+		t.Fatalf("%d mutations pending after refused bodies, want 0", st.Pending)
+	}
+}

@@ -76,21 +76,26 @@ func (m *Matrix) Rows() int { return m.rows }
 func (m *Matrix) Cols() int { return m.cols }
 
 // NNZ returns the number of stored nonzero entries.
-func (m *Matrix) NNZ() int { return len(m.val) }
+func (m *Matrix) NNZ() int { return len(m.rowIdx) }
 
 // At returns the value at (row, col). It is O(log nnz(col)) and intended
 // for tests and spot checks, not inner loops.
 func (m *Matrix) At(row, col int) float64 {
+	if k, ok := m.find(row, col); ok {
+		return m.val[k]
+	}
+	return 0
+}
+
+// find returns the entry index of (row, col), if stored.
+func (m *Matrix) find(row, col int) (int, bool) {
 	if row < 0 || row >= m.rows || col < 0 || col >= m.cols {
-		return 0
+		return 0, false
 	}
 	lo, hi := m.colPtr[col], m.colPtr[col+1]
 	seg := m.rowIdx[lo:hi]
 	k := sort.Search(len(seg), func(i int) bool { return seg[i] >= int32(row) })
-	if k < len(seg) && seg[k] == int32(row) {
-		return m.val[int(lo)+k]
-	}
-	return 0
+	return int(lo) + k, k < len(seg) && seg[k] == int32(row)
 }
 
 // Scale returns a copy of the matrix with every entry multiplied by f.

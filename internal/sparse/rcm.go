@@ -114,24 +114,12 @@ func RCMOrder(n int, deg []int32, adj func(int32, func(int32))) []int32 {
 // first, which yields exactly the lexicographic order above in
 // O(w·(rows + max count)) per window instead of a comparison sort.
 func (s *Stochastic) DegreeOrder(rank []int32) []int32 {
-	m := s.m
-	n := m.rows
-	w := (n + windowSize - 1) / windowSize
-	if w < 1 {
-		w = 1
-	}
-	// cnt[r*w+j] = entries of row r whose original column is in window j.
-	cnt := make([]int32, n*w)
+	n := s.m.rows
+	w := windows(n)
+	cnt := s.counts()
 	maxCnt := int32(0)
-	for c := 0; c < m.cols; c++ {
-		j := c >> WindowBits
-		for k := m.colPtr[c]; k < m.colPtr[c+1]; k++ {
-			i := int(m.rowIdx[k])*w + j
-			cnt[i]++
-			if cnt[i] > maxCnt {
-				maxCnt = cnt[i]
-			}
-		}
+	for _, c := range cnt {
+		maxCnt = max(maxCnt, c)
 	}
 	perm := make([]int32, n)
 	idx := make([]int32, 0, windowSize)

@@ -1,6 +1,9 @@
 package sparse
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Stochastic is a column-stochastic matrix with the dangling columns
 // (columns whose sum is zero in the source matrix) tracked explicitly
@@ -11,9 +14,25 @@ import "fmt"
 // MulVec computes S·x = M·x + (Σ_{dangling j} x_j) · u where u is the
 // uniform vector, exactly matching the paper's definition of S without
 // storing n² entries.
+//
+// A Stochastic comes in two forms. NewColumnStochastic normalizes a
+// weighted matrix into a per-entry value array. NewCitationStochastic
+// wraps a 0/1 pattern — a citation network's reference lists — with no
+// value array at all: every entry of column c is 1/k_c, computed where
+// it is read. Both forms give the same bits for a 0/1 matrix, since a
+// sum of k ones is exactly k and 1·(1/k) == 1/k.
 type Stochastic struct {
-	m        *Matrix
+	m        *Matrix // m.val is nil in the pattern form
 	dangling []int32 // columns with zero out-sum, ascending
+	// counts returns the per-row, per-column-window entry counts the
+	// degree-run ordering and the tiled layout both read, computed once.
+	counts func() []int32
+}
+
+func newStochastic(m *Matrix, dangling []int32) *Stochastic {
+	s := &Stochastic{m: m, dangling: dangling}
+	s.counts = sync.OnceValue(s.windowCounts)
+	return s
 }
 
 // NewColumnStochastic normalizes each column of m to sum to one and
@@ -45,7 +64,27 @@ func NewColumnStochastic(m *Matrix) (*Stochastic, error) {
 			norm.val[k] = m.val[k] * inv
 		}
 	}
-	return &Stochastic{m: norm, dangling: dangling}, nil
+	return newStochastic(norm, dangling), nil
+}
+
+// NewCitationStochastic returns the column-stochastic form of the n×n
+// 0/1 matrix whose column c holds rows rowIdx[colPtr[c]:colPtr[c+1]]:
+// each entry of a column of k entries is 1/k, and empty columns are
+// dangling. It wraps the arrays without copying them and stores no
+// values. Each column's rows must be strictly ascending and in [0, n),
+// as graph.Network's reference lists are by construction; only the
+// pointer array's shape is checked here.
+func NewCitationStochastic(n int, colPtr, rowIdx []int32) (*Stochastic, error) {
+	if n < 0 || len(colPtr) != n+1 || colPtr[0] != 0 || int(colPtr[n]) != len(rowIdx) {
+		return nil, fmt.Errorf("sparse: %d column pointers spanning %d rows for a %dx%d citation matrix", len(colPtr), len(rowIdx), n, n)
+	}
+	var dangling []int32
+	for c := 0; c < n; c++ {
+		if colPtr[c] == colPtr[c+1] {
+			dangling = append(dangling, int32(c))
+		}
+	}
+	return newStochastic(&Matrix{rows: n, cols: n, colPtr: colPtr, rowIdx: rowIdx}, dangling), nil
 }
 
 // N returns the dimension of the (square) matrix.
@@ -77,11 +116,38 @@ func (s *Stochastic) DanglingMass(x []float64) float64 {
 	return mass
 }
 
+// mulM computes dst = M·x, the product without the dangling share. The
+// pattern form multiplies each column's 1/k by x[c] once and adds that
+// product down the column: the addend the value form computes per
+// entry, so the bits agree.
+func (s *Stochastic) mulM(dst, x []float64) {
+	m := s.m
+	if m.val != nil {
+		m.MulVec(dst, x)
+		return
+	}
+	if len(x) != m.cols || len(dst) != m.rows {
+		panic(fmt.Sprintf("sparse: MulVec dimension mismatch: matrix %dx%d, x %d, dst %d",
+			m.rows, m.cols, len(x), len(dst)))
+	}
+	clear(dst)
+	for c := 0; c < m.cols; c++ {
+		lo, hi := m.colPtr[c], m.colPtr[c+1]
+		if x[c] == 0 || lo == hi {
+			continue
+		}
+		v := 1 / float64(hi-lo) * x[c]
+		for _, r := range m.rowIdx[lo:hi] {
+			dst[r] += v
+		}
+	}
+}
+
 // MulVec computes dst = S·x with the dangling mass spread uniformly:
 // dst = M·x + (dangling mass)/n. dst and x must both have length N and
 // must not alias.
 func (s *Stochastic) MulVec(dst, x []float64) {
-	s.m.MulVec(dst, x)
+	s.mulM(dst, x)
 	if len(s.dangling) == 0 {
 		return
 	}
@@ -96,7 +162,7 @@ func (s *Stochastic) MulVec(dst, x []float64) {
 // uniform vector. r must sum to one for the result to remain stochastic.
 // Used by the dangling-policy ablation.
 func (s *Stochastic) MulVecDanglingTo(dst, x, r []float64) {
-	s.m.MulVec(dst, x)
+	s.mulM(dst, x)
 	if len(s.dangling) == 0 {
 		return
 	}
@@ -112,5 +178,51 @@ func (s *Stochastic) At(row, col int) float64 {
 	if s.Dangling(col) {
 		return 1 / float64(s.m.rows)
 	}
-	return s.m.At(row, col)
+	if s.m.val != nil {
+		return s.m.At(row, col)
+	}
+	if _, ok := s.m.find(row, col); !ok {
+		return 0
+	}
+	return 1 / float64(s.m.colPtr[col+1]-s.m.colPtr[col])
+}
+
+// colValue returns the value every entry of column c holds, panicking
+// if the value form's column is not uniform (see TiledStochastic).
+// Dangling columns read 0.
+func (s *Stochastic) colValue(c int) float64 {
+	m := s.m
+	lo, hi := m.colPtr[c], m.colPtr[c+1]
+	if lo == hi {
+		return 0
+	}
+	if m.val == nil {
+		return 1 / float64(hi-lo)
+	}
+	for k := lo + 1; k < hi; k++ {
+		if m.val[k] != m.val[lo] {
+			panic(fmt.Sprintf("sparse: Tiled column %d is not uniform: entries %v and %v differ", c, m.val[lo], m.val[k]))
+		}
+	}
+	return m.val[lo]
+}
+
+// windows returns the number of 64Ki column windows of an n-row layout.
+func windows(n int) int {
+	return max(1, (n+windowSize-1)/windowSize)
+}
+
+// windowCounts returns cnt with cnt[r·w+j] the entries of row r whose
+// column is in window j (w = windows(N)).
+func (s *Stochastic) windowCounts() []int32 {
+	m := s.m
+	w := windows(m.rows)
+	cnt := make([]int32, m.rows*w)
+	for c := 0; c < m.cols; c++ {
+		j := c >> WindowBits
+		for _, r := range m.rowIdx[m.colPtr[c]:m.colPtr[c+1]] {
+			cnt[int(r)*w+j]++
+		}
+	}
+	return cnt
 }

@@ -100,6 +100,7 @@ type TiledStochastic struct {
 	colVal   []float64 // per-storage-column value, len rows
 	cols     []uint16  // one window-local word per entry
 	wbase    []int32   // len W: x-offset of each window view
+	tileRows int       // row-block height
 	tiles    []tileHeader
 	dangling []int32 // permuted dangling columns, ascending ORIGINAL order
 	perm     []int32 // old → new (shared, read-only; identity if nil given)
@@ -134,7 +135,6 @@ func (s *Stochastic) TiledRows(pool *Pool, perm []int32, tileRows int) *TiledSto
 	if tileRows < 1 {
 		tileRows = DefaultTileRows
 	}
-	tiledBuilds.Add(1)
 	m := s.m
 	n := m.rows
 	if perm == nil {
@@ -145,105 +145,52 @@ func (s *Stochastic) TiledRows(pool *Pool, perm []int32, tileRows int) *TiledSto
 			panic(fmt.Sprintf("sparse: Tiled permutation is not window-preserving: perm[%d] = %d crosses a %d-id window", i, p, windowSize))
 		}
 	}
-	w := (n + windowSize - 1) / windowSize
-	if w < 1 {
-		w = 1
-	}
-	t := &TiledStochastic{
-		rows:    n,
-		nnz:     len(m.val),
-		windows: w,
-		rowPtr:  make([]int32, n+1),
-		cols:    make([]uint16, len(m.val)),
-		wbase:   make([]int32, w),
-		perm:    perm,
-		pool:    pool,
-		colVal:  make([]float64, n),
-		scratch: NewVecPool(n),
-	}
+	t := newTiled(pool, perm, tileRows, m.NNZ())
 	// One value per column: every entry of a column must be bitwise equal
 	// (true by construction for 1/out-degree normalization of 0/1
-	// citations).
+	// citations, and the only value the pattern form has).
 	for c := 0; c < m.cols; c++ {
-		lo, hi := m.colPtr[c], m.colPtr[c+1]
-		for k := lo + 1; k < hi; k++ {
-			if m.val[k] != m.val[lo] {
-				panic(fmt.Sprintf("sparse: Tiled column %d is not uniform: entries %v and %v differ", c, m.val[lo], m.val[k]))
-			}
-		}
-		if lo < hi {
-			t.colVal[perm[c]] = m.val[lo]
-		}
-	}
-	for j := range t.wbase {
-		base := j << WindowBits
-		if max := n - windowSize; base > max && max >= 0 {
-			base = max
-		}
-		t.wbase[j] = int32(base)
+		t.colVal[perm[c]] = s.colValue(c)
 	}
 
-	// Pass 1: entry counts per permuted row.
-	for _, r := range m.rowIdx {
-		t.rowPtr[perm[r]+1]++
+	// Row pointers and window split points from the per-window entry
+	// counts: splits[j-1][r] is the first entry of row r whose window is
+	// ≥ j, since a row's entries are window-sorted (below).
+	w := t.windows
+	cnt := s.counts()
+	for r := 0; r < n; r++ {
+		row := cnt[r*w : r*w+w]
+		nr := perm[r]
+		at := int32(0)
+		for j, c := range row {
+			if j > 0 {
+				t.splits[j-1][nr] = at
+			}
+			at += c
+		}
+		t.rowPtr[nr+1] = at
 	}
 	for i := 0; i < n; i++ {
 		t.rowPtr[i+1] += t.rowPtr[i]
+		for _, sp := range t.splits {
+			sp[i] += t.rowPtr[i]
+		}
 	}
 
-	// Pass 2: scatter window-local column words. Walking the CSC
-	// columns ascending fills every row's entries in ascending
-	// ORIGINAL column order — the canonical accumulation order — which,
-	// under a window-preserving perm, also groups them into ascending
-	// window runs.
-	winAt := make([]uint16, len(m.val)) // transient: window id per entry
+	// Scatter window-local column words. Walking the CSC columns
+	// ascending fills every row's entries in ascending ORIGINAL column
+	// order — the canonical accumulation order — which, under a
+	// window-preserving perm, also groups them into ascending window
+	// runs.
 	cursor := make([]int32, n)
+	copy(cursor, t.rowPtr)
 	for c := 0; c < m.cols; c++ {
 		pc := perm[c]
-		j := pc >> WindowBits
-		word := uint16(pc - t.wbase[j])
-		for k := m.colPtr[c]; k < m.colPtr[c+1]; k++ {
-			nr := perm[m.rowIdx[k]]
-			pos := t.rowPtr[nr] + cursor[nr]
-			t.cols[pos] = word
-			winAt[pos] = uint16(j)
+		word := uint16(pc - t.wbase[pc>>WindowBits])
+		for _, r := range m.rowIdx[m.colPtr[c]:m.colPtr[c+1]] {
+			nr := perm[r]
+			t.cols[cursor[nr]] = word
 			cursor[nr]++
-		}
-	}
-
-	// Pass 3: per-row window split points. splits[j-1][r] is the first
-	// entry of row r whose window is ≥ j; runs are contiguous because
-	// entries are window-sorted within each row.
-	if w > 1 {
-		t.splits = make([][]int32, w-1)
-		for j := range t.splits {
-			t.splits[j] = make([]int32, n)
-		}
-		for r := 0; r < n; r++ {
-			a, b := t.rowPtr[r], t.rowPtr[r+1]
-			k := a
-			for j := 1; j < w; j++ {
-				for k < b && int(winAt[k]) < j {
-					k++
-				}
-				t.splits[j-1][r] = k
-			}
-		}
-	}
-
-	// Pass 4: cut row blocks and count occupancy.
-	for lo := 0; lo < n; lo += tileRows {
-		hi := lo + tileRows
-		if hi > n {
-			hi = n
-		}
-		t.tiles = append(t.tiles, tileHeader{rowLo: int32(lo), rowHi: int32(hi)})
-	}
-	t.partials = NewVecPool(len(t.tiles))
-	t.lanePartials = NewVecPool(Lanes * len(t.tiles))
-	for r := 0; r < n; r++ {
-		if t.rowPtr[r+1] > t.rowPtr[r] {
-			t.occupiedRow++
 		}
 	}
 
@@ -255,7 +202,63 @@ func (s *Stochastic) TiledRows(pool *Pool, perm []int32, tileRows int) *TiledSto
 			t.dangling[i] = perm[c]
 		}
 	}
+	t.finish()
 	return t
+}
+
+// newTiled allocates an n-row layout of nnz entries under perm (n =
+// len(perm)) with its window bases set (wbase[j] = min(j·64Ki, n−64Ki),
+// see the type comment); the caller fills the row
+// pointers, split planes, words, values and dangling list, then calls
+// finish. Every layout, compiled (TiledRows) or derived (DeriveTiled),
+// is built through these two.
+func newTiled(pool *Pool, perm []int32, tileRows, nnz int) *TiledStochastic {
+	tiledBuilds.Add(1)
+	n := len(perm)
+	w := windows(n)
+	t := &TiledStochastic{
+		rows:     n,
+		nnz:      nnz,
+		windows:  w,
+		tileRows: tileRows,
+		rowPtr:   make([]int32, n+1),
+		cols:     make([]uint16, nnz),
+		wbase:    make([]int32, w),
+		perm:     perm,
+		pool:     pool,
+		colVal:   make([]float64, n),
+		scratch:  NewVecPool(n),
+	}
+	for j := range t.wbase {
+		base := j << WindowBits
+		if max := n - windowSize; base > max && max >= 0 {
+			base = max
+		}
+		t.wbase[j] = int32(base)
+	}
+	if w > 1 {
+		t.splits = make([][]int32, w-1)
+		for j := range t.splits {
+			t.splits[j] = make([]int32, n)
+		}
+	}
+	return t
+}
+
+// finish cuts the row blocks and counts occupancy once the row pointers
+// are final.
+func (t *TiledStochastic) finish() {
+	n := t.rows
+	for lo := 0; lo < n; lo += t.tileRows {
+		t.tiles = append(t.tiles, tileHeader{rowLo: int32(lo), rowHi: int32(min(lo+t.tileRows, n))})
+	}
+	t.partials = NewVecPool(len(t.tiles))
+	t.lanePartials = NewVecPool(Lanes * len(t.tiles))
+	for r := 0; r < n; r++ {
+		if t.rowPtr[r+1] > t.rowPtr[r] {
+			t.occupiedRow++
+		}
+	}
 }
 
 // N returns the matrix dimension.

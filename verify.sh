@@ -12,8 +12,9 @@
 #                       build + vet, then a short-mode race pass over the
 #                       ranking hot path (sparse pool/tiled kernel, core
 #                       operator/parallel/RankBatch/lane-step/Explain/
-#                       Tracker tests, the FromCSC and CitationMatrix
-#                       wraps, the sweep's work units, scratch metrics),
+#                       Tracker tests, the derived layout == a scratch
+#                       compile, the FromCSC and CitationMatrix wraps,
+#                       the sweep's work units, scratch metrics),
 #                       the compaction tests with the network's
 #                       compiled-operator memo, the ingest WAL tests,
 #                       its compiled-operator lifetime tests (an epoch
@@ -21,7 +22,8 @@
 #                       is collected) and the push-path gates at 5k
 #                       papers, the guards that hold each BENCH_*.json
 #                       to the metrics its benchmarks report, the
-#                       admission-control tests, the static server's
+#                       admission-control and write-body-limit tests,
+#                       the static server's
 #                       refresh and indicator epochs, the replication
 #                       follower tests and the leader's stream and
 #                       bootstrap caps, and the impact-indicator
@@ -61,7 +63,7 @@ echo "==> go vet ./... (benchmark module)"
 
 if [ "${1:-}" = "quick" ]; then
 	echo "==> go test -race -short (kernel packages)"
-	go test -race -short -run 'Parallel|Operator|Pool|RankBatch|Tiled|Lanes|RCM|Relabel|Degree|Explain|TopPage|Tracker|CitationMatrix|FromCSC|Validate|BenchCoreFields' \
+	go test -race -short -run 'Parallel|Operator|Pool|RankBatch|Tiled|Lanes|RCM|Relabel|Degree|Derive|CompileFrom|Explain|TopPage|Tracker|CitationMatrix|FromCSC|Validate|BenchCoreFields' \
 		./internal/sparse/ ./internal/core/
 	echo "==> go test -race (sweep work units and their bit-equality at every GOMAXPROCS)"
 	go test -race -run SweepAttRank ./internal/eval/
@@ -69,8 +71,8 @@ if [ "${1:-}" = "quick" ]; then
 	go test -race -run 'Scratch|Ordering|Ranks' ./internal/metrics/
 	echo "==> go test -race (ingest durability, replication log, compiled-operator lifetime, push-path gates, BENCH_ingest.json fields)"
 	go test -race -run 'WAL|WireSize|ReplState|Operator|IngestGates|IngestArmWaitIsBounded|BenchIngestFields' ./internal/ingest/
-	echo "==> go test -race (admission control, replica serving policy, static refresh epochs, top pages, shutdown drain)"
-	go test -race -run 'Admission|Backpressure|Deadline|Replica|RateLimiter|MaxRPS|Explain|TopPage|ServeListener|Refresh|Static|EnableIndicators' ./internal/service/
+	echo "==> go test -race (admission control, write body limit, replica serving policy, static refresh epochs, top pages, shutdown drain)"
+	go test -race -run 'Admission|Backpressure|BodyLimit|Deadline|Replica|RateLimiter|MaxRPS|Explain|TopPage|ServeListener|Refresh|Static|EnableIndicators' ./internal/service/
 	echo "==> go test -race -short (replication follower, leader caps)"
 	go test -race -short -run 'Follower|LeaderCaps' ./internal/replication/
 	echo "==> go test -race (incremental push path and compaction: kernel, overlay, builder splice, network memo, metamorphic, ingest, replication)"
