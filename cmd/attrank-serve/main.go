@@ -13,8 +13,9 @@
 // /v1/impact/batch: per-paper AttRank popularity, PageRank influence,
 // windowed-citation impulse and total citation count, each with a
 // percentile impact class (C1–C5). In live mode the indicators are
-// recomputed at every full epoch; a leader ships the configuration to
-// its followers, which reproduce the classes bit-for-bit.
+// recomputed at every full epoch; a leader ships the configuration and
+// each epoch's influence scores to its followers, which derive the
+// classes bit-for-bit.
 //
 // Every server runs behind the overload-protection layer (see
 // internal/service and DESIGN.md §10): at most -max-inflight requests
@@ -36,9 +37,10 @@
 //	attrank-serve -role follower -peers http://leader:8080 -wal follower-state/ [-max-lag 8]
 //
 // A leader is a live server that additionally ships its write-ahead log
-// to followers over /repl/. A follower bootstraps its corpus and scores
-// from the leader, replays the shipped log through its own re-rank loop
-// (publishing rankings bit-identical to the leader's), serves every read
+// and each published epoch's computed vectors to followers over /repl/.
+// A follower bootstraps its corpus and scores from the leader, compacts
+// the shipped log itself and publishes each epoch from the leader's
+// vectors (rankings bit-identical to the leader's), serves every read
 // endpoint locally, and sheds reads with 503 + Retry-After once it falls
 // more than -max-lag epochs behind. Writes to a follower answer 503
 // pointing at the leader. -max-rps additionally caps the admitted

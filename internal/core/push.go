@@ -89,13 +89,6 @@ func (c PushConfig) norm() PushConfig {
 	return c
 }
 
-// ReplayPushConfig is the follower-side configuration: same settle
-// tolerance as the leader, no budget checks (the leader only ships a
-// push marker for batches that passed its budgets).
-func ReplayPushConfig(tol float64) PushConfig {
-	return PushConfig{Tol: tol, MaxResidual: -1, MaxTouchedFrac: -1, MaxPushes: -1}
-}
-
 // PushStats reports one Settle.
 type PushStats struct {
 	// Pushes is the push count of this settle; TotalPushes since seeding.

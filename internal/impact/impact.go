@@ -7,9 +7,11 @@
 //
 // An Epoch is computed once per published full ranking epoch and is a
 // pure function of (network, AttRank scores, ranking time, Config): no
-// clocks, no randomness, no iteration-order dependence. That purity is
-// what lets replicated followers recompute identical classes bit for
-// bit instead of shipping them (DESIGN.md §15).
+// clocks, no randomness, no iteration-order dependence. Its one solve,
+// the influence PageRank (InfluenceRank), is shipped to replicated
+// followers with the epoch's scores; a follower re-derives impulse,
+// cc and every class cutoff itself (Derive), and by that purity lands
+// on the leader's classes bit for bit (DESIGN.md §15).
 //
 // # Threshold and tie contract
 //
@@ -50,7 +52,7 @@ const (
 
 // Config configures per-epoch indicator computation. It is part of the
 // replication determinism contract: a leader ships its (defaulted)
-// Config at bootstrap and followers compute with exactly those values.
+// Config at bootstrap and followers derive with exactly those values.
 // The influence PageRank always runs on the tiled kernel, whose Result
 // does not depend on the worker count (see core.PageRankParams), so no
 // worker setting is part of it.
@@ -339,37 +341,80 @@ func NormalizeID(id string) string {
 	return lower
 }
 
-// Compute derives the full indicator epoch for a ranked network.
-// attrank must be the published AttRank score vector of the SAME full
-// epoch (len == net.N()); rankedAt the epoch's effective ranking time.
-// The influence PageRank runs on the tiled kernel on every core. The
-// result is deterministic: equal inputs produce bit-identical scores,
-// thresholds and classes on every replica, whatever its core count.
+// Compute derives the full indicator epoch for a ranked network:
+// InfluenceRank, then Derive. attrank must be the published AttRank
+// score vector of the SAME full epoch (len == net.N()); rankedAt the
+// epoch's effective ranking time. The result is deterministic: equal
+// inputs produce bit-identical scores, thresholds and classes on every
+// replica, whatever its core count.
 func Compute(net *graph.Network, attrank []float64, rankedAt int, cfg Config) (*Epoch, error) {
+	if err := checkInput(net, attrank, "attrank", cfg); err != nil {
+		return nil, err
+	}
+	pr, err := InfluenceRank(net, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return Derive(net, attrank, pr, rankedAt, cfg)
+}
+
+// checkInput validates cfg and that v holds one score per paper of a
+// non-empty net.
+func checkInput(net *graph.Network, v []float64, what string, cfg Config) error {
+	if err := cfg.WithDefaults().Validate(); err != nil {
+		return err
+	}
+	if net.N() == 0 {
+		return core.ErrEmptyNetwork
+	}
+	if len(v) != net.N() {
+		return fmt.Errorf("impact: %d %s scores for %d papers", len(v), what, net.N())
+	}
+	return nil
+}
+
+// InfluenceRank solves the influence indicator's PageRank on net: the
+// one iterative solve of an epoch's indicators. It runs on the tiled
+// kernel on every core, and its Result does not depend on the core
+// count. A replication leader ships the Result's scores, iteration
+// count and convergence flag, so a follower derives the epoch without
+// solving it again.
+func InfluenceRank(net *graph.Network, cfg Config) (*core.Result, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := net.N()
-	if n == 0 {
+	if net.N() == 0 {
 		return nil, core.ErrEmptyNetwork
 	}
-	if len(attrank) != n {
-		return nil, fmt.Errorf("impact: %d attrank scores for %d papers", len(attrank), n)
-	}
-
-	e := &Epoch{Window: cfg.ImpulseWindow, PRAlpha: cfg.PRAlpha}
-	e.scores[Popularity] = attrank
-
 	pr, err := core.OperatorFor(net).PageRank(core.PageRankParams{
 		Alpha: cfg.PRAlpha, Tol: cfg.PRTol, MaxIter: cfg.PRMaxIter, Workers: -1,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("impact: influence: %w", err)
 	}
-	e.scores[Influence] = pr.Scores
-	e.PRIterations = pr.Iterations
-	e.PRConverged = pr.Converged
+	return pr, nil
+}
+
+// Derive builds the indicator epoch from the epoch's AttRank scores and
+// its influence PageRank (InfluenceRank on the same network, computed
+// here or shipped by a replication leader). Everything it adds is
+// cheap and exact: impulse and citation counts, the four indicators'
+// class cutoffs, and the id index. The epoch aliases attrank and
+// influence.Scores.
+func Derive(net *graph.Network, attrank []float64, influence *core.Result, rankedAt int, cfg Config) (*Epoch, error) {
+	if err := checkInput(net, attrank, "attrank", cfg); err != nil {
+		return nil, err
+	}
+	if err := checkInput(net, influence.Scores, "influence", cfg); err != nil {
+		return nil, err
+	}
+	cfg = cfg.WithDefaults()
+	n := net.N()
+	e := &Epoch{Window: cfg.ImpulseWindow, PRAlpha: cfg.PRAlpha,
+		PRIterations: influence.Iterations, PRConverged: influence.Converged}
+	e.scores[Popularity] = attrank
+	e.scores[Influence] = influence.Scores
 
 	// Impulse and citation counts are exact integers stored as float64,
 	// so every arithmetic below is trivially deterministic, and their
@@ -404,11 +449,10 @@ func Compute(net *graph.Network, attrank []float64, rankedAt int, cfg Config) (*
 }
 
 // ForRanking is Compute with the error funneled into a log line: the
-// ingest pipeline and the replication follower publish a nil Impact
-// rather than dropping an epoch when indicators fail. Because Compute
-// is deterministic, a leader and its followers either all publish the
-// epoch or all publish nil — the bit-for-bit guarantee holds either
-// way. Returns nil when cfg.Enabled is false.
+// ingest pipeline publishes a nil Impact rather than dropping an epoch
+// when indicators fail, and its replication followers then publish nil
+// too, since the leader ships no influence vector for that epoch.
+// Returns nil when cfg.Enabled is false.
 func ForRanking(net *graph.Network, attrank []float64, rankedAt int, cfg Config, logf func(string, ...any)) *Epoch {
 	if !cfg.Enabled {
 		return nil

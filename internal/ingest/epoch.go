@@ -10,13 +10,15 @@ import (
 )
 
 // This file is the one place an epoch's Ranking is built: Chain's
-// Seed, Rank and Push. Every publisher owns one Chain — the ingester
-// (full and push epochs), the replication follower (marker replay and
-// bootstrap seeding) and the static server (startup rank, /v1/refresh
-// and enabling indicators) — so the state between epochs has one owner
-// type, and a follower replaying the leader's log reproduces the
-// leader's Rankings field for field rather than by keeping a parallel
-// copy in step (DESIGN.md §7, §12).
+// Seed, Rank and Push, and Ranking.Pushed. Every publisher owns one
+// Chain — the ingester (full and push epochs), the replication
+// follower (the leader's shipped epochs) and the static server
+// (startup rank, /v1/refresh and enabling indicators) — so the state
+// between epochs has one owner type. A follower builds each shipped
+// full epoch with Seed and each shipped push epoch with Pushed, the
+// builders the leader's own epochs go through, so it publishes the
+// leader's Rankings field for field without a copy of their code
+// (DESIGN.md §7, §12).
 
 // index returns a ranking's order (node indices by score descending,
 // ties by ascending index) and its inverse, the 0-based position of
@@ -65,24 +67,36 @@ type Chain struct {
 	pusher    *core.Pusher
 }
 
-// NewChain returns an empty chain. Push epochs settle under pushCfg
-// (the leader's budgets, or core.ReplayPushConfig on a follower).
+// NewChain returns an empty chain. Push epochs settle under pushCfg.
 func NewChain(params core.Params, pushCfg core.PushConfig, impactCfg impact.Config, logf func(string, ...any)) (*Chain, error) {
 	tracker, err := core.NewTracker(params)
 	if err != nil {
 		return nil, err
 	}
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
 	return &Chain{tracker: tracker, pushCfg: pushCfg, impactCfg: impactCfg, logf: logf}, nil
 }
 
 // Seed starts the chain at a full epoch whose exact result is already
-// known — a follower's bootstrap or saved state — and returns it.
-func (c *Chain) Seed(epoch uint64, net *graph.Network, res *core.Result, rankedAt int) (*Ranking, error) {
+// known — a follower's shipped or saved epoch, or a static server's
+// published one — and returns it. influence is the epoch's influence
+// PageRank (impact.InfluenceRank on net), or nil when the epoch has no
+// indicators; Seed itself runs no solve.
+func (c *Chain) Seed(epoch uint64, net *graph.Network, res, influence *core.Result, rankedAt int) (*Ranking, error) {
 	c.pusher = nil
 	if err := c.tracker.Seed(net, res.Scores); err != nil {
 		return nil, err
 	}
-	c.last = c.full(epoch, net, res, rankedAt)
+	var ind *impact.Epoch
+	if influence != nil && c.impactCfg.Enabled {
+		var err error
+		if ind, err = impact.Derive(net, res.Scores, influence, rankedAt, c.impactCfg); err != nil {
+			c.logf("impact: epoch indicators skipped: %v", err)
+		}
+	}
+	c.last = c.full(epoch, net, res, rankedAt, ind)
 	return c.last, nil
 }
 
@@ -99,15 +113,14 @@ func (c *Chain) Rank(epoch uint64, base *graph.Network, muts []Mutation, rankedA
 	if err != nil {
 		return nil, err
 	}
-	c.last = c.full(epoch, net, res, rankedAt)
+	c.last = c.full(epoch, net, res, rankedAt, impact.ForRanking(net, res.Scores, rankedAt, c.impactCfg, c.logf))
 	return c.last, nil
 }
 
 // full builds the Ranking of a full epoch: res holds exact scores of
-// net at ranking time rankedAt. The read-side indexes, the corpus
-// statistics and (when the chain's impact config enables them) the
-// impact indicators are all derived here.
-func (c *Chain) full(epoch uint64, net *graph.Network, res *core.Result, rankedAt int) *Ranking {
+// net at ranking time rankedAt, ind its indicators (nil without). The
+// read-side indexes and the corpus statistics are derived here.
+func (c *Chain) full(epoch uint64, net *graph.Network, res *core.Result, rankedAt int, ind *impact.Epoch) *Ranking {
 	order, positions := index(res.Scores)
 	return &Ranking{
 		Epoch:     epoch,
@@ -117,7 +130,7 @@ func (c *Chain) full(epoch uint64, net *graph.Network, res *core.Result, rankedA
 		Positions: positions,
 		Stats:     net.ComputeStats(),
 		RankedAt:  rankedAt,
-		Impact:    impact.ForRanking(net, res.Scores, rankedAt, c.impactCfg, c.logf),
+		Impact:    ind,
 	}
 }
 
@@ -126,11 +139,7 @@ func (c *Chain) full(epoch uint64, net *graph.Network, res *core.Result, rankedA
 // scores. Only citations between papers of Last's network can be
 // pushed. Any error — another mutation, one the pusher rejects, a
 // budget breach — ends the streak, so the next Push starts afresh.
-//
-// The push epoch keeps Last's corpus, clock, attention, recency and
-// impact state. Stats advances Last's edge counters by the streak's
-// citations; degree distributions stay as compacted until the
-// reconciling full epoch.
+// Last.Pushed builds the epoch.
 func (c *Chain) Push(epoch uint64, muts []Mutation) (_ *Ranking, err error) {
 	defer func() {
 		if err != nil {
@@ -165,32 +174,45 @@ func (c *Chain) Push(epoch uint64, muts []Mutation) (_ *Ranking, err error) {
 	if err != nil {
 		return nil, err
 	}
-	scores := c.pusher.CopyScores()
+	return last.Pushed(epoch, c.pusher.CopyScores(), st.Pushes, c.pusher.Applied(), st.Bound), nil
+}
+
+// Pushed builds the push epoch that follows full epoch r: scores are
+// the settled push scores (taken, not copied), pushes the settle's
+// push count, citations the citations absorbed since r and bound the
+// L1 staleness bound. Chain.Push publishes through it, and so does a
+// replication follower applying a push epoch the leader shipped.
+//
+// The push epoch keeps r's corpus, clock, attention, recency and
+// impact state. Stats advances r's edge counters by the citations;
+// degree distributions stay as compacted until the reconciling full
+// epoch.
+func (r *Ranking) Pushed(epoch uint64, scores []float64, pushes, citations int, bound float64) *Ranking {
 	order, positions := index(scores)
-	stats := last.Stats
-	stats.Edges += c.pusher.Applied()
+	stats := r.Stats
+	stats.Edges += citations
 	if stats.Papers > 0 {
 		stats.MeanOutDeg = float64(stats.Edges) / float64(stats.Papers)
 	}
 	return &Ranking{
 		Epoch: epoch,
-		Net:   last.Net,
+		Net:   r.Net,
 		Result: &core.Result{
 			Scores:     scores,
-			Iterations: st.Pushes,
+			Iterations: pushes,
 			Converged:  true,
-			Residuals:  []float64{st.Bound},
-			Attention:  last.Result.Attention,
-			Recency:    last.Result.Recency,
+			Residuals:  []float64{bound},
+			Attention:  r.Result.Attention,
+			Recency:    r.Result.Recency,
 		},
 		Order:       order,
 		Positions:   positions,
 		Stats:       stats,
-		RankedAt:    last.RankedAt,
+		RankedAt:    r.RankedAt,
 		Incremental: true,
-		Staleness:   st.Bound,
-		Impact:      last.Impact,
-	}, nil
+		Staleness:   bound,
+		Impact:      r.Impact,
+	}
 }
 
 // EndStreak drops the push streak, as a leader must when it cannot

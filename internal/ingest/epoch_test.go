@@ -43,8 +43,14 @@ func TestCompact(t *testing.T) {
 	}
 }
 
+// noBudgets settles pushes to tol with every budget check off.
+func noBudgets(tol float64) core.PushConfig {
+	return core.PushConfig{Tol: tol, MaxResidual: -1, MaxTouchedFrac: -1, MaxPushes: -1}
+}
+
 // seededChain returns a chain seeded at epoch 4 with the exact rank of
-// net, its pushes settling under cfg.
+// net (and its influence PageRank, with indicators on), its pushes
+// settling under cfg.
 func seededChain(t *testing.T, net *graph.Network, cfg core.PushConfig, impactCfg impact.Config) (*Chain, *Ranking) {
 	t.Helper()
 	now := net.MaxYear()
@@ -52,11 +58,17 @@ func seededChain(t *testing.T, net *graph.Network, cfg core.PushConfig, impactCf
 	if err != nil {
 		t.Fatal(err)
 	}
+	var influence *core.Result
+	if impactCfg.Enabled {
+		if influence, err = impact.InfluenceRank(net, impactCfg); err != nil {
+			t.Fatal(err)
+		}
+	}
 	c, err := NewChain(testParams(), cfg, impactCfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := c.Seed(4, net, res, now)
+	full, err := c.Seed(4, net, res, influence, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +81,7 @@ func seededChain(t *testing.T, net *graph.Network, cfg core.PushConfig, impactCf
 func TestPushedCarriesTheFullEpoch(t *testing.T) {
 	net := pushSeedNet(t)
 	now := net.MaxYear()
-	c, full := seededChain(t, net, core.ReplayPushConfig(1e-8), impact.Config{Enabled: true}.WithDefaults())
+	c, full := seededChain(t, net, noBudgets(1e-8), impact.Config{Enabled: true}.WithDefaults())
 	res := full.Result
 	if full.Impact == nil || full.Stats != net.ComputeStats() || full.Incremental || c.Last() != full {
 		t.Fatalf("full epoch: impact %v, stats %v, incremental %v", full.Impact != nil, full.Stats, full.Incremental)
@@ -79,7 +91,7 @@ func TestPushedCarriesTheFullEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An independent pusher fed the same citations is the reference.
-	ref, err := core.NewPusher(net, now, testParams(), core.ReplayPushConfig(1e-8), res.Scores)
+	ref, err := core.NewPusher(net, now, testParams(), noBudgets(1e-8), res.Scores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +184,28 @@ func assertSameRanking(t *testing.T, label string, a, b *Ranking) {
 	}
 }
 
+// shipped returns what a replication leader ships of r, copied: the
+// follower's view of r's result and of its influence PageRank (nil
+// without indicators).
+func shipped(r *Ranking) (res, influence *core.Result) {
+	res = &core.Result{Scores: slices.Clone(r.Result.Scores), Iterations: r.Result.Iterations,
+		Converged: r.Result.Converged, Residuals: slices.Clone(r.Result.Residuals),
+		Attention: slices.Clone(r.Result.Attention), Recency: slices.Clone(r.Result.Recency)}
+	if r.Impact != nil {
+		influence = &core.Result{Scores: slices.Clone(r.Impact.Scores(impact.Influence)),
+			Iterations: r.Impact.PRIterations, Converged: r.Impact.PRConverged}
+	}
+	return res, influence
+}
+
 // TestChainReplayMatchesLeader: a follower's chain — seeded from the
-// leader's first full epoch and pushing without budgets — rebuilds
-// every later epoch of a leader's chain field for field, over a random
-// sequence of full and push epochs. A push the leader's budgets refuse
-// never reaches the follower; the leader takes the full path instead.
+// leader's first full epoch — rebuilds every later epoch of a leader's
+// chain field for field from what the leader ships, over a random
+// sequence of full and push epochs: a full epoch through Seed on the
+// follower's own compaction, a push epoch through Pushed on the last
+// full one. Neither runs a solve or a push. A push the leader's budgets
+// refuse never reaches the follower; the leader takes the full path
+// instead.
 func TestChainReplayMatchesLeader(t *testing.T) {
 	net := pushSeedNet(t)
 	const tol = 1e-8
@@ -189,12 +218,12 @@ func TestChainReplayMatchesLeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	follower, err := NewChain(testParams(), core.ReplayPushConfig(tol), impactCfg, nil)
+	follower, err := NewChain(testParams(), core.PushConfig{}, impactCfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := &core.Result{Scores: first.Result.Scores, Attention: first.Result.Attention, Recency: first.Result.Recency, Converged: true}
-	if _, err := follower.Seed(1, net, seed, first.RankedAt); err != nil {
+	res, influence := shipped(first)
+	if _, err := follower.Seed(1, net, res, influence, first.RankedAt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -218,6 +247,7 @@ func TestChainReplayMatchesLeader(t *testing.T) {
 		}
 		return muts
 	}
+	compiles := core.KernelCompiles()
 	pushes, fulls, refused := 0, 0, 0
 	for e := uint64(2); e <= 40; e++ {
 		last := leader.Last()
@@ -229,10 +259,7 @@ func TestChainReplayMatchesLeader(t *testing.T) {
 			r, err := leader.Push(e, batch)
 			if err == nil {
 				delta = append(delta, batch...)
-				got, err := follower.Push(e, batch)
-				if err != nil {
-					t.Fatalf("epoch %d: replayed push: %v", e, err)
-				}
+				got := follower.Last().Pushed(e, slices.Clone(r.Result.Scores), r.Result.Iterations, len(delta), r.Staleness)
 				assertSameRanking(t, fmt.Sprintf("push epoch %d", e), got, r)
 				pushes++
 				continue
@@ -254,16 +281,32 @@ func TestChainReplayMatchesLeader(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := follower.Rank(e, follower.Last().Net, delta, rankedAt)
+		compacted, err := Compact(follower.Last().Net, delta)
 		if err != nil {
 			t.Fatal(err)
 		}
+		before := core.KernelCompiles()
+		res, influence := shipped(r)
+		got, err := follower.Seed(e, compacted, res, influence, rankedAt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if core.KernelCompiles() != before {
+			t.Fatalf("full epoch %d: the follower compiled a kernel", e)
+		}
 		assertSameRanking(t, fmt.Sprintf("full epoch %d", e), got, r)
+		if got.Impact == nil || got.Impact.Thresholds(impact.Influence) != r.Impact.Thresholds(impact.Influence) ||
+			got.Impact.Thresholds(impact.Impulse) != r.Impact.Thresholds(impact.Impulse) {
+			t.Fatalf("full epoch %d: follower classes differ from the leader's", e)
+		}
 		delta = nil
 		fulls++
 	}
 	if pushes == 0 || fulls == 0 || refused == 0 {
 		t.Fatalf("sequence ran %d push, %d full epochs and %d refused pushes; want each", pushes, fulls, refused)
+	}
+	if compiles == core.KernelCompiles() {
+		t.Fatal("the leader compiled no kernel: the check above proves nothing")
 	}
 }
 
@@ -272,7 +315,7 @@ func TestChainReplayMatchesLeader(t *testing.T) {
 // from Last — exactly as a fresh chain seeded with Last pushes it.
 func TestChainPushErrorEndsStreak(t *testing.T) {
 	net := pushSeedNet(t)
-	c, full := seededChain(t, net, core.ReplayPushConfig(1e-8), impact.Config{})
+	c, full := seededChain(t, net, noBudgets(1e-8), impact.Config{})
 	if _, err := c.Push(5, []Mutation{citation("s160", "s5")}); err != nil {
 		t.Fatal(err)
 	}
@@ -284,11 +327,11 @@ func TestChainPushErrorEndsStreak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewChain(testParams(), core.ReplayPushConfig(1e-8), impact.Config{}, nil)
+	fresh, err := NewChain(testParams(), noBudgets(1e-8), impact.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fresh.Seed(full.Epoch, full.Net, full.Result, full.RankedAt); err != nil {
+	if _, err := fresh.Seed(full.Epoch, full.Net, full.Result, nil, full.RankedAt); err != nil {
 		t.Fatal(err)
 	}
 	want, err := fresh.Push(6, batch)

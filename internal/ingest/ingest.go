@@ -173,15 +173,19 @@ type Ingester struct {
 	pushed     int
 	pushStreak int
 
-	ranking atomic.Pointer[Ranking]
 	lastDur atomic.Int64 // last re-rank wall time, ns
 	lastIt  atomic.Int64 // last re-rank iterations
 	snaps   atomic.Uint64
 	pushEp  atomic.Uint64 // push epochs published since Open
 
-	// anchor pairs the last FULL epoch with the cursor right after its
-	// marker: the replication bootstrap (see ReplState). Stored under mu.
-	anchor atomic.Pointer[replAnchor]
+	// latest is the newest published epoch (Ranking serves it) and
+	// anchor the last FULL one, the replication bootstrap (see
+	// ReplState; stored under mu with latest), each with the cursor
+	// right after its marker. pubWake is closed and replaced at every
+	// publication.
+	latest  atomic.Pointer[ReplEpoch]
+	anchor  atomic.Pointer[ReplEpoch]
+	pubWake atomic.Pointer[chan struct{}]
 
 	// claimed is the highest epoch number committed to the WAL as a
 	// marker (the scheduler claims the epoch before ranking it, so the
@@ -260,6 +264,8 @@ func Open(seed *graph.Network, cfg Config) (*Ingester, error) {
 		stopCh:     make(chan struct{}),
 		done:       make(chan struct{}),
 	}
+	wake := make(chan struct{})
+	ing.pubWake.Store(&wake)
 
 	freshDir := true
 	if _, err := os.Stat(ing.snapPath); err == nil {
@@ -346,7 +352,12 @@ func Open(seed *graph.Network, cfg Config) (*Ingester, error) {
 
 // Ranking returns the most recently published ranking, or nil if the
 // corpus has been empty so far.
-func (ing *Ingester) Ranking() *Ranking { return ing.ranking.Load() }
+func (ing *Ingester) Ranking() *Ranking {
+	if e := ing.latest.Load(); e != nil {
+		return e.Ranking
+	}
+	return nil
+}
 
 // Params returns the ranking parameters.
 func (ing *Ingester) Params() core.Params { return ing.cfg.Params }
@@ -366,7 +377,7 @@ func (ing *Ingester) Status() Status {
 	st.LastIterations = int(ing.lastIt.Load())
 	st.Snapshots = ing.snaps.Load()
 	st.PushEpochs = ing.pushEp.Load()
-	if r := ing.ranking.Load(); r != nil {
+	if r := ing.Ranking(); r != nil {
 		st.Epoch, st.Staleness = r.Epoch, r.Staleness
 	}
 	return st
@@ -671,12 +682,12 @@ func (ing *Ingester) loop() {
 //
 // The epoch is claimed — and its marker appended to the WAL — inside
 // the first critical section, before any mutation arriving mid-rank can
-// reach the log: a follower replaying the log therefore sees exactly
-// this epoch's mutations ahead of the marker, which is what lets it
-// reproduce the epoch bit for bit (see internal/replication). For the
-// same reason the push decision and settle run under the lock: the
-// marker's push flag and Count must describe exactly the records that
-// precede it.
+// reach the log: a follower reading the log therefore sees exactly this
+// epoch's mutations ahead of the marker, which is what lets it compact
+// the epoch's network itself and check it against the leader's shipped
+// epoch (see internal/replication). For the same reason the push
+// decision and settle run under the lock: the marker's push flag and
+// Count must describe exactly the records that precede it.
 func (ing *Ingester) rerank(forceFull bool) error {
 	started := time.Now()
 	ing.mu.Lock()
@@ -748,8 +759,12 @@ func (ing *Ingester) rerank(forceFull bool) error {
 	mPending.Set(float64(len(ing.delta)))
 	ing.sinceSnapshot += upTo
 	// The cursor is this epoch's marker, or a snapshot's since: only
-	// this scheduler claims epochs.
-	ing.anchor.Store(&replAnchor{r, *ing.cursor.Load()})
+	// this scheduler claims epochs. The epoch becomes the bootstrap
+	// anchor and the published epoch at once, so no follower is sent it
+	// before Ranking returns it.
+	pub := &ReplEpoch{r, *ing.cursor.Load()}
+	ing.anchor.Store(pub)
+	ing.publish(pub)
 	ing.mu.Unlock()
 
 	if upTo > 0 {
@@ -761,7 +776,6 @@ func (ing *Ingester) rerank(forceFull bool) error {
 	mPushBacklog.Set(0)
 	ing.lastDur.Store(int64(time.Since(started)))
 	ing.lastIt.Store(int64(r.Result.Iterations))
-	ing.ranking.Store(r)
 	ing.logf("ingest: epoch %d published: %d papers, %d mutations compacted, %d iterations in %s",
 		r.Epoch, r.Net.N(), upTo, r.Result.Iterations, time.Since(started).Round(time.Millisecond))
 	return nil
@@ -828,7 +842,7 @@ func (ing *Ingester) tryPushLocked(now, upTo int, started time.Time) bool {
 		ing.logf("ingest: push epoch marker: %v", err)
 		return false // the full path re-appends and surfaces the error
 	}
-	ing.storeCursor()
+	cur := ing.storeCursor()
 	ing.pushed = upTo
 	ing.pushStreak++
 	ing.firstPending = time.Time{}
@@ -845,7 +859,7 @@ func (ing *Ingester) tryPushLocked(now, upTo int, started time.Time) bool {
 	ing.lastDur.Store(int64(time.Since(started)))
 	ing.lastIt.Store(int64(r.Result.Iterations))
 	ing.pushEp.Add(1)
-	ing.ranking.Store(r)
+	ing.publish(&ReplEpoch{r, *cur})
 	ing.logf("ingest: epoch %d published incrementally: %d citations absorbed, %d pushes, residual bound %.2g in %s",
 		e, len(newMuts), r.Result.Iterations, r.Staleness, time.Since(started).Round(time.Microsecond))
 	return true
@@ -896,8 +910,8 @@ func (ing *Ingester) snapshotLocked() error {
 	// The delta is empty, so the last epoch was a full one; re-anchor
 	// the replication bootstrap cursor in the fresh WAL generation
 	// (unless that epoch is still ranking: rerank anchors it itself).
-	if a := ing.anchor.Load(); a != nil && a.r.Epoch == cur.Epoch {
-		ing.anchor.Store(&replAnchor{a.r, *cur})
+	if a := ing.anchor.Load(); a != nil && a.Ranking.Epoch == cur.Epoch {
+		ing.anchor.Store(&ReplEpoch{a.Ranking, *cur})
 	}
 	ing.sinceSnapshot = 0
 	ing.snaps.Add(1)

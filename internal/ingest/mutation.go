@@ -63,12 +63,13 @@ type CitationMut struct {
 // never renumber.
 const (
 	// MarkPush marks an epoch published by the incremental push updater
-	// instead of a full power-method rank. A follower replays it with
-	// core.Pusher over its buffered mutations rather than compacting.
+	// instead of a full power-method rank. A follower keeps its
+	// mutations buffered rather than compacting them, and publishes the
+	// epoch from the leader's shipped scores.
 	MarkPush byte = 1 << 0
 	// MarkReconcile marks a full epoch that reconciles a preceding push
-	// streak — its scores are exact again and the follower discards its
-	// push state at this boundary.
+	// streak — its scores are exact again, and a follower compacts the
+	// streak's citations at this boundary.
 	MarkReconcile byte = 1 << 1
 )
 
@@ -77,16 +78,16 @@ type EpochMark struct {
 	// Epoch is the ranking epoch this marker commits.
 	Epoch uint64
 	// RankedAt is the effective ranking time tN the leader used; a
-	// follower must rank with the same value or the recency vector (and
-	// with it every score) diverges.
+	// follower checks the leader's shipped epoch against it, and derives
+	// the epoch's impulse indicator with it.
 	RankedAt int
 	// Count is how many mutations since the previous marker belong to
 	// this epoch. For a full epoch they are compacted; for a push epoch
 	// (MarkPush) they stay buffered and are absorbed incrementally.
 	Count uint32
-	// Flags carries the push/full decision (MarkPush, MarkReconcile) so
-	// follower replay reproduces the leader's chain bit for bit. Markers
-	// written before this field decode with Flags == 0, i.e. full epochs.
+	// Flags carries the push/full decision (MarkPush, MarkReconcile), so
+	// a follower knows whether to compact at the marker. Markers written
+	// before this field decode with Flags == 0, i.e. full epochs.
 	Flags byte
 }
 

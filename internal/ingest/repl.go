@@ -14,8 +14,10 @@ import (
 //   - ReplCursor: where the log stands (identity, generation, the byte
 //     offset of the last committed epoch boundary, and that epoch).
 //   - ReplState: a bootstrap-consistent (Ranking, ReplCursor) pair, so
-//     a follower can seed its corpus, scores and warm-start chain and
-//     know the exact offset to stream from.
+//     a follower can seed its corpus and vectors and know the exact
+//     offset to stream from.
+//   - ReplEpochs: the published epochs whose vectors a stream ships,
+//     each with the cursor after its marker, and a publication wakeup.
 //   - ReadWALAt: durable log bytes by (gen, offset), clamped to the
 //     last acknowledged record so torn in-flight appends never ship.
 
@@ -64,37 +66,51 @@ func (ing *Ingester) ReplCursor() ReplCursor {
 	return ReplCursor{Instance: ing.instance}
 }
 
-// replAnchor is a bootstrap-consistent pair: a full epoch and the
-// cursor right after its marker.
-type replAnchor struct {
-	r   *Ranking
-	cur ReplCursor
+// ReplEpoch is a published epoch and the replication cursor right
+// after its marker: a follower's stream may carry the epoch's vectors
+// once it has shipped the log up to Cursor.Offset of Cursor.Gen.
+type ReplEpoch struct {
+	Ranking *Ranking
+	Cursor  ReplCursor
 }
 
 // ReplState returns the last FULL (exact-rank) ranking together with
 // the cursor that matches it: the cursor's epoch equals the ranking's
 // epoch and its offset points right after that epoch's marker, so a
 // follower seeded from this pair streams from exactly the offset where
-// its state ends. Bootstrap is anchored at full boundaries on purpose —
-// a follower seeds its warm-start chain from exact scores and replays
-// any later push-mode epochs itself from the shipped WAL, so
-// approximate state is never used as a seed.
+// its state ends. Bootstrap is anchored at full boundaries on purpose:
+// a push epoch is built on its full epoch, whose attention, recency and
+// indicators the follower must hold first.
 func (ing *Ingester) ReplState() (*Ranking, ReplCursor, error) {
 	a := ing.anchor.Load()
 	if a == nil {
 		return nil, ing.ReplCursor(), fmt.Errorf("ingest: no ranking published yet (corpus empty)")
 	}
-	return a.r, a.cur, nil
+	return a.Ranking, a.Cursor, nil
 }
 
-// PushTol returns the incremental-ranking settle tolerance (0 = push
-// path disabled). The replication leader ships it to followers so their
-// push replay settles to the same tolerance and stays bit-identical.
-func (ing *Ingester) PushTol() float64 { return ing.cfg.PushTol }
+// ReplEpochs returns what a follower's stream may ship: the last full
+// epoch and the newest published epoch (the same one unless push
+// epochs followed it), each nil before the first, and a channel that
+// is closed at the next publication. The channel is taken before the
+// epochs are read, so a caller that finds nothing new and waits on it
+// misses no publication.
+func (ing *Ingester) ReplEpochs() (full, latest *ReplEpoch, next <-chan struct{}) {
+	next = *ing.pubWake.Load()
+	return ing.anchor.Load(), ing.latest.Load(), next
+}
+
+// publish makes e the newest published epoch and wakes every waiter
+// of ReplEpochs.
+func (ing *Ingester) publish(e *ReplEpoch) {
+	ing.latest.Store(e)
+	wake := make(chan struct{})
+	close(*ing.pubWake.Swap(&wake))
+}
 
 // ImpactConfig returns the (defaults-resolved) indicator configuration.
-// The replication leader ships it to followers so their per-epoch impact
-// recompute uses identical parameters and stays bit-identical.
+// The replication leader ships it to followers, which derive each
+// epoch's classes from the shipped vectors with identical parameters.
 func (ing *Ingester) ImpactConfig() impact.Config { return ing.cfg.Impact }
 
 // ReadWALAt copies durable log bytes from generation gen at offset off

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"attrank/internal/core"
+	"attrank/internal/graph"
 	"attrank/internal/impact"
 	"attrank/internal/ingest"
 )
@@ -72,8 +73,11 @@ type Info struct {
 }
 
 // Follower replicates a leader's ranking state: bootstrap via
-// /repl/state, then consume the WAL stream, re-ranking at every epoch
-// marker so its published Rankings are bit-identical to the leader's.
+// /repl/state, then consume the WAL stream. At every epoch marker it
+// checks the marker against its own log and compacts full markers; it
+// publishes an epoch when the leader's block for it arrives, built from
+// the shipped vectors through the leader's own epoch builders, so its
+// published Rankings are bit-identical to the leader's.
 type Follower struct {
 	cfg    FollowerConfig
 	dir    string
@@ -83,26 +87,38 @@ type Follower struct {
 	// Chain state below is owned by the run goroutine; Close/Kill read
 	// it only after that goroutine has exited.
 	instance, gen uint64
-	// chain replays the leader's epochs (nil before the first seed);
-	// delta holds the mutations since its last full epoch, of which
-	// delta[:chain.Backlog()] are in the push epochs since (DESIGN.md
-	// §14). The durable save point stays at the last full boundary.
-	chain           *ingest.Chain
-	delta           []ingest.Mutation
-	wal             *ingest.WAL
-	pend            []byte // shipped bytes not yet forming a whole record
-	streamOff       int64  // leader offset after the last applied record
-	localWALOff     int64  // local WAL offset after the last applied record
-	markerLeaderOff int64  // leader offset after the last applied FULL marker
-	markerLocalOff  int64  // local WAL offset after the last applied FULL marker
+	// chain holds the last published full epoch (nil before the first
+	// bootstrap); published is the last epoch published, full or push.
+	chain     *ingest.Chain
+	published uint64
+	// base is the last applied full marker, whose compacted network the
+	// next full marker compacts delta onto; delta holds the mutations
+	// since it, of which delta[:sinceMark] precede the last applied
+	// marker, whose epoch is lastMark. marks are the applied markers
+	// not yet published, oldest first, from the next-to-last full
+	// marker on: no later block can name an older one. held is a block
+	// that arrived before its marker.
+	base      mark
+	delta     []ingest.Mutation
+	sinceMark int
+	lastMark  uint64
+	marks     []mark
+	held      *epochBlock
+	acc       []byte // epoch frames of a block not yet complete
+	wal       *ingest.WAL
+	pend      []byte // shipped bytes not yet forming a whole record
+	streamOff int64  // leader offset after the last applied record
+	// localWALOff is the local WAL offset after the last applied
+	// record; markerLeaderOff and markerLocalOff are both offsets after
+	// the marker of the last published full epoch.
+	localWALOff     int64
+	markerLeaderOff int64
+	markerLocalOff  int64
 	rng             *rand.Rand
 
-	// pushTol and impactCfg are the leader's push tolerance and
-	// indicator configuration (zero = disabled), shipped at bootstrap.
-	// The chain recomputes each full epoch's impact state with it — the
-	// computation is pure, so leader and follower classes are
-	// bit-identical.
-	pushTol   float64
+	// impactCfg is the leader's indicator configuration (zero =
+	// disabled), shipped at bootstrap: the chain derives each full
+	// epoch's classes from the shipped vectors with it.
 	impactCfg impact.Config
 
 	params      atomic.Pointer[core.Params]
@@ -307,8 +323,8 @@ func (f *Follower) session() error {
 	return f.stream()
 }
 
-// bootstrap downloads /repl/state, seeds the chain from it, and starts
-// a fresh local WAL at the shipped marker boundary.
+// bootstrap downloads /repl/state, starts a fresh local WAL at the
+// shipped marker boundary and publishes the shipped epoch.
 func (f *Follower) bootstrap() error {
 	req, err := http.NewRequestWithContext(f.ctx, http.MethodGet, f.cfg.Leader+statePath, nil)
 	if err != nil {
@@ -322,16 +338,12 @@ func (f *Follower) bootstrap() error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("bootstrap: leader answered %s", resp.Status)
 	}
-	hdr, net, vecs, err := readState(bufio.NewReaderSize(resp.Body, 1<<16))
+	hdr, net, blk, err := readState(bufio.NewReaderSize(resp.Body, 1<<16))
 	if err != nil {
 		return fmt.Errorf("bootstrap %w", err)
 	}
 	if f.cfg.Expect != nil && wireParamsOf(*f.cfg.Expect) != hdr.Params {
 		return fmt.Errorf("bootstrap: leader params %+v differ from expected %+v", hdr.Params, wireParamsOf(*f.cfg.Expect))
-	}
-	f.impactCfg, f.pushTol = hdr.Impact.config(), hdr.PushTol
-	if err := f.seedChain(net, hdr.Params, vecs[0], vecs[1], vecs[2], hdr.Epoch, hdr.RankedAt); err != nil {
-		return fmt.Errorf("bootstrap: %w", err)
 	}
 	// Fresh local WAL: replication state before this instant is gone.
 	walPath := filepath.Join(f.dir, walFile)
@@ -345,9 +357,12 @@ func (f *Follower) bootstrap() error {
 	f.wal = wal
 	f.pend = nil
 	f.instance, f.gen = hdr.Instance, hdr.Gen
-	f.streamOff, f.markerLeaderOff = hdr.Offset, hdr.Offset
-	f.localWALOff, f.markerLocalOff = wal.Size(), wal.Size()
+	f.streamOff, f.localWALOff = hdr.Offset, wal.Size()
 	f.localOffA.Store(hdr.Offset)
+	start := mark{epoch: hdr.Epoch, rankedAt: hdr.RankedAt, net: net, leaderOff: hdr.Offset, localOff: wal.Size()}
+	if err := f.start(hdr.Params, hdr.Impact, start, blk); err != nil {
+		return fmt.Errorf("bootstrap: %w", err)
+	}
 	if err := f.saveState(); err != nil {
 		return fmt.Errorf("bootstrap save: %w", err)
 	}
@@ -361,7 +376,7 @@ func (f *Follower) bootstrap() error {
 // run loop reconnects; a 409 or a record-level contradiction returns an
 // errResync.
 func (f *Follower) stream() error {
-	url := fmt.Sprintf("%s%s?instance=%d&gen=%d&from=%d", f.cfg.Leader, walPath, f.instance, f.gen, f.streamOff)
+	url := fmt.Sprintf("%s%s?instance=%d&gen=%d&from=%d&have=%d", f.cfg.Leader, walPath, f.instance, f.gen, f.streamOff, f.published)
 	req, err := http.NewRequestWithContext(f.ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return err
@@ -382,7 +397,7 @@ func (f *Follower) stream() error {
 	// Anything buffered from a previous stream was never applied; the
 	// leader re-ships from streamOff, which is exactly after the last
 	// applied record.
-	f.pend = f.pend[:0]
+	f.pend, f.acc = f.pend[:0], f.acc[:0]
 	var buf []byte
 	for {
 		typ, payload, nbuf, err := ReadFrame(resp.Body, buf)
@@ -407,6 +422,22 @@ func (f *Follower) stream() error {
 		case frameData:
 			mBytesReceived.Add(int64(len(payload)))
 			if err := f.ingestBytes(payload); err != nil {
+				return err
+			}
+		case frameEpoch:
+			var last bool
+			if f.acc, last, err = addBlockFrame(f.acc, payload); err != nil {
+				return fmt.Errorf("stream: %w", err)
+			}
+			if !last {
+				continue
+			}
+			blk, err := decodeBlock(f.acc)
+			f.acc = f.acc[:0]
+			if err != nil {
+				return resyncf("stream: %v", err)
+			}
+			if err := f.applyBlock(blk); err != nil {
 				return err
 			}
 		default:
@@ -453,9 +484,9 @@ func (f *Follower) ingestBytes(p []byte) error {
 	}
 }
 
-// applyRecord advances the chain by one record: mutations buffer into
-// the delta, epoch markers compact + re-rank + publish. live is false
-// during local-WAL recovery replay (the record is already durable).
+// applyRecord advances the follower by one record: mutations buffer
+// into the delta, epoch markers go to applyMarker. live is false during
+// local-WAL recovery replay (the record is already durable).
 func (f *Follower) applyRecord(m ingest.Mutation, size int64, live bool) error {
 	f.streamOff += size
 	f.localWALOff += size
@@ -468,48 +499,184 @@ func (f *Follower) applyRecord(m ingest.Mutation, size int64, live bool) error {
 		f.delta = append(f.delta, m)
 		return nil
 	}
-	return f.applyMarker(m.Epoch)
+	return f.applyMarker(m.Epoch, live)
+}
+
+// mark is an applied epoch marker, kept until its epoch is published
+// or a later one supersedes it.
+type mark struct {
+	epoch    uint64
+	push     bool
+	rankedAt int
+	// net is a full marker's compaction. A push marker builds on full
+	// epoch base instead, with citations citations since it.
+	net       *graph.Network
+	base      uint64
+	citations int
+	// leaderOff and localOff are the stream and local WAL offsets
+	// right after the marker.
+	leaderOff, localOff int64
+	// at is when the stream applied the marker (zero in recovery
+	// replay and for a bootstrap's or saved state's start).
+	at time.Time
 }
 
 // applyMarker is the follower half of the determinism contract (see
-// ingest.KindEpoch): the chain ranks a full marker's epoch over the
-// whole delta at the marker's RankedAt, or pushes a push marker's
-// (MarkPush) Count new citations, and the follower publishes it. Any
-// disagreement with the local chain means the stream and the state
-// have diverged — resync rather than guess. Only full markers move the
-// durable save point, so approximate push state is never the anchor.
-func (f *Follower) applyMarker(mark ingest.EpochMark) error {
-	if local := f.localEpochA.Load(); mark.Epoch != local+1 {
-		return resyncf("marker for epoch %d after local epoch %d", mark.Epoch, local)
+// ingest.KindEpoch): a marker must follow the last one and cover
+// exactly the mutations since it; a push marker keeps the full epoch's
+// clock and holds only citations, and a full marker compacts the whole
+// delta onto base's network. The epoch is published when its block
+// arrives (applyBlock). Any disagreement with the local log means the
+// stream and the state have diverged — resync rather than guess.
+func (f *Follower) applyMarker(em ingest.EpochMark, live bool) error {
+	if em.Epoch != f.lastMark+1 {
+		return resyncf("marker for epoch %d after marker %d", em.Epoch, f.lastMark)
 	}
-	push := mark.Flags&ingest.MarkPush != 0
-	newMuts := f.delta[f.chain.Backlog():]
-	if int(mark.Count) != len(newMuts) {
-		return resyncf("marker for epoch %d covers %d mutations, %d buffered", mark.Epoch, mark.Count, len(newMuts))
+	newMuts := f.delta[f.sinceMark:]
+	if int(em.Count) != len(newMuts) {
+		return resyncf("marker for epoch %d covers %d mutations, %d buffered", em.Epoch, em.Count, len(newMuts))
 	}
-	if last := f.chain.Last(); push && (mark.RankedAt != last.RankedAt || f.pushTol <= 0) {
-		return resyncf("push marker for epoch %d at ranking time %d after a full epoch at %d (push tolerance %g)",
-			mark.Epoch, mark.RankedAt, last.RankedAt, f.pushTol)
+	m := mark{epoch: em.Epoch, push: em.Flags&ingest.MarkPush != 0, rankedAt: em.RankedAt,
+		leaderOff: f.streamOff, localOff: f.localWALOff}
+	if live {
+		m.at = time.Now()
+	}
+	if m.push {
+		if em.RankedAt != f.base.rankedAt {
+			return resyncf("push marker for epoch %d at ranking time %d after a full epoch at %d",
+				em.Epoch, em.RankedAt, f.base.rankedAt)
+		}
+		for _, mu := range newMuts {
+			if mu.Kind != ingest.KindCitation {
+				return resyncf("push marker for epoch %d covers a mutation of kind %d", em.Epoch, mu.Kind)
+			}
+		}
+		m.base, m.citations = f.base.epoch, len(f.delta)
+	} else {
+		net, err := ingest.Compact(f.base.net, f.delta)
+		if err != nil {
+			return resyncf("epoch %d: compacting: %v", em.Epoch, err)
+		}
+		m.net, f.delta = net, nil
+		f.base = m
+	}
+	f.sinceMark, f.lastMark = len(f.delta), em.Epoch
+	f.addMark(m)
+	if b := f.held; b != nil && b.epoch == em.Epoch {
+		f.held = nil
+		return f.applyBlock(b)
+	}
+	return nil
+}
+
+// addMark appends m to the unpublished markers. A full marker drops
+// every marker before the previous full one: a block names the newest
+// epoch the leader has published, and the leader appends a full marker
+// only after publishing the epoch before it (unless ranking that epoch
+// failed, when a later block supersedes it anyway).
+func (f *Follower) addMark(m mark) {
+	f.marks = append(f.marks, m)
+	if m.push {
+		return
+	}
+	fulls := 0
+	for i := len(f.marks) - 1; i >= 0; i-- {
+		if f.marks[i].push {
+			continue
+		}
+		if fulls++; fulls == 2 {
+			f.skip(f.marks[:i])
+			f.marks = append([]mark(nil), f.marks[i:]...)
+			return
+		}
+	}
+}
+
+// skip counts the stream-applied markers in ms as epochs never
+// published.
+func (f *Follower) skip(ms []mark) {
+	for _, m := range ms {
+		if !m.at.IsZero() {
+			mEpochsSkipped.Inc()
+		}
+	}
+}
+
+// applyBlock publishes the epoch a leader's block ships, built by the
+// leader's own builders: Chain.Seed for a full epoch, on the network
+// this follower compacted at its marker, and Ranking.Pushed for a push
+// epoch, on the full epoch it follows. A block for an epoch already
+// published, or whose marker was dropped, is ignored, and one whose
+// marker has not been applied yet is held until it is. Markers before
+// the block's epoch are skipped. A full epoch's block is then saved as
+// vectors.bin, so recovery can serve it again.
+func (f *Follower) applyBlock(b *epochBlock) error {
+	if b.epoch <= f.published {
+		return nil
+	}
+	i := 0
+	for i < len(f.marks) && f.marks[i].epoch != b.epoch {
+		i++
+	}
+	if i == len(f.marks) {
+		if b.epoch > f.lastMark {
+			f.held = b
+		}
+		// Otherwise its marker was dropped; a later block supersedes it.
+		return nil
+	}
+	m := f.marks[i]
+	if b.push != m.push {
+		return resyncf("block for epoch %d (push %v) under a marker with push %v", b.epoch, b.push, m.push)
 	}
 	var r *ingest.Ranking
-	var err error
-	if push {
-		r, err = f.chain.Push(mark.Epoch, newMuts)
+	if b.push {
+		last := f.chain.Last()
+		if last == nil || last.Epoch != m.base {
+			// The leader sends the full epoch's block first; a stream
+			// that lost it re-sends both after reconnecting.
+			return fmt.Errorf("push block for epoch %d builds on full epoch %d, not published", b.epoch, m.base)
+		}
+		if len(b.scores) != last.Net.N() {
+			return resyncf("push block for epoch %d has %d scores for %d papers", b.epoch, len(b.scores), last.Net.N())
+		}
+		r = last.Pushed(b.epoch, b.scores, b.pushes, m.citations, b.staleness)
 	} else {
-		r, err = f.chain.Rank(mark.Epoch, f.chain.Last().Net, f.delta, mark.RankedAt)
+		if b.papers != m.net.N() || b.edges != m.net.Edges() || b.rankedAt != m.rankedAt {
+			return resyncf("block for epoch %d (%d papers, %d edges, ranked at %d) differs from the local compaction (%d papers, %d edges, ranked at %d)",
+				b.epoch, b.papers, b.edges, b.rankedAt, m.net.N(), m.net.Edges(), m.rankedAt)
+		}
+		res := &core.Result{Scores: b.scores, Iterations: b.iterations, Converged: b.converged,
+			Residuals: b.residuals, Attention: b.attention, Recency: b.recency}
+		var influence *core.Result
+		if b.influence != nil {
+			influence = &core.Result{Scores: b.influence, Iterations: b.prIterations, Converged: b.prConverged}
+		}
+		var err error
+		if r, err = f.chain.Seed(b.epoch, m.net, res, influence, b.rankedAt); err != nil {
+			return resyncf("epoch %d: %v", b.epoch, err)
+		}
+		f.markerLeaderOff, f.markerLocalOff = m.leaderOff, m.localOff
 	}
-	if err != nil {
-		return resyncf("epoch %d: %v", mark.Epoch, err)
-	}
-	if push {
-		mPushEpochsApplied.Inc()
-	} else {
-		f.delta = nil
-		f.markerLeaderOff, f.markerLocalOff = f.streamOff, f.localWALOff
-	}
+	f.skip(f.marks[:i])
+	f.marks = append([]mark(nil), f.marks[i+1:]...)
+	f.published = b.epoch
 	f.ranking.Store(r)
-	f.localEpochA.Store(r.Epoch)
+	f.localEpochA.Store(b.epoch)
 	mEpochsApplied.Inc()
+	if b.push {
+		mPushEpochsApplied.Inc()
+	}
+	if !m.at.IsZero() {
+		mFrameWait.ObserveSince(m.at)
+		if !b.push {
+			if err := f.saveBlock(b); err != nil {
+				// The epoch is published; recovery just starts from
+				// the last block saved.
+				f.logf("repl: follower: saving epoch %d: %v", b.epoch, err)
+			}
+		}
+	}
 	f.observeLag()
 	return nil
 }

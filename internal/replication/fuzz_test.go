@@ -9,25 +9,19 @@ import (
 	"testing"
 )
 
-// FuzzReplFrame throws arbitrary bytes at the segment-stream decoders:
+// FuzzReplFrame throws arbitrary bytes at the segment-stream framing:
 // a ReadFrame loop as the follower runs it (one threaded buffer), then
-// parseHeartbeat and readVector on every accepted payload. Decoders must
-// reject garbage — truncation, corrupt CRCs, oversized length claims —
-// with an error and never panic, and whatever they accept must re-encode
-// to the exact bytes consumed. Wired into verify.sh's fuzz mode.
+// parseHeartbeat on every accepted payload. Decoders must reject
+// garbage — truncation, corrupt CRCs, oversized length claims — with an
+// error and never panic, and whatever they accept must re-encode to the
+// exact bytes consumed. Epoch frames' contents are FuzzReplEpochFrame's.
+// Wired into verify.sh's fuzz mode.
 func FuzzReplFrame(f *testing.F) {
 	frame := func(typ byte, payload []byte) []byte { return encodeFrame(f, typ, payload) }
-	vector := func(v []float64) []byte {
-		var b bytes.Buffer
-		if err := writeVector(&b, v); err != nil {
-			f.Fatal(err)
-		}
-		return b.Bytes()
-	}
 	valid := append(append(append([]byte(nil),
 		frame(frameHeartbeat, heartbeatPayload(7, 4096))...),
 		frame(frameData, []byte("wal record bytes"))...),
-		frame(frameData, vector([]float64{0.25, 0.5, 0.25}))...)
+		blockFrames(f, testBlock(false, 3), 64)...)
 	f.Add(valid)
 	// A truncation, a flipped CRC byte and an implausible length claim.
 	f.Add(valid[:len(valid)-3])
@@ -39,7 +33,6 @@ func FuzzReplFrame(f *testing.F) {
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const wantN = 3
 		r := bytes.NewReader(data)
 		var buf []byte
 		for {
@@ -58,31 +51,112 @@ func FuzzReplFrame(f *testing.F) {
 					t.Fatalf("heartbeat re-encodes to %x, payload %x", re, payload)
 				}
 			}
-			vr := bytes.NewReader(payload)
-			v, err := readVector(vr, wantN)
-			if err != nil {
-				continue
-			}
-			if len(v) != wantN {
-				t.Fatalf("readVector returned %d values, want %d", len(v), wantN)
-			}
-			var re bytes.Buffer
-			if err := writeVector(&re, v); err != nil {
-				t.Fatal(err)
-			}
-			if used := payload[:len(payload)-vr.Len()]; !bytes.Equal(re.Bytes(), used) {
-				t.Fatalf("vector re-encodes to %x, consumed %x", re.Bytes(), used)
-			}
 		}
 	})
 }
 
+// testBlock returns a block of n papers whose every float is distinct:
+// a full epoch with indicators, or a push epoch.
+func testBlock(push bool, n int) *epochBlock {
+	vec := func(k int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64(k*n+i) + 0.25
+		}
+		return v
+	}
+	if push {
+		return &epochBlock{epoch: 9, push: true, staleness: 1e-9, pushes: 17, scores: vec(0)}
+	}
+	return &epochBlock{epoch: 8, papers: n, edges: 2 * n, rankedAt: 2011, iterations: 3, converged: true,
+		residuals: []float64{0.5, 0.01, 1e-13}, scores: vec(0), attention: vec(1), recency: vec(2),
+		influence: vec(3), prIterations: 29, prConverged: true}
+}
+
+// blockBytes is b's whole encoding: its epoch frames' payloads, less
+// their continuation bytes.
+func blockBytes(tb testing.TB, b *epochBlock) []byte {
+	r := bytes.NewReader(blockFrames(tb, b, chunkSize))
+	var out, buf []byte
+	for r.Len() > 0 {
+		_, payload, nbuf, err := ReadFrame(r, buf)
+		buf = nbuf
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, payload[1:]...)
+	}
+	return out
+}
+
+// blockFrames is b as writeBlock frames it with payloads of at most
+// chunk bytes.
+func blockFrames(tb testing.TB, b *epochBlock, chunk int) []byte {
+	var out bytes.Buffer
+	if err := writeBlock(&out, b, make([]byte, chunk)); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// FuzzReplEpochFrame throws arbitrary bytes at the epoch-block decoders
+// a follower runs on the stream, the bootstrap body and vectors.bin:
+// decodeBlock on the bytes as one encoding, and readBlock on them as a
+// sequence of epoch frames. Neither may panic. decodeBlock accepts only
+// canonical encodings, so whatever it accepts re-encodes to the same
+// bytes; a full block it accepts holds one value per paper in each
+// vector. Wired into verify.sh's fuzz mode.
+func FuzzReplEpochFrame(f *testing.F) {
+	for _, b := range []*epochBlock{testBlock(false, 3), testBlock(true, 3)} {
+		enc := blockBytes(f, b)
+		f.Add(enc)
+		f.Add(enc[:len(enc)-5])
+		f.Add(blockFrames(f, b, 32))
+	}
+	noInfluence := testBlock(false, 2)
+	noInfluence.influence, noInfluence.prIterations, noInfluence.prConverged = nil, 0, false
+	f.Add(blockBytes(f, noInfluence))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if b, err := decodeBlock(data); err == nil {
+			if re := blockBytes(t, b); !bytes.Equal(re, data) {
+				t.Fatalf("block re-encodes to %x, decoded from %x", re, data)
+			}
+			checkBlockShape(t, b)
+		}
+		if b, err := readBlock(bytes.NewReader(data)); err == nil {
+			checkBlockShape(t, b)
+		}
+	})
+}
+
+// checkBlockShape requires a decoded block's vectors to fit its corpus.
+func checkBlockShape(t *testing.T, b *epochBlock) {
+	t.Helper()
+	if b.push {
+		if len(b.scores) == 0 || b.attention != nil || b.influence != nil {
+			t.Fatalf("push block with %d scores, attention %v, influence %v", len(b.scores), b.attention != nil, b.influence != nil)
+		}
+		return
+	}
+	for _, v := range [][]float64{b.scores, b.attention, b.recency} {
+		if len(v) != b.papers || b.papers == 0 {
+			t.Fatalf("full block of %d papers holds a vector of %d values", b.papers, len(v))
+		}
+	}
+	if b.influence != nil && len(b.influence) != b.papers {
+		t.Fatalf("full block of %d papers holds %d influence values", b.papers, len(b.influence))
+	}
+}
+
 // FuzzReplState throws arbitrary bytes at the /repl/state decoder the
-// follower bootstraps from (readState: header line, .anb corpus, three
-// CRC-framed vectors). It must never panic, and an accepted body must
-// be self-consistent: a corpus of exactly the header's paper count and
-// three vectors of one value per paper. Seeded with a real leader's
-// body and truncations of it. Wired into verify.sh's fuzz mode.
+// follower bootstraps from (readState: header line, .anb corpus, the
+// epoch's block as epoch frames). It must never panic, and an accepted
+// body must be self-consistent: a corpus of exactly the header's paper
+// count, and a full block of that corpus's papers and edges with one
+// value per paper in each vector. Seeded with a real leader's body
+// (its block in the epoch-frame layout) and truncations of it. Wired
+// into verify.sh's fuzz mode.
 func FuzzReplState(f *testing.F) {
 	_, srv := startLeader(f)
 	resp, err := http.Get(srv.URL + statePath)
@@ -104,18 +178,15 @@ func FuzzReplState(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		hdr, net, vecs, err := readState(bufio.NewReader(bytes.NewReader(data)))
+		hdr, net, blk, err := readState(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {
 			return
 		}
-		if net.N() != hdr.Papers {
-			t.Fatalf("accepted a corpus of %d papers under a header saying %d", net.N(), hdr.Papers)
+		if net.N() != hdr.Papers || blk.papers != net.N() || blk.edges != net.Edges() {
+			t.Fatalf("accepted a corpus of %d papers and %d edges under a header saying %d papers and a block saying %d and %d",
+				net.N(), net.Edges(), hdr.Papers, blk.papers, blk.edges)
 		}
-		for i, v := range vecs {
-			if len(v) != net.N() {
-				t.Fatalf("accepted vector %d with %d values for %d papers", i, len(v), net.N())
-			}
-		}
+		checkBlockShape(t, blk)
 	})
 }
 

@@ -87,8 +87,8 @@ func TestFollowerReplaysImpactClasses(t *testing.T) {
 	}
 	t.Cleanup(f.Kill) // a failing test must not leave the stream open
 
-	// Bootstrap: the seeded boundary recomputes impact from shipped
-	// exact scores.
+	// Bootstrap: the seeded boundary derives impact from the shipped
+	// scores and influence vector.
 	assertImpactIdentical(t, ing, f)
 
 	// Full epochs (paper writes force the full path).
@@ -143,7 +143,7 @@ func TestFollowerReplaysImpactClasses(t *testing.T) {
 }
 
 // TestImpactConfigSurvivesRecovery: the indicator configuration rides
-// the durable state trio, so a restarted follower recomputes classes
+// the durable state trio, so a restarted follower derives classes
 // without re-bootstrapping — even when the next marker arrives before
 // any reconnect to the leader.
 func TestImpactConfigSurvivesRecovery(t *testing.T) {
@@ -165,7 +165,7 @@ func TestImpactConfigSurvivesRecovery(t *testing.T) {
 	}
 	t.Cleanup(func() { re.Close() })
 	// The recovered seed boundary must already carry impact state (it is
-	// recomputed locally from the saved exact vectors, not re-shipped).
+	// derived locally from the saved block's vectors, not re-shipped).
 	if re.Ranking() == nil || re.Ranking().Impact == nil {
 		t.Fatal("recovered follower lost its impact state")
 	}

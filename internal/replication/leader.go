@@ -15,7 +15,8 @@ import (
 // production-ready.
 type LeaderConfig struct {
 	// Poll is how long a stream sleeps when it has caught up with the
-	// durable end of the log (default 5ms).
+	// durable end of the log (default 5ms). A publication wakes it
+	// sooner.
 	Poll time.Duration
 	// Heartbeat is the cadence of epoch/offset heartbeats on an idle
 	// stream (default 500ms). Heartbeats are what keep a follower's lag
@@ -25,8 +26,9 @@ type LeaderConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// chunkSize is the data-frame payload size. Each chunk read holds the
-// ingester lock, so much larger values would stall writers.
+// chunkSize is the data-frame payload size, and bounds an epoch frame's
+// too. Each chunk read holds the ingester lock, so much larger values
+// would stall writers.
 const chunkSize = 64 << 10
 
 // The replication endpoints bypass the service's admission control, so
@@ -92,10 +94,10 @@ func (l *Leader) Handler() http.Handler {
 	return mux
 }
 
-// handleState streams a bootstrap: header line, corpus, score vectors.
-// The ReplState call guarantees the cursor in the header matches the
-// payload — a follower that seeds from this response and then streams
-// from header.Offset misses nothing and re-applies nothing.
+// handleState streams a bootstrap: header line, corpus, the epoch's
+// block. The ReplState call guarantees the cursor in the header matches
+// the payload — a follower that seeds from this response and then
+// streams from header.Offset misses nothing and re-applies nothing.
 func (l *Leader) handleState(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -119,7 +121,6 @@ func (l *Leader) handleState(w http.ResponseWriter, r *http.Request) {
 		RankedAt: rank.RankedAt,
 		Papers:   rank.Net.N(),
 		Params:   wireParamsOf(l.ing.Params()),
-		PushTol:  l.ing.PushTol(),
 		Impact:   wireImpactOf(l.ing.ImpactConfig()),
 	}
 	if err := writeHeader(w, hdr); err != nil {
@@ -128,17 +129,19 @@ func (l *Leader) handleState(w http.ResponseWriter, r *http.Request) {
 	if err := dataio.WriteBinary(w, rank.Net); err != nil {
 		return
 	}
-	for _, v := range [][]float64{rank.Result.Scores, rank.Result.Attention, rank.Result.Recency} {
-		if err := writeVector(w, v); err != nil {
-			return
-		}
+	if err := writeBlock(w, blockOf(rank), make([]byte, chunkSize)); err != nil {
+		return
 	}
 	mBootstrapsServed.Inc()
 	l.logf("repl: bootstrap served: epoch %d, %d papers, offset %d", hdr.Epoch, hdr.Papers, hdr.Offset)
 }
 
 // handleWAL streams log bytes from (instance, gen, from) until the
-// client goes away or the generation rotates. A cursor the leader cannot
+// client goes away or the generation rotates. Between them it sends the
+// block of each epoch published past have (the epoch the follower
+// already publishes) once the stream has shipped the epoch's marker:
+// at stream open for the newest epoch, and after each publication,
+// which wakes the stream. A cursor the leader cannot
 // serve — wrong instance (leader restarted) or wrong generation (log
 // compacted) — answers 409 so the follower knows to re-bootstrap rather
 // than retry.
@@ -154,6 +157,14 @@ func (l *Leader) handleWAL(w http.ResponseWriter, r *http.Request) {
 	if err1 != nil || err2 != nil || err3 != nil || from < ingest.WALHeaderSize {
 		http.Error(w, "bad cursor: need instance, gen and from=<offset>", http.StatusBadRequest)
 		return
+	}
+	var have uint64
+	if h := q.Get("have"); h != "" {
+		var err error
+		if have, err = strconv.ParseUint(h, 10, 64); err != nil {
+			http.Error(w, "bad have=<epoch>", http.StatusBadRequest)
+			return
+		}
 	}
 	cur := l.ing.ReplCursor()
 	if instance != cur.Instance || gen != cur.Gen {
@@ -197,32 +208,54 @@ func (l *Leader) handleWAL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	off := from
+	// sent is the newest epoch whose block the follower holds: the one
+	// it reported publishing, then each block this stream carried.
+	sent := have
 	for {
 		if ctx.Err() != nil {
 			return
 		}
+		_, _, published := l.ing.ReplEpochs()
 		n, err := l.ing.ReadWALAt(gen, off, buf)
+		wrote := n > 0
 		if n > 0 {
 			if werr := WriteFrame(w, frameData, buf[:n]); werr != nil {
 				return
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
 			off += int64(n)
 			mBytesShipped.Add(int64(n))
+		}
+		// Blocks go out after the bytes, read afresh, so each names the
+		// newest epoch the stream has shipped the marker of. The last
+		// full epoch goes first: a push epoch's block builds on it.
+		full, latest, _ := l.ing.ReplEpochs()
+		for _, e := range [2]*ingest.ReplEpoch{full, latest} {
+			if e == nil || e.Ranking.Epoch <= sent || e.Cursor.Gen != gen || off < e.Cursor.Offset {
+				continue
+			}
+			if werr := writeBlock(w, blockOf(e.Ranking), buf); werr != nil {
+				return
+			}
+			sent, wrote = e.Ranking.Epoch, true
+			mEpochBlocksShipped.Inc()
+		}
+		if wrote && flusher != nil {
+			flusher.Flush()
+		}
+		if n > 0 {
 			continue
 		}
 		switch {
 		case err == nil || err == io.EOF:
 			// Caught up with the durable end: heartbeat if due, then
-			// poll for new appends.
+			// wait for a publication or poll for new appends.
 			if time.Since(lastBeat) >= l.cfg.Heartbeat && !beat() {
 				return
 			}
 			select {
 			case <-ctx.Done():
 				return
+			case <-published:
 			case <-time.After(l.cfg.Poll):
 			}
 		case errors.Is(err, ingest.ErrWALRotated):

@@ -16,12 +16,18 @@ var (
 		"WAL bytes shipped to followers (data frame payloads only).")
 	mBytesReceived = obs.NewCounter("attrank_repl_bytes_received_total",
 		"WAL bytes received from the leader (data frame payloads only).")
+	mEpochBlocksShipped = obs.NewCounter("attrank_repl_epoch_blocks_shipped_total",
+		"Epoch blocks (a published epoch's computed vectors) sent on WAL streams by the leader.")
 	mRecordsApplied = obs.NewCounter("attrank_repl_records_applied_total",
 		"Shipped WAL records applied by the follower (markers included).")
 	mEpochsApplied = obs.NewCounter("attrank_repl_epochs_applied_total",
-		"Epoch markers ranked and published by the follower.")
+		"Epochs the follower published from the leader's epoch blocks.")
 	mPushEpochsApplied = obs.NewCounter("attrank_repl_push_epochs_applied_total",
-		"Push-mode epoch markers replayed incrementally by the follower (subset of epochs applied).")
+		"Push epochs the follower published from the leader's epoch blocks (subset of epochs applied).")
+	mEpochsSkipped = obs.NewCounter("attrank_repl_epochs_skipped_total",
+		"Epochs whose marker the follower applied but never published, because the block of a later epoch arrived first.")
+	mFrameWait = obs.NewHistogram("attrank_repl_frame_wait_seconds",
+		"Time from the follower applying an epoch marker to applying that epoch's block.", obs.LatencyBuckets)
 	mReconnects = obs.NewCounter("attrank_repl_reconnects_total",
 		"Follower stream reconnect attempts after an error or disconnect.")
 	mFullResyncs = obs.NewCounter("attrank_repl_full_resyncs_total",

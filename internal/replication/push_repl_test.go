@@ -73,8 +73,9 @@ func leaderPush(t *testing.T, ing *ingest.Ingester, citing, cited string) {
 }
 
 // TestFollowerReplaysPushEpochs: incremental epochs ship as their raw
-// citations plus a push-flagged marker; the follower replays them with
-// its own pusher and must land bit-identical — scores, positions,
+// citations plus a push-flagged marker, then the epoch's pushed scores;
+// the follower publishes them on its last full epoch and must land
+// bit-identical — scores, positions,
 // staleness and the Incremental flag itself.
 func TestFollowerReplaysPushEpochs(t *testing.T) {
 	ing, srv := startPushLeader(t)
@@ -115,8 +116,9 @@ func TestFollowerReplaysPushEpochs(t *testing.T) {
 
 // TestFollowerRecoversPushChain: a follower killed mid-push-streak must
 // rebuild the streak from its local WAL on restart — push epochs are
-// anchored at the last full boundary, so recovery re-replays them and
-// lands on the same bits without a resync.
+// anchored at the last full boundary, so recovery publishes that
+// boundary, reads the streak's markers back, and the newest push
+// epoch's block lands it on the same bits without a resync.
 func TestFollowerRecoversPushChain(t *testing.T) {
 	ing, srv := startPushLeader(t)
 	cfg := followerConfig(t, srv.URL)

@@ -236,13 +236,14 @@ func TestFollowerGracefulRestartResumesWithoutResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An older release saved the kernel choice as params.workers (0 was
-	// the serial reference); the key must decode and be ignored.
+	// the serial reference) and the leader's push tolerance as
+	// push_tol; both keys must decode and be ignored.
 	statePath := filepath.Join(cfg.Dir, stateFile)
 	js, err := os.ReadFile(statePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := strings.Replace(string(js), `"params": {`, `"params": {"workers": 0,`, 1)
+	legacy := strings.Replace(string(js), `"params": {`, `"push_tol": 1e-08, "params": {"workers": 0,`, 1)
 	if legacy == string(js) {
 		t.Fatalf("state.json has no params object:\n%s", js)
 	}
@@ -256,7 +257,7 @@ func TestFollowerGracefulRestartResumesWithoutResync(t *testing.T) {
 	}
 	defer f2.Close()
 	if f2.Ranking() == nil {
-		t.Fatal("state.json with a legacy workers key was discarded")
+		t.Fatal("state.json with legacy workers and push_tol keys was discarded")
 	}
 	if got := f2.Params().Workers; got != -1 {
 		t.Errorf("recovered follower ranks at Workers %d, want -1 (tiled, every core)", got)

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,20 +10,21 @@ import (
 
 	"attrank/internal/core"
 	"attrank/internal/dataio"
-	"attrank/internal/graph"
 	"attrank/internal/impact"
 	"attrank/internal/ingest"
 )
 
 // Follower durable state, all under FollowerConfig.Dir:
 //
-//	base.anb    — the compacted corpus at the last saved marker boundary
-//	vectors.bin — scores, attention, recency at that boundary
-//	state.json  — the cursor tying them together (written last; it is
-//	              the commit point — a crash mid-save leaves the old
-//	              trio intact)
+//	base.anb    — the compacted corpus at the save point, a full
+//	              marker boundary
+//	state.json  — the cursor tying base.anb to the local WAL (written
+//	              last; it is the commit point of a save)
+//	vectors.bin — the block (block.go) of the last published full
+//	              epoch: the save point's, or a later one's, rewritten
+//	              after each full epoch is published
 //	wal.log     — every shipped record re-encoded locally, so recovery
-//	              can replay the chain forward from the saved boundary
+//	              can compact forward from the save point
 //
 // The local encoding is byte-identical to the leader's, so replaying a
 // local record advances the leader-coordinate offset by exactly its
@@ -36,7 +38,7 @@ const (
 )
 
 // diskState is state.json: the marker-boundary cursor for the saved
-// base + vectors pair.
+// base. An older release's "push_tol" key is ignored on decode.
 type diskState struct {
 	Instance       uint64      `json:"instance"`
 	Gen            uint64      `json:"gen"`
@@ -46,33 +48,22 @@ type diskState struct {
 	LocalWALOffset int64       `json:"local_wal_offset"`
 	Papers         int         `json:"papers"`
 	Params         wireParams  `json:"params"`
-	PushTol        float64     `json:"push_tol,omitempty"`
 	Impact         *wireImpact `json:"impact,omitempty"`
 }
 
-// saveState persists the follower's last FULL marker boundary: corpus,
-// the three exact ranking vectors, then state.json as the commit
-// record. Push-mode epochs past that boundary are deliberately not the
-// anchor — their scores are approximate and their mutations are still
-// in the local WAL, so recovery replays them through the same push
-// path the stream used.
+// saveState makes the last published full epoch the save point: its
+// corpus, its block, then state.json as the commit record. Push epochs
+// past it are deliberately not saved — their mutations are in the local
+// WAL, and the stream re-sends the newest push epoch's block.
 func (f *Follower) saveState() error {
-	if f.chain == nil {
+	if f.chain == nil || f.chain.Last() == nil {
 		return fmt.Errorf("replication: no state to save")
 	}
 	r := f.chain.Last()
 	if err := dataio.SaveBinaryAtomic(filepath.Join(f.dir, baseFile), r.Net); err != nil {
 		return err
 	}
-	err := dataio.WriteFileAtomic(filepath.Join(f.dir, vectorsFile), func(w io.Writer) error {
-		for _, v := range [][]float64{r.Result.Scores, r.Result.Attention, r.Result.Recency} {
-			if err := writeVector(w, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := f.saveBlock(blockOf(r)); err != nil {
 		return err
 	}
 	st := diskState{
@@ -84,7 +75,6 @@ func (f *Follower) saveState() error {
 		LocalWALOffset: f.markerLocalOff,
 		Papers:         r.Net.N(),
 		Params:         wireParamsOf(f.Params()),
-		PushTol:        f.pushTol,
 		Impact:         wireImpactOf(f.impactCfg),
 	}
 	js, err := json.MarshalIndent(st, "", "  ")
@@ -97,11 +87,20 @@ func (f *Follower) saveState() error {
 	})
 }
 
-// recover rebuilds the follower from its durable state: seed the chain
-// at the saved marker boundary, then replay the local WAL tail forward
-// through the same apply path the stream uses. Returns errNoState when
-// the directory holds no state (first start), any other error meaning
-// the state is unusable (caller wipes and re-bootstraps).
+// saveBlock atomically replaces vectors.bin with b.
+func (f *Follower) saveBlock(b *epochBlock) error {
+	return dataio.WriteFileAtomic(filepath.Join(f.dir, vectorsFile), func(w io.Writer) error {
+		return writeBlock(w, b, make([]byte, chunkSize))
+	})
+}
+
+// recover rebuilds the follower from its durable state: start at the
+// saved boundary, then replay the local WAL tail forward through the
+// same apply path the stream uses, which compacts at every full marker
+// and publishes the saved block's epoch at its marker. Returns
+// errNoState when the directory holds no state (first start), any
+// other error meaning the state is unusable (caller wipes and
+// re-bootstraps).
 func (f *Follower) recover() error {
 	js, err := os.ReadFile(filepath.Join(f.dir, stateFile))
 	if os.IsNotExist(err) {
@@ -125,25 +124,21 @@ func (f *Follower) recover() error {
 	if err != nil {
 		return err
 	}
-	defer vf.Close()
-	vecs := make([][]float64, 3)
-	for i := range vecs {
-		if vecs[i], err = readVector(vf, net.N()); err != nil {
-			return err
-		}
-	}
-	f.impactCfg, f.pushTol = st.Impact.config(), st.PushTol
-	if err := f.seedChain(net, st.Params, vecs[0], vecs[1], vecs[2], st.Epoch, st.RankedAt); err != nil {
-		return err
+	blk, err := readBlock(bufio.NewReader(vf))
+	vf.Close()
+	if err != nil {
+		return fmt.Errorf("replication: %s: %w", vectorsFile, err)
 	}
 	f.instance, f.gen = st.Instance, st.Gen
-	f.markerLeaderOff, f.markerLocalOff = st.LeaderOffset, st.LocalWALOffset
 	f.streamOff, f.localWALOff = st.LeaderOffset, st.LocalWALOffset
+	start := mark{epoch: st.Epoch, rankedAt: st.RankedAt, net: net, leaderOff: st.LeaderOffset, localOff: st.LocalWALOffset}
+	if err := f.start(st.Params, st.Impact, start, blk); err != nil {
+		return err
+	}
 
 	// Replay the local WAL tail through the normal apply path (minus the
-	// re-append): markers past the boundary re-rank and re-publish, and
-	// both offsets advance record by record because the local encoding
-	// matches the leader's byte for byte.
+	// re-append): both offsets advance record by record because the
+	// local encoding matches the leader's byte for byte.
 	wal, err := ingest.OpenWALAt(filepath.Join(f.dir, walFile), st.LocalWALOffset, func(m ingest.Mutation) error {
 		size, err := m.WireSize()
 		if err != nil {
@@ -154,38 +149,38 @@ func (f *Follower) recover() error {
 	if err != nil {
 		return fmt.Errorf("replication: local wal replay: %w", err)
 	}
+	if f.published == 0 {
+		wal.Close()
+		return fmt.Errorf("replication: the local wal ends before the marker of saved epoch %d", blk.epoch)
+	}
 	if torn := wal.TornTail(); torn != nil {
 		// Expected crash aftermath: the torn suffix was never applied,
 		// and the stream will re-ship it from streamOff.
 		f.logf("repl: follower: local wal torn tail truncated: %v", torn)
 	}
 	f.wal = wal
-	f.logf("repl: follower recovered: epoch %d, %d papers, resume offset %d", f.localEpochA.Load(), f.chain.Last().Net.N(), f.streamOff)
+	f.logf("repl: follower recovered: epoch %d, %d papers, resume offset %d", f.published, f.chain.Last().Net.N(), f.streamOff)
 	return nil
 }
 
-// seedChain installs a (corpus, vectors) pair as the follower's chain
-// state at the given epoch: a fresh chain, seeded with the scores so
-// the next full marker continues the leader's warm-start chain, and its
-// full epoch published. It needs f.pushTol and f.impactCfg set.
-func (f *Follower) seedChain(net *graph.Network, wp wireParams, scores, att, rec []float64, epoch uint64, rankedAt int) error {
+// start installs a fresh chain under the leader's parameters and
+// indicator configuration, with m — a bootstrap's or the saved state's
+// full boundary — as the last applied marker, then applies the block
+// blk: the boundary's own, which it publishes at once, or, in recovery,
+// a later full epoch's, held until replay reaches its marker.
+func (f *Follower) start(wp wireParams, wi *wireImpact, m mark, blk *epochBlock) error {
 	params := wp.params()
-	chain, err := ingest.NewChain(params, core.ReplayPushConfig(f.pushTol), f.impactCfg, f.logf)
+	f.impactCfg = wi.config()
+	chain, err := ingest.NewChain(params, core.PushConfig{}, f.impactCfg, f.logf)
 	if err != nil {
 		return err
 	}
-	// The seeded state is always a full (exact) boundary: ReplState
-	// anchors bootstraps there, and saveState anchors recovery there.
-	// Neither ships an iteration count, so the seeded Result reports 0.
-	r, err := chain.Seed(epoch, net, &core.Result{Scores: scores, Attention: att, Recency: rec, Converged: true}, rankedAt)
-	if err != nil {
-		return err
-	}
-	f.chain, f.delta = chain, nil
+	f.chain, f.published, f.held = chain, 0, nil
+	f.base, f.delta, f.sinceMark, f.lastMark = m, nil, 0, m.epoch
+	f.marks = []mark{m}
+	f.markerLeaderOff, f.markerLocalOff = m.leaderOff, m.localOff
 	f.params.Store(&params)
-	f.ranking.Store(r)
-	f.localEpochA.Store(epoch)
-	return nil
+	return f.applyBlock(blk)
 }
 
 // wipe discards all durable follower state; the next session starts
@@ -203,7 +198,9 @@ func (f *Follower) wipe() {
 		}
 	}
 	f.instance, f.gen = 0, 0
-	f.chain, f.delta, f.pushTol = nil, nil, 0
+	f.chain, f.published = nil, 0
+	f.base, f.delta, f.sinceMark, f.lastMark = mark{}, nil, 0, 0
+	f.marks, f.held, f.acc = nil, nil, nil
 	f.impactCfg = impact.Config{}
 	f.pend = nil
 	f.streamOff, f.localWALOff = 0, 0

@@ -54,11 +54,11 @@ func newCitations(net *graph.Network, k int) [][2]string {
 	return out
 }
 
-// TestFollowerTiledLeaderBitIdentical: a follower ranks a tiled
-// leader's epochs on its own cores (Workers −1), not at the leader's
-// count of 3, and must still publish the leader's Ranking and impact
+// TestFollowerTiledLeaderBitIdentical: a follower of a tiled leader
+// ranking at Workers 3 must publish the leader's Ranking and impact
 // state bit for bit — residuals included — through full, push and
-// reconciling epochs.
+// reconciling epochs on the 20k corpus, whose vectors span many epoch
+// frames.
 func TestFollowerTiledLeaderBitIdentical(t *testing.T) {
 	ing, srv := startTiledLeader(t)
 	f, err := StartFollower(followerConfig(t, srv.URL))

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"attrank/internal/core"
 	"attrank/internal/dataio"
@@ -20,25 +19,28 @@ import (
 //
 //	GET /repl/state
 //	    Bootstrap: one JSON header line (stateHeader), then the corpus
-//	    in the .anb binary format, then three CRC-framed float64
-//	    vectors (scores, attention, recency). The header carries the
-//	    exact replication cursor the payload corresponds to.
+//	    in the .anb binary format, then the epoch's block (block.go) as
+//	    epoch frames. The header carries the exact replication cursor
+//	    the payload corresponds to.
 //
 //	GET /repl/wal?instance=I&gen=G&from=N
 //	    Segment stream: an unbounded chunked response of frames, each
 //	    [type byte][u32 payloadLen][u32 crc32(payload)][payload].
 //	    Data frames ('d') carry raw WAL bytes starting at offset N of
 //	    generation G — verbatim record bytes, so the follower's record
-//	    parser is the WAL's. Heartbeat frames ('h') carry the leader's
-//	    committed epoch and boundary offset (u64 + i64, little-endian)
-//	    so an idle follower still tracks lag. An instance or generation
-//	    mismatch answers 409: the follower's offsets are meaningless
-//	    and it must re-bootstrap via /repl/state.
+//	    parser is the WAL's. Epoch frames ('e') carry a published
+//	    epoch's block, sent once the stream has shipped that epoch's
+//	    marker. Heartbeat frames ('h') carry the leader's committed
+//	    epoch and boundary offset (u64 + i64, little-endian) so an idle
+//	    follower still tracks lag. An instance or generation mismatch
+//	    answers 409: the follower's offsets are meaningless and it must
+//	    re-bootstrap via /repl/state.
 const (
 	statePath = "/repl/state"
 	walPath   = "/repl/wal"
 
 	frameData      byte = 'd'
+	frameEpoch     byte = 'e'
 	frameHeartbeat byte = 'h'
 )
 
@@ -112,9 +114,8 @@ func parseHeartbeat(p []byte) (epoch uint64, offset int64, ok bool) {
 
 // wireParams is the parameter fingerprint exchanged at bootstrap. It
 // excludes Start (the tracker owns warm starts) and Workers, which only
-// caps concurrency and never changes the Result: a follower ranks the
-// leader's epochs on its own cores. An older leader's "workers" key is
-// ignored on decode.
+// caps concurrency and never changes the Result. An older leader's
+// "workers" key is ignored on decode.
 type wireParams struct {
 	Alpha          float64 `json:"alpha"`
 	Beta           float64 `json:"beta"`
@@ -130,7 +131,7 @@ func wireParamsOf(p core.Params) wireParams {
 		AttentionYears: p.AttentionYears, W: p.W, Tol: p.Tol, MaxIter: p.MaxIter}
 }
 
-// params materializes core.Params, ranking on every local core.
+// params materializes core.Params, with every local core.
 func (wp wireParams) params() core.Params {
 	return core.Params{Alpha: wp.Alpha, Beta: wp.Beta, Gamma: wp.Gamma,
 		AttentionYears: wp.AttentionYears, W: wp.W, Tol: wp.Tol, MaxIter: wp.MaxIter,
@@ -139,8 +140,8 @@ func (wp wireParams) params() core.Params {
 
 // stateHeader is the JSON line that precedes the bootstrap payload.
 // The bootstrap is always anchored at a FULL epoch boundary (see
-// ingest.ReplState): the shipped scores are exact, and any push-mode
-// epochs after Offset are replayed by the follower itself.
+// ingest.ReplState): push epochs after Offset arrive on the stream.
+// An older leader's "push_tol" key is ignored on decode.
 type stateHeader struct {
 	Instance uint64     `json:"instance"`
 	Gen      uint64     `json:"gen"`
@@ -149,15 +150,9 @@ type stateHeader struct {
 	RankedAt int        `json:"ranked_at"`
 	Papers   int        `json:"papers"`
 	Params   wireParams `json:"params"`
-	// PushTol is the leader's incremental-ranking settle tolerance
-	// (ingest.Config.PushTol; 0 = push path disabled). A follower
-	// replaying a push-mode epoch marker must settle to the same
-	// tolerance or its scores diverge from the leader's.
-	PushTol float64 `json:"push_tol,omitempty"`
 	// Impact carries the leader's multi-indicator configuration (nil =
-	// indicators disabled). Followers recompute each full epoch's
-	// impact.Epoch from these exact values — impact.Compute is pure, so
-	// recomputation IS replication (DESIGN.md §15).
+	// indicators disabled). Followers derive each full epoch's classes
+	// from the shipped vectors with these exact values (DESIGN.md §15).
 	Impact *wireImpact `json:"impact,omitempty"`
 }
 
@@ -195,76 +190,30 @@ func writeHeader(w io.Writer, hdr stateHeader) error {
 }
 
 // readState parses a /repl/state body: the header line, the corpus
-// (whose size must match the header's Papers) and the scores,
-// attention and recency vectors, one value per paper each. br must
+// (whose size must match the header's Papers) and the epoch's full
+// block, whose epoch, ranking time and vectors must match both. br must
 // buffer at least 4 KiB, so that dataio.ReadBinary reads through it
 // rather than wrapping it and buffering past the corpus.
-func readState(br *bufio.Reader) (hdr stateHeader, net *graph.Network, vecs [3][]float64, err error) {
+func readState(br *bufio.Reader) (hdr stateHeader, net *graph.Network, blk *epochBlock, err error) {
 	line, err := br.ReadBytes('\n')
 	if err != nil {
-		return hdr, nil, vecs, fmt.Errorf("header: %w", err)
+		return hdr, nil, nil, fmt.Errorf("header: %w", err)
 	}
 	if err := json.Unmarshal(line, &hdr); err != nil {
-		return hdr, nil, vecs, fmt.Errorf("header: %w", err)
+		return hdr, nil, nil, fmt.Errorf("header: %w", err)
 	}
 	if net, err = dataio.ReadBinary(br); err != nil {
-		return hdr, nil, vecs, fmt.Errorf("corpus: %w", err)
+		return hdr, nil, nil, fmt.Errorf("corpus: %w", err)
 	}
 	if net.N() != hdr.Papers {
-		return hdr, nil, vecs, fmt.Errorf("corpus has %d papers, header says %d", net.N(), hdr.Papers)
+		return hdr, nil, nil, fmt.Errorf("corpus has %d papers, header says %d", net.N(), hdr.Papers)
 	}
-	for i := range vecs {
-		if vecs[i], err = readVector(br, net.N()); err != nil {
-			return hdr, nil, vecs, fmt.Errorf("vectors: %w", err)
-		}
+	if blk, err = readBlock(br); err != nil {
+		return hdr, nil, nil, err
 	}
-	return hdr, net, vecs, nil
-}
-
-// writeVector emits one float64 vector as u32 length, the raw values
-// little-endian, and a u32 CRC of the value bytes.
-func writeVector(w io.Writer, v []float64) error {
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(v)))
-	if _, err := w.Write(n[:]); err != nil {
-		return err
+	if blk.push || blk.epoch != hdr.Epoch || blk.rankedAt != hdr.RankedAt || blk.papers != net.N() || blk.edges != net.Edges() {
+		return hdr, nil, nil, fmt.Errorf("epoch block (epoch %d, push %v, %d papers, %d edges) does not match the header (epoch %d) and corpus (%d papers, %d edges)",
+			blk.epoch, blk.push, blk.papers, blk.edges, hdr.Epoch, net.N(), net.Edges())
 	}
-	buf := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
-	}
-	if _, err := w.Write(buf); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(n[:], crc32.ChecksumIEEE(buf))
-	_, err := w.Write(n[:])
-	return err
-}
-
-// readVector reads one writeVector payload, enforcing the expected
-// length and the CRC.
-func readVector(r io.Reader, wantN int) ([]float64, error) {
-	var n [4]byte
-	if _, err := io.ReadFull(r, n[:]); err != nil {
-		return nil, fmt.Errorf("replication: vector length: %w", err)
-	}
-	count := int(binary.LittleEndian.Uint32(n[:]))
-	if count != wantN {
-		return nil, fmt.Errorf("replication: vector of %d values, want %d", count, wantN)
-	}
-	buf := make([]byte, 8*count)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("replication: vector body: %w", err)
-	}
-	if _, err := io.ReadFull(r, n[:]); err != nil {
-		return nil, fmt.Errorf("replication: vector crc: %w", err)
-	}
-	if got, want := crc32.ChecksumIEEE(buf), binary.LittleEndian.Uint32(n[:]); got != want {
-		return nil, fmt.Errorf("replication: vector crc mismatch (got %08x, want %08x)", got, want)
-	}
-	v := make([]float64, count)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return v, nil
+	return hdr, net, blk, nil
 }

@@ -125,7 +125,11 @@ func (st *staticSource) enableIndicators(cfg impact.Config) error {
 		return err
 	}
 	last := st.chain.Last()
-	v, err := chain.Seed(last.Epoch+1, last.Net, last.Result, last.RankedAt)
+	influence, err := impact.InfluenceRank(last.Net, cfg)
+	if err != nil {
+		return err
+	}
+	v, err := chain.Seed(last.Epoch+1, last.Net, last.Result, influence, last.RankedAt)
 	if err != nil {
 		return err
 	}

@@ -25,14 +25,16 @@
 #                       admission-control and write-body-limit tests,
 #                       the static server's
 #                       refresh and indicator epochs, the replication
-#                       follower tests and the leader's stream and
-#                       bootstrap caps, and the impact-indicator
+#                       follower tests, the leader's stream and
+#                       bootstrap caps and the epoch blocks that span
+#                       frames, and the impact-indicator
 #                       suites — seconds instead of minutes, for tight
 #                       iteration
 #   ./verify.sh fuzz    short coverage-guided fuzz sessions for the
 #                       dataio readers, HTTP query parsing, the write
-#                       endpoints' bodies, the replication stream and
-#                       bootstrap decoders and the WAL record decoder
+#                       endpoints' bodies, the replication stream, epoch
+#                       block and bootstrap decoders and the WAL record
+#                       decoder
 #
 # Every mode also vets the nested benchmark module, which imports
 # the root module's internal packages: an API deletion here that breaks
@@ -73,8 +75,8 @@ if [ "${1:-}" = "quick" ]; then
 	go test -race -run 'WAL|WireSize|ReplState|Operator|IngestGates|IngestArmWaitIsBounded|BenchIngestFields' ./internal/ingest/
 	echo "==> go test -race (admission control, write body limit, replica serving policy, static refresh epochs, top pages, shutdown drain)"
 	go test -race -run 'Admission|Backpressure|BodyLimit|Deadline|Replica|RateLimiter|MaxRPS|Explain|TopPage|ServeListener|Refresh|Static|EnableIndicators' ./internal/service/
-	echo "==> go test -race -short (replication follower, leader caps)"
-	go test -race -short -run 'Follower|LeaderCaps' ./internal/replication/
+	echo "==> go test -race -short (replication follower, leader caps, epoch blocks across frames)"
+	go test -race -short -run 'Follower|LeaderCaps|EpochBlock' ./internal/replication/
 	echo "==> go test -race (incremental push path and compaction: kernel, overlay, builder splice, network memo, metamorphic, ingest, replication)"
 	go test -race -run 'Push|Pusher|Overlay|Incremental|FlushDebounceRace|EpochMarkerLegacy|Builder|Compact|Compiled|Chain|Tracker|CitationMatrix|FromCSC|Validate' \
 		./internal/sparse/ ./internal/graph/ ./internal/core/ ./internal/ingest/ ./internal/replication/
@@ -96,6 +98,8 @@ if [ "${1:-}" = "fuzz" ]; then
 	done
 	echo "==> go test -fuzz FuzzReplFrame (replication segment stream)"
 	go test -run '^FuzzReplFrame$' -fuzz '^FuzzReplFrame$' -fuzztime 5s ./internal/replication/
+	echo "==> go test -fuzz FuzzReplEpochFrame (replication epoch blocks)"
+	go test -run '^FuzzReplEpochFrame$' -fuzz '^FuzzReplEpochFrame$' -fuzztime 5s ./internal/replication/
 	echo "==> go test -fuzz FuzzReplState (replication bootstrap body)"
 	go test -run '^FuzzReplState$' -fuzz '^FuzzReplState$' -fuzztime 5s ./internal/replication/
 	echo "==> go test -fuzz FuzzDecodeMutation (WAL record decoder)"
