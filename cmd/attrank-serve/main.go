@@ -12,10 +12,12 @@
 // internal/impact and DESIGN.md §15) at GET /v1/impact/{id} and POST
 // /v1/impact/batch: per-paper AttRank popularity, PageRank influence,
 // windowed-citation impulse and total citation count, each with a
-// percentile impact class (C1–C5). In live mode the indicators are
-// recomputed at every full epoch; a leader ships the configuration and
-// each epoch's influence scores to its followers, which derive the
-// classes bit-for-bit.
+// percentile impact class (C1–C5). In live mode each full epoch is
+// published first and its indicators computed after, in the
+// background; until they are attached it serves the previous full
+// epoch's, marked stale. A leader ships the configuration and each
+// epoch's influence scores to its followers, which derive the classes
+// bit-for-bit.
 //
 // Every server runs behind the overload-protection layer (see
 // internal/service and DESIGN.md §10): at most -max-inflight requests

@@ -178,12 +178,10 @@ func AttentionVector(net *graph.Network, now, y int) []float64 {
 	if y <= 0 {
 		return sparse.Uniform(n)
 	}
-	from := now - y + 1
 	total := 0.0
-	for i := int32(0); int(i) < n; i++ {
-		c := float64(net.CitationsIn(i, from, now))
-		att[i] = c
-		total += c
+	for i, c := range net.WindowCitations(now-y+1, now) {
+		att[i] = float64(c)
+		total += att[i]
 	}
 	if total == 0 {
 		return sparse.Uniform(n)

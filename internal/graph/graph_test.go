@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -107,6 +109,45 @@ func TestCitationsInWindow(t *testing.T) {
 	for _, c := range cases {
 		if got := n.CitationsIn(p0, c.from, c.to); got != c.want {
 			t.Errorf("CitationsIn(p0, %d, %d) = %d, want %d", c.from, c.to, got, c.want)
+		}
+	}
+}
+
+// TestWindowCitationsMatchesCitationsIn: the one-pass counts equal
+// CitationsIn for every paper of a random corpus, for windows inside,
+// straddling and outside [MinYear, MaxYear].
+func TestWindowCitationsMatchesCitationsIn(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	b := NewBuilder()
+	const papers = 400
+	for i := 0; i < papers; i++ {
+		if _, err := b.AddPaper(fmt.Sprintf("w%d", i), 2000+rng.Intn(16), nil, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for e := 0; e < 3000; e++ {
+		if a, c := rng.Intn(papers), rng.Intn(papers); a != c {
+			b.AddEdge(fmt.Sprintf("w%d", a), fmt.Sprintf("w%d", c))
+		}
+	}
+	n, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := n.MinYear(), n.MaxYear()
+	for _, w := range [][2]int{
+		{lo, hi}, {lo + 3, lo + 5}, {hi - 2, hi}, {hi, hi}, // inside
+		{lo - 4, lo + 1}, {hi - 1, hi + 6}, {lo - 1, hi + 1}, // straddling
+		{lo - 9, lo - 1}, {hi + 1, hi + 3}, // outside
+	} {
+		got := n.WindowCitations(w[0], w[1])
+		if len(got) != n.N() {
+			t.Fatalf("window %v: %d counts for %d papers", w, len(got), n.N())
+		}
+		for i := int32(0); int(i) < n.N(); i++ {
+			if want := n.CitationsIn(i, w[0], w[1]); int(got[i]) != want {
+				t.Fatalf("window %v, paper %d: %d citations, CitationsIn says %d", w, i, got[i], want)
+			}
 		}
 	}
 }

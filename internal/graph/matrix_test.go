@@ -60,10 +60,11 @@ func checkMatrices(t *testing.T, net *Network) {
 	}
 	// With one stored entry per reference, each matrix holds a nonzero
 	// at every reference (checked below through At) and nowhere else.
-	if c.Rows() != n || c.Cols() != n || s.N() != n || c.NNZ() != net.Edges() || a.NNZ() != net.Edges() || w.NNZ() != net.Edges() {
-		t.Fatalf("citation matrix %dx%d, stochastic %d, nnz %d/%d/%d; want n %d, %d edges",
-			c.Rows(), c.Cols(), s.N(), c.NNZ(), a.NNZ(), w.NNZ(), n, net.Edges())
+	if c.Rows() != n || s.N() != n || c.NNZ() != net.Edges() || a.NNZ() != net.Edges() || w.NNZ() != net.Edges() {
+		t.Fatalf("citation matrix of %d rows, stochastic %d, nnz %d/%d/%d; want n %d, %d edges",
+			c.Rows(), s.N(), c.NNZ(), a.NNZ(), w.NNZ(), n, net.Edges())
 	}
+	c.MulVec(make([]float64, n), make([]float64, n)) // panics unless c has n columns
 	same := func(what string, j int32, got, want float64) {
 		t.Helper()
 		if math.Float64bits(got) != math.Float64bits(want) {

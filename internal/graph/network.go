@@ -200,6 +200,23 @@ func (n *Network) CitationsIn(i int32, from, to int) int {
 	return b - a
 }
 
+// WindowCitations returns, for every paper, the number of citations it
+// received from papers published in years [from, to]: CitationsIn for
+// all papers at once, counted in one pass over the reference lists of
+// the papers published in the window.
+func (n *Network) WindowCitations(from, to int) []int32 {
+	counts := make([]int32, len(n.papers))
+	for i := range n.papers {
+		if y := n.papers[i].Year; y < from || y > to {
+			continue
+		}
+		for _, ref := range n.refs[n.refPtr[i]:n.refPtr[i+1]] {
+			counts[ref]++
+		}
+	}
+	return counts
+}
+
 // YearlyCitations returns, for node i, a map year → citations received
 // from papers published that year.
 func (n *Network) YearlyCitations(i int32) map[int]int {

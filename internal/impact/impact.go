@@ -277,6 +277,8 @@ func selectDesc(v []float64, k int) {
 // the ranking's network; Scores(Popularity) aliases the AttRank score
 // vector passed to Compute rather than copying it.
 type Epoch struct {
+	// RankedAt is the ranking time the epoch was computed at.
+	RankedAt int
 	// Window is the impulse window actually used (years).
 	Window int
 	// PRAlpha is the influence damping actually used.
@@ -287,14 +289,16 @@ type Epoch struct {
 
 	scores [NumIndicators][]float64
 	thr    [NumIndicators]Thresholds
-	// net is the ranked network; Resolve looks canonical ids up in its
-	// ID index.
-	net *graph.Network
 	// ids maps NormalizeID(id) → paper index for the exceptions only:
 	// papers whose id is not already in normal form (NormalizeID(id) !=
 	// id), first paper wins. On a corpus of canonical ids it is empty.
 	ids map[string]int32
 }
+
+// Papers returns how many papers the epoch covers: the papers of the
+// network it was computed on, which hold indices [0, Papers()) in every
+// later network spliced from that one.
+func (e *Epoch) Papers() int { return len(e.scores[Popularity]) }
 
 // Scores returns the indicator's score vector. Callers must not mutate
 // it.
@@ -308,18 +312,23 @@ func (e *Epoch) Class(ind Indicator, i int32) Class {
 	return e.thr[ind].Class(e.scores[ind][i])
 }
 
-// Resolve maps an external (DOI-like) id to a paper index by normalized
-// form: the first paper whose NormalizeID equals NormalizeID(id).
-// Callers should try the network's exact Lookup first.
+// Resolve maps an external (DOI-like) id to a paper index of net by
+// normalized form: the first paper whose NormalizeID equals
+// NormalizeID(id). net is the network the epoch was derived on, or one
+// spliced from it (whose first Papers() papers are the epoch's): the
+// epoch keeps no network of its own, so indicators carried forward do
+// not keep their epoch's network alive. A paper past Papers() is
+// resolved too; the epoch holds no scores for it. Callers should try
+// the network's exact Lookup first.
 //
 // The candidates are the first exception in ids and the paper whose id
 // IS the normal form. The latter is found by the network's Lookup and
 // counts only if that id is a fixed point of NormalizeID, which is not
 // idempotent ("doi:doi:x" normalizes to "doi:x", and that to "x").
-func (e *Epoch) Resolve(id string) (int32, bool) {
+func (e *Epoch) Resolve(net *graph.Network, id string) (int32, bool) {
 	norm := NormalizeID(id)
 	idx, ok := e.ids[norm]
-	if j, found := e.net.Lookup(norm); found && (!ok || j < idx) && NormalizeID(norm) == norm {
+	if j, found := net.Lookup(norm); found && (!ok || j < idx) && NormalizeID(norm) == norm {
 		return j, true
 	}
 	return idx, ok
@@ -348,10 +357,18 @@ func NormalizeID(id string) string {
 // inputs produce bit-identical scores, thresholds and classes on every
 // replica, whatever its core count.
 func Compute(net *graph.Network, attrank []float64, rankedAt int, cfg Config) (*Epoch, error) {
+	return ComputeOn(net, attrank, rankedAt, cfg, -1)
+}
+
+// ComputeOn is Compute with the influence PageRank on at most workers
+// cores (-1: every core). The result is bit-identical for every worker
+// count; a live leader computes an epoch's indicators on one core, off
+// the path that publishes its ranking.
+func ComputeOn(net *graph.Network, attrank []float64, rankedAt int, cfg Config, workers int) (*Epoch, error) {
 	if err := checkInput(net, attrank, "attrank", cfg); err != nil {
 		return nil, err
 	}
-	pr, err := InfluenceRank(net, cfg)
+	pr, err := influenceRank(net, cfg, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -380,6 +397,10 @@ func checkInput(net *graph.Network, v []float64, what string, cfg Config) error 
 // count and convergence flag, so a follower derives the epoch without
 // solving it again.
 func InfluenceRank(net *graph.Network, cfg Config) (*core.Result, error) {
+	return influenceRank(net, cfg, -1)
+}
+
+func influenceRank(net *graph.Network, cfg Config, workers int) (*core.Result, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -388,7 +409,7 @@ func InfluenceRank(net *graph.Network, cfg Config) (*core.Result, error) {
 		return nil, core.ErrEmptyNetwork
 	}
 	pr, err := core.OperatorFor(net).PageRank(core.PageRankParams{
-		Alpha: cfg.PRAlpha, Tol: cfg.PRTol, MaxIter: cfg.PRMaxIter, Workers: -1,
+		Alpha: cfg.PRAlpha, Tol: cfg.PRTol, MaxIter: cfg.PRMaxIter, Workers: workers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("impact: influence: %w", err)
@@ -411,7 +432,7 @@ func Derive(net *graph.Network, attrank []float64, influence *core.Result, ranke
 	}
 	cfg = cfg.WithDefaults()
 	n := net.N()
-	e := &Epoch{Window: cfg.ImpulseWindow, PRAlpha: cfg.PRAlpha,
+	e := &Epoch{RankedAt: rankedAt, Window: cfg.ImpulseWindow, PRAlpha: cfg.PRAlpha,
 		PRIterations: influence.Iterations, PRConverged: influence.Converged}
 	e.scores[Popularity] = attrank
 	e.scores[Influence] = influence.Scores
@@ -421,10 +442,9 @@ func Derive(net *graph.Network, attrank []float64, influence *core.Result, ranke
 	// cutoffs come from a count histogram (countThresholds).
 	impulse := make([]float64, n)
 	cc := make([]float64, n)
-	from := rankedAt - cfg.ImpulseWindow + 1
-	for i := int32(0); int(i) < n; i++ {
-		impulse[i] = float64(net.CitationsIn(i, from, rankedAt))
-		cc[i] = float64(net.InDegree(i))
+	for i, c := range net.WindowCitations(rankedAt-cfg.ImpulseWindow+1, rankedAt) {
+		impulse[i] = float64(c)
+		cc[i] = float64(net.InDegree(int32(i)))
 	}
 	e.scores[Impulse] = impulse
 	e.scores[CitationCount] = cc
@@ -434,7 +454,7 @@ func Derive(net *graph.Network, attrank []float64, influence *core.Result, ranke
 	e.thr[Impulse] = countThresholds(impulse)
 	e.thr[CitationCount] = countThresholds(cc)
 
-	e.net, e.ids = net, make(map[string]int32)
+	e.ids = make(map[string]int32)
 	for i := int32(0); int(i) < n; i++ {
 		id := net.Paper(i).ID
 		norm := NormalizeID(id)
@@ -448,11 +468,9 @@ func Derive(net *graph.Network, attrank []float64, influence *core.Result, ranke
 	return e, nil
 }
 
-// ForRanking is Compute with the error funneled into a log line: the
-// ingest pipeline publishes a nil Impact rather than dropping an epoch
-// when indicators fail, and its replication followers then publish nil
-// too, since the leader ships no influence vector for that epoch.
-// Returns nil when cfg.Enabled is false.
+// ForRanking is Compute with the error funneled into a log line, for
+// callers that go on without indicators when they fail. Returns nil
+// when cfg.Enabled is false.
 func ForRanking(net *graph.Network, attrank []float64, rankedAt int, cfg Config, logf func(string, ...any)) *Epoch {
 	if !cfg.Enabled {
 		return nil

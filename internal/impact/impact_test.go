@@ -306,13 +306,13 @@ func TestResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := computeEpoch(t, net, Config{})
-	if idx, ok := e.Resolve("doi:10.1/ONE-B"); !ok || idx != 1 {
+	if idx, ok := e.Resolve(net, "doi:10.1/ONE-B"); !ok || idx != 1 {
 		t.Fatalf("Resolve(doi:10.1/ONE-B) = %d,%v", idx, ok)
 	}
-	if idx, ok := e.Resolve("https://doi.org/10.1/one"); !ok || idx != 0 {
+	if idx, ok := e.Resolve(net, "https://doi.org/10.1/one"); !ok || idx != 0 {
 		t.Fatalf("normalization clash should resolve first paper, got %d,%v", idx, ok)
 	}
-	if _, ok := e.Resolve("10.1/missing"); ok {
+	if _, ok := e.Resolve(net, "10.1/missing"); ok {
 		t.Fatal("missing id resolved")
 	}
 }
@@ -383,7 +383,7 @@ func TestResolveMatchesFullMap(t *testing.T) {
 		e := computeEpoch(t, net, Config{})
 		want := fullMapResolve(net)
 		for _, q := range queries {
-			gi, gok := e.Resolve(q)
+			gi, gok := e.Resolve(net, q)
 			wi, wok := want(q)
 			if gi != wi || gok != wok {
 				t.Fatalf("trial %d: Resolve(%q) = %d, %v; full map gives %d, %v", trial, q, gi, gok, wi, wok)
@@ -404,7 +404,7 @@ func TestResolveMatchesFullMap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i, ok := computeEpoch(t, net, Config{}).Resolve("https://doi.org/10.1/clash"); !ok || i != 0 {
+		if i, ok := computeEpoch(t, net, Config{}).Resolve(net, "https://doi.org/10.1/clash"); !ok || i != 0 {
 			t.Fatalf("ids %q: Resolve = %d, %v, want the first paper", ids, i, ok)
 		}
 	}

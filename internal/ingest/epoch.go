@@ -81,28 +81,33 @@ func NewChain(params core.Params, pushCfg core.PushConfig, impactCfg impact.Conf
 
 // Seed starts the chain at a full epoch whose exact result is already
 // known — a follower's shipped or saved epoch, or a static server's
-// published one — and returns it. influence is the epoch's influence
-// PageRank (impact.InfluenceRank on net), or nil when the epoch has no
-// indicators; Seed itself runs no solve.
+// published one — and returns it. influence is the epoch's own
+// influence PageRank (impact.InfluenceRank on net), from which Seed
+// derives and attaches the epoch's indicators; with a nil influence
+// the epoch carries Last's indicators, as Rank does. Seed itself runs
+// no solve.
 func (c *Chain) Seed(epoch uint64, net *graph.Network, res, influence *core.Result, rankedAt int) (*Ranking, error) {
 	c.pusher = nil
 	if err := c.tracker.Seed(net, res.Scores); err != nil {
 		return nil, err
 	}
-	var ind *impact.Epoch
+	c.last = c.full(epoch, net, res, rankedAt)
 	if influence != nil && c.impactCfg.Enabled {
-		var err error
-		if ind, err = impact.Derive(net, res.Scores, influence, rankedAt, c.impactCfg); err != nil {
+		ind, err := impact.Derive(net, res.Scores, influence, rankedAt, c.impactCfg)
+		if err != nil {
 			c.logf("impact: epoch indicators skipped: %v", err)
+		} else {
+			c.Attach(epoch, ind)
 		}
 	}
-	c.last = c.full(epoch, net, res, rankedAt, ind)
 	return c.last, nil
 }
 
 // Rank builds the full epoch that compacts muts onto base, ranked at
 // rankedAt and warm-started from the previous full epoch. It ends any
-// push streak, also when it fails.
+// push streak, also when it fails. The epoch carries the previous full
+// epoch's indicators: Rank never solves them (Indicators computes
+// them, Attach sets them).
 func (c *Chain) Rank(epoch uint64, base *graph.Network, muts []Mutation, rankedAt int) (*Ranking, error) {
 	c.pusher = nil
 	net, err := Compact(base, muts)
@@ -113,16 +118,16 @@ func (c *Chain) Rank(epoch uint64, base *graph.Network, muts []Mutation, rankedA
 	if err != nil {
 		return nil, err
 	}
-	c.last = c.full(epoch, net, res, rankedAt, impact.ForRanking(net, res.Scores, rankedAt, c.impactCfg, c.logf))
+	c.last = c.full(epoch, net, res, rankedAt)
 	return c.last, nil
 }
 
 // full builds the Ranking of a full epoch: res holds exact scores of
-// net at ranking time rankedAt, ind its indicators (nil without). The
+// net at ranking time rankedAt. It carries Last's indicators. The
 // read-side indexes and the corpus statistics are derived here.
-func (c *Chain) full(epoch uint64, net *graph.Network, res *core.Result, rankedAt int, ind *impact.Epoch) *Ranking {
+func (c *Chain) full(epoch uint64, net *graph.Network, res *core.Result, rankedAt int) *Ranking {
 	order, positions := index(res.Scores)
-	return &Ranking{
+	r := &Ranking{
 		Epoch:     epoch,
 		Net:       net,
 		Result:    res,
@@ -130,8 +135,46 @@ func (c *Chain) full(epoch uint64, net *graph.Network, res *core.Result, rankedA
 		Positions: positions,
 		Stats:     net.ComputeStats(),
 		RankedAt:  rankedAt,
-		Impact:    ind,
 	}
+	if c.last != nil {
+		r.Impact, r.ImpactEpoch = c.last.Impact, c.last.ImpactEpoch
+	}
+	return r
+}
+
+// Indicators computes full epoch r's own indicators (impact.ComputeOn
+// on its network, scores and ranking time), with the influence
+// PageRank on at most workers cores: nil when cfg is disabled. It
+// reads only r, which is immutable, so it may run on any goroutine;
+// its result is bit-identical for every worker count.
+func Indicators(r *Ranking, cfg impact.Config, workers int) (*impact.Epoch, error) {
+	if !cfg.Enabled {
+		return nil, nil
+	}
+	return impact.ComputeOn(r.Net, r.Result.Scores, r.RankedAt, cfg, workers)
+}
+
+// Attach sets ind, the indicators of full epoch epoch, on Last and
+// returns the new Last. When a later full epoch has superseded epoch
+// it attaches nothing and reports false. Push epochs built afterwards
+// carry the attached indicators; a view already published is replaced
+// by the caller (Ranking.WithIndicators). Only the chain's owner calls
+// it.
+func (c *Chain) Attach(epoch uint64, ind *impact.Epoch) (*Ranking, bool) {
+	if c.last == nil || c.last.Epoch != epoch {
+		return nil, false
+	}
+	c.last = c.last.WithIndicators(ind, epoch)
+	return c.last, true
+}
+
+// WithIndicators returns a copy of r that carries ind, the indicators
+// of full epoch epoch: the view a publisher republishes once epoch's
+// indicators are attached.
+func (r *Ranking) WithIndicators(ind *impact.Epoch, epoch uint64) *Ranking {
+	v := *r
+	v.Impact, v.ImpactEpoch = ind, epoch
+	return &v
 }
 
 // Push builds the push epoch that absorbs muts into the streak since
@@ -184,7 +227,7 @@ func (c *Chain) Push(epoch uint64, muts []Mutation) (_ *Ranking, err error) {
 // replication follower applying a push epoch the leader shipped.
 //
 // The push epoch keeps r's corpus, clock, attention, recency and
-// impact state. Stats advances r's edge counters by the citations;
+// indicators. Stats advances r's edge counters by the citations;
 // degree distributions stay as compacted until the reconciling full
 // epoch.
 func (r *Ranking) Pushed(epoch uint64, scores []float64, pushes, citations int, bound float64) *Ranking {
@@ -212,6 +255,7 @@ func (r *Ranking) Pushed(epoch uint64, scores []float64, pushes, citations int, 
 		Incremental: true,
 		Staleness:   bound,
 		Impact:      r.Impact,
+		ImpactEpoch: r.ImpactEpoch,
 	}
 }
 

@@ -203,7 +203,9 @@ func shipped(r *Ranking) (res, influence *core.Result) {
 // chain field for field from what the leader ships, over a random
 // sequence of full and push epochs: a full epoch through Seed on the
 // follower's own compaction, a push epoch through Pushed on the last
-// full one. Neither runs a solve or a push. A push the leader's budgets
+// full one. Neither runs a solve or a push. The leader attaches each
+// full epoch's indicators (Indicators, Attach) before shipping it, so
+// the follower's Seed derives the same classes from the influence. A push the leader's budgets
 // refuse never reaches the follower; the leader takes the full path
 // instead.
 func TestChainReplayMatchesLeader(t *testing.T) {
@@ -214,10 +216,23 @@ func TestChainReplayMatchesLeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := leader.Rank(1, net, nil, net.MaxYear())
-	if err != nil {
-		t.Fatal(err)
+	rank := func(e uint64, base *graph.Network, muts []Mutation, rankedAt int) *Ranking {
+		t.Helper()
+		r, err := leader.Rank(e, base, muts, rankedAt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ind, err := Indicators(r, impactCfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, ok := leader.Attach(e, ind)
+		if !ok {
+			t.Fatalf("epoch %d: attach superseded", e)
+		}
+		return r
 	}
+	first := rank(1, net, nil, net.MaxYear())
 	follower, err := NewChain(testParams(), core.PushConfig{}, impactCfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -277,10 +292,7 @@ func TestChainReplayMatchesLeader(t *testing.T) {
 				rankedAt = m.Paper.Year
 			}
 		}
-		r, err := leader.Rank(e, last.Net, delta, rankedAt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := rank(e, last.Net, delta, rankedAt)
 		compacted, err := Compact(follower.Last().Net, delta)
 		if err != nil {
 			t.Fatal(err)

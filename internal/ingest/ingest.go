@@ -66,9 +66,11 @@ type Config struct {
 	// DefaultReconcileEvery if zero; negative disables the cap.
 	ReconcileEvery int
 	// Impact configures per-epoch multi-indicator computation
-	// (DESIGN.md §15). When Impact.Enabled, every full epoch publishes
-	// an impact.Epoch (popularity/influence/impulse/cc classes); push
-	// epochs carry the last full epoch's classes forward.
+	// (DESIGN.md §15). When Impact.Enabled, every full epoch gets an
+	// impact.Epoch (popularity/influence/impulse/cc classes), computed
+	// after the epoch is published and attached to it then; until
+	// then, and on push epochs, the last attached classes are carried
+	// forward.
 	Impact impact.Config
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
@@ -105,12 +107,15 @@ type Ranking struct {
 	// Staleness is the L1 bound on ‖published − exact‖ scores; 0 for a
 	// full epoch.
 	Staleness float64
-	// Impact holds the epoch's multi-indicator state (nil when the
-	// indicator layer is disabled or its computation failed). On an
-	// incremental epoch it is the last FULL epoch's state carried
-	// forward: classes are as-of that epoch, with staleness advertised
-	// by Incremental/Staleness above.
-	Impact *impact.Epoch
+	// Impact holds the multi-indicator state of full epoch ImpactEpoch
+	// (nil when the indicator layer is disabled or no epoch's
+	// indicators have been attached yet). A full epoch is published
+	// first with the previous full epoch's indicators carried forward,
+	// then republished once its own are attached (Chain.Attach); an
+	// incremental epoch carries its full epoch's. Impact covers the
+	// papers of ImpactEpoch's network, the first Impact.Papers() of Net.
+	Impact      *impact.Epoch
+	ImpactEpoch uint64
 }
 
 // Status reports the ingester's operational state for monitoring.
@@ -126,6 +131,7 @@ type Status struct {
 	PushEpochs     uint64        // incremental (push) epochs published since Open
 	PushBacklog    int           // mutations absorbed by pushes, not yet compacted
 	Staleness      float64       // L1 error bound of the published scores (0 = exact)
+	ImpactEpoch    uint64        // full epoch the published indicators come from (0 = none)
 }
 
 // ItemError reports a rejected mutation inside a batch.
@@ -202,6 +208,15 @@ type Ingester struct {
 
 	chain *Chain // owned by the scheduler goroutine (and Open)
 
+	// The indicator attach (DESIGN.md §7), owned like chain: job is the
+	// computation in flight (nil when none), tried the newest full
+	// epoch a computation ran or runs for, and fullAt when chain.Last()
+	// was published. indicators computes an epoch's indicators.
+	job        *attachJob
+	tried      uint64
+	fullAt     time.Time
+	indicators func(r *Ranking, workers int) (*impact.Epoch, error)
+
 	kick    chan struct{}
 	flushCh chan chan error
 	stopCh  chan struct{}
@@ -259,6 +274,7 @@ func Open(seed *graph.Network, cfg Config) (*Ingester, error) {
 		deltaIDs:   make(map[string]struct{}),
 		deltaEdges: make(map[[2]string]struct{}),
 		chain:      chain,
+		indicators: indicatorsFor(cfg.Impact),
 		kick:       make(chan struct{}, 1),
 		flushCh:    make(chan chan error),
 		stopCh:     make(chan struct{}),
@@ -345,6 +361,7 @@ func Open(seed *graph.Network, cfg Config) (*Ingester, error) {
 			wal.Close()
 			return nil, fmt.Errorf("ingest: initial ranking: %w", err)
 		}
+		ing.attachNow()
 	}
 	go ing.loop()
 	return ing, nil
@@ -378,7 +395,7 @@ func (ing *Ingester) Status() Status {
 	st.Snapshots = ing.snaps.Load()
 	st.PushEpochs = ing.pushEp.Load()
 	if r := ing.Ranking(); r != nil {
-		st.Epoch, st.Staleness = r.Epoch, r.Staleness
+		st.Epoch, st.Staleness, st.ImpactEpoch = r.Epoch, r.Staleness, r.ImpactEpoch
 	}
 	return st
 }
@@ -570,7 +587,8 @@ func (ing *Ingester) Pending() int {
 }
 
 // Flush forces a synchronous compaction + re-rank and returns once the
-// new epoch is published (the /v1/refresh path, and handy in tests).
+// new epoch is published with its own indicators attached (the
+// /v1/refresh path, and handy in tests).
 func (ing *Ingester) Flush() error {
 	return ing.FlushContext(context.Background())
 }
@@ -597,9 +615,9 @@ func (ing *Ingester) FlushContext(ctx context.Context) error {
 	}
 }
 
-// Close stops the scheduler, waits for any in-flight re-rank, and closes
-// the WAL. Pending mutations are already durable; they are recovered on
-// the next Open.
+// Close stops the scheduler, waits for any in-flight re-rank and
+// indicator computation, and closes the WAL. Pending mutations are
+// already durable; they are recovered on the next Open.
 func (ing *Ingester) Close() error {
 	ing.mu.Lock()
 	if ing.closed {
@@ -617,7 +635,9 @@ func (ing *Ingester) Close() error {
 
 // loop is the re-rank scheduler: it debounces mutations (rank after
 // RerankAfter mutations or RerankEvery elapsed, whichever first) and
-// serializes every re-rank and snapshot.
+// serializes every re-rank and snapshot. After a full epoch it starts
+// the epoch's indicator computation, at most one at a time, and
+// attaches each result as it lands (attach.go).
 func (ing *Ingester) loop() {
 	defer close(ing.done)
 	timer := time.NewTimer(time.Hour)
@@ -641,6 +661,7 @@ func (ing *Ingester) loop() {
 			ing.logf("ingest: rerank: %v", err)
 		}
 		ing.maybeSnapshot()
+		ing.startAttach()
 	}
 	for {
 		select {
@@ -656,15 +677,23 @@ func (ing *Ingester) loop() {
 		case <-timer.C:
 			armed = false
 			runRerank()
+		case <-ing.attachDone():
+			ing.finishAttach()
+			ing.startAttach() // the newest epoch's, if the job was superseded
 		case done := <-ing.flushCh:
 			// Flush promises a reconciled view: force the full path so
-			// the caller observes exact, compacted state.
+			// the caller observes exact, compacted state with its own
+			// indicators.
 			disarm()
 			err := ing.rerank(true)
 			ing.maybeSnapshot()
+			ing.attachNow()
 			done <- err
 		case <-ing.stopCh:
 			disarm()
+			if ing.job != nil {
+				<-ing.job.done // its result is dropped
+			}
 			return
 		}
 	}
@@ -766,6 +795,7 @@ func (ing *Ingester) rerank(forceFull bool) error {
 	ing.anchor.Store(pub)
 	ing.publish(pub)
 	ing.mu.Unlock()
+	ing.fullAt = time.Now()
 
 	if upTo > 0 {
 		mCompactionsTotal.Inc()

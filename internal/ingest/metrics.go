@@ -52,4 +52,12 @@ var (
 		"Current L1 error bound of the published incremental scores vs the exact rank (0 after a full epoch).")
 	mPushBacklog = obs.NewGauge("attrank_ingest_push_backlog",
 		"Mutations absorbed by pushes but not yet compacted (cleared by the next reconciling full epoch).")
+	// The indicator attach, by role="leader" (the ingester) or
+	// role="follower" (a replication follower): exported so the
+	// follower records into the same families.
+	ImpactAttachSeconds = obs.NewHistogramVec("attrank_impact_attach_seconds",
+		"Time from a full epoch's ranking publication to its impact indicators attached.",
+		obs.ExpBuckets(1e-3, 2, 16), "role")
+	ImpactAttachSuperseded = obs.NewCounterVec("attrank_impact_attach_superseded_total",
+		"Impact indicator results dropped because a later full epoch was published first.", "role")
 )

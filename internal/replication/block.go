@@ -14,11 +14,16 @@ import (
 // epoch, so a follower publishes the epoch without solving it again
 // (DESIGN.md §12). The same block follows the corpus in a /repl/state
 // body, is sent on /repl/wal once the stream has shipped the epoch's
-// marker, and is a follower's vectors.bin.
+// marker, and is a follower's vectors.bin. A full epoch's indicators
+// are computed after it is published, so on a stream its influence
+// PageRank follows in an indicator block of its own, sent once the
+// leader attaches them; a full block carries the influence only in a
+// /repl/state body whose epoch has its indicators already, and in a
+// vectors.bin saved after the attach.
 //
 // Encoding, integers and floats little-endian:
 //
-//	u8  kind ('F' full, 'P' push)
+//	u8  kind ('F' full, 'P' push, 'I' indicators)
 //	u64 epoch
 //	full: u64 papers, u64 edges, i64 ranked_at, u64 iterations,
 //	      u8 converged, u64 residual count, f64 residuals…,
@@ -27,14 +32,17 @@ import (
 //	      u64 n, then n f64 each of scores, attention, recency and,
 //	      when present, influence
 //	push: f64 staleness, u64 pushes, u64 n, n f64 scores
+//	indicators: u8 influence converged, u64 influence iterations,
+//	      u64 n, n f64 influence
 //
 // The encoding travels as frameEpoch frames of at most chunkSize bytes,
 // so no frame comes near MaxFramePayload however large the corpus:
 // each payload is a continuation byte (1 when more frames of the block
 // follow, 0 on its last) and the next slice of the encoding.
 const (
-	blockFull byte = 'F'
-	blockPush byte = 'P'
+	blockFull       byte = 'F'
+	blockPush       byte = 'P'
+	blockIndicators byte = 'I'
 
 	flagInfluence          byte = 1
 	flagInfluenceConverged byte = 2
@@ -46,10 +54,11 @@ const (
 
 // epochBlock is one published epoch's shipped state. A full epoch
 // carries its exact vectors and convergence diagnostics, a push epoch
-// only what the push changed: its scores, push count and bound.
+// only what the push changed: its scores, push count and bound. An
+// indicator block carries a full epoch's influence PageRank.
 type epochBlock struct {
+	kind  byte // blockFull, blockPush or blockIndicators
 	epoch uint64
-	push  bool
 	// Full epochs.
 	papers, edges int
 	rankedAt      int
@@ -58,32 +67,49 @@ type epochBlock struct {
 	residuals     []float64
 	attention     []float64
 	recency       []float64
-	influence     []float64 // nil when indicators are off or failed
-	prIterations  int
-	prConverged   bool
+	// Full epochs (nil unless their indicators are attached) and
+	// indicator blocks.
+	influence    []float64
+	prIterations int
+	prConverged  bool
 	// Push epochs.
 	staleness float64
 	pushes    int
-	// Both.
+	// Full and push epochs.
 	scores []float64
 }
 
-// blockOf returns the block that ships r. It aliases r's vectors.
-func blockOf(r *ingest.Ranking) *epochBlock {
+// blockOf returns the block that ships r, a full block with r's
+// influence when withInfluence is set and r carries its own
+// indicators. It aliases r's vectors.
+func blockOf(r *ingest.Ranking, withInfluence bool) *epochBlock {
 	res := r.Result
-	b := &epochBlock{epoch: r.Epoch, push: r.Incremental, scores: res.Scores}
+	b := &epochBlock{kind: blockFull, epoch: r.Epoch, scores: res.Scores}
 	if r.Incremental {
-		b.staleness, b.pushes = r.Staleness, res.Iterations
+		b.kind, b.staleness, b.pushes = blockPush, r.Staleness, res.Iterations
 		return b
 	}
 	b.papers, b.edges, b.rankedAt = r.Net.N(), r.Net.Edges(), r.RankedAt
 	b.iterations, b.converged, b.residuals = res.Iterations, res.Converged, res.Residuals
 	b.attention, b.recency = res.Attention, res.Recency
-	if r.Impact != nil {
+	if withInfluence && ownIndicators(r) {
 		b.influence = r.Impact.Scores(impact.Influence)
 		b.prIterations, b.prConverged = r.Impact.PRIterations, r.Impact.PRConverged
 	}
 	return b
+}
+
+// ownIndicators reports whether full epoch r carries its own
+// indicators rather than an earlier epoch's.
+func ownIndicators(r *ingest.Ranking) bool {
+	return r.Impact != nil && r.ImpactEpoch == r.Epoch
+}
+
+// indicatorsOf returns the indicator block of full epoch r, which must
+// carry its own indicators. It aliases r's influence vector.
+func indicatorsOf(r *ingest.Ranking) *epochBlock {
+	return &epochBlock{kind: blockIndicators, epoch: r.Epoch, influence: r.Impact.Scores(impact.Influence),
+		prIterations: r.Impact.PRIterations, prConverged: r.Impact.PRConverged}
 }
 
 // blockWriter writes a block's encoding as epoch frames, building each
@@ -139,7 +165,17 @@ func (bw *blockWriter) f64s(v []float64) {
 // whose capacity (at least 9 bytes) bounds a frame's payload.
 func writeBlock(w io.Writer, b *epochBlock, buf []byte) error {
 	bw := &blockWriter{w: w, buf: buf[:1]}
-	if b.push {
+	switch b.kind {
+	case blockIndicators:
+		bw.u8(blockIndicators)
+		bw.u64(b.epoch)
+		bw.u8(boolByte(b.prConverged))
+		bw.u64(uint64(b.prIterations))
+		bw.u64(uint64(len(b.influence)))
+		bw.f64s(b.influence)
+		bw.frame(true)
+		return bw.err
+	case blockPush:
 		bw.u8(blockPush)
 		bw.u64(b.epoch)
 		bw.u64(math.Float64bits(b.staleness))
@@ -271,12 +307,14 @@ func (d *blockDecoder) fail(format string, args ...any) {
 // writeBlock encodes: every field in range and no trailing bytes.
 func decodeBlock(p []byte) (*epochBlock, error) {
 	d := &blockDecoder{p: p}
-	b := &epochBlock{}
-	kind := d.u8()
+	b := &epochBlock{kind: d.u8()}
 	b.epoch = d.u64()
-	switch kind {
+	switch b.kind {
+	case blockIndicators:
+		b.prConverged = d.flag()
+		b.prIterations = d.count("influence iteration count")
+		b.influence = d.f64s(d.vectorLength())
 	case blockPush:
-		b.push = true
 		b.staleness = math.Float64frombits(d.u64())
 		b.pushes = d.count("push count")
 		b.scores = d.f64s(d.vectorLength())
@@ -309,7 +347,7 @@ func decodeBlock(p []byte) (*epochBlock, error) {
 			b.prConverged = flags&flagInfluenceConverged != 0
 		}
 	default:
-		d.fail("kind %#x", kind)
+		d.fail("kind %#x", b.kind)
 	}
 	if d.err == nil && len(d.p) > 0 {
 		d.fail("%d trailing bytes", len(d.p))

@@ -19,9 +19,10 @@ import (
 
 // TestEpochBlockSpansFrames: a block whose vectors are many times one
 // frame's payload is cut into frames of at most chunkSize bytes, far
-// below MaxFramePayload, and reassembles to its exact bits.
+// below MaxFramePayload, and reassembles to its exact bits — full, push
+// and indicator blocks alike.
 func TestEpochBlockSpansFrames(t *testing.T) {
-	for _, b := range []*epochBlock{testBlock(false, 20000), testBlock(true, 20000)} {
+	for _, b := range []*epochBlock{testBlock(false, 20000), testBlock(true, 20000), testIndicatorBlock(20000)} {
 		wire := blockFrames(t, b, chunkSize)
 		r := bytes.NewReader(wire)
 		frames := 0
@@ -38,14 +39,14 @@ func TestEpochBlockSpansFrames(t *testing.T) {
 			frames++
 		}
 		if min := len(blockBytes(t, b))/chunkSize + 1; frames < min {
-			t.Fatalf("push %v: %d frames, want at least %d", b.push, frames, min)
+			t.Fatalf("kind %q: %d frames, want at least %d", b.kind, frames, min)
 		}
 		got, err := readBlock(bytes.NewReader(wire))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(blockBytes(t, got), blockBytes(t, b)) {
-			t.Fatalf("push %v: block did not round-trip across %d frames", b.push, frames)
+			t.Fatalf("kind %q: block did not round-trip across %d frames", b.kind, frames)
 		}
 	}
 }

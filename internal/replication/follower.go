@@ -97,13 +97,17 @@ type Follower struct {
 	// marker, whose epoch is lastMark. marks are the applied markers
 	// not yet published, oldest first, from the next-to-last full
 	// marker on: no later block can name an older one. held is a block
-	// that arrived before its marker.
+	// that arrived before its marker, heldInd an indicator block that
+	// arrived before its full epoch was published, and fullAt is when
+	// the last full epoch was.
 	base      mark
 	delta     []ingest.Mutation
 	sinceMark int
 	lastMark  uint64
 	marks     []mark
 	held      *epochBlock
+	heldInd   *epochBlock
+	fullAt    time.Time
 	acc       []byte // epoch frames of a block not yet complete
 	wal       *ingest.WAL
 	pend      []byte // shipped bytes not yet forming a whole record
@@ -608,9 +612,16 @@ func (f *Follower) skip(ms []mark) {
 // epoch, on the full epoch it follows. A block for an epoch already
 // published, or whose marker was dropped, is ignored, and one whose
 // marker has not been applied yet is held until it is. Markers before
-// the block's epoch are skipped. A full epoch's block is then saved as
-// vectors.bin, so recovery can serve it again.
+// the block's epoch are skipped. A full epoch carries the indicators
+// of the one before it unless its block ships its own influence
+// (bootstrap, recovery); indicator blocks go to applyIndicators. A
+// full epoch's block is saved as vectors.bin once the epoch has its
+// indicators, or at once when they are off, so recovery can serve it
+// again.
 func (f *Follower) applyBlock(b *epochBlock) error {
+	if b.kind == blockIndicators {
+		return f.applyIndicators(b)
+	}
 	if b.epoch <= f.published {
 		return nil
 	}
@@ -625,12 +636,12 @@ func (f *Follower) applyBlock(b *epochBlock) error {
 		// Otherwise its marker was dropped; a later block supersedes it.
 		return nil
 	}
-	m := f.marks[i]
-	if b.push != m.push {
-		return resyncf("block for epoch %d (push %v) under a marker with push %v", b.epoch, b.push, m.push)
+	m, push := f.marks[i], b.kind == blockPush
+	if push != m.push {
+		return resyncf("block for epoch %d (push %v) under a marker with push %v", b.epoch, push, m.push)
 	}
 	var r *ingest.Ranking
-	if b.push {
+	if push {
 		last := f.chain.Last()
 		if last == nil || last.Epoch != m.base {
 			// The leader sends the full epoch's block first; a stream
@@ -657,6 +668,7 @@ func (f *Follower) applyBlock(b *epochBlock) error {
 			return resyncf("epoch %d: %v", b.epoch, err)
 		}
 		f.markerLeaderOff, f.markerLocalOff = m.leaderOff, m.localOff
+		f.fullAt = time.Now()
 	}
 	f.skip(f.marks[:i])
 	f.marks = append([]mark(nil), f.marks[i+1:]...)
@@ -664,21 +676,71 @@ func (f *Follower) applyBlock(b *epochBlock) error {
 	f.ranking.Store(r)
 	f.localEpochA.Store(b.epoch)
 	mEpochsApplied.Inc()
-	if b.push {
+	if push {
 		mPushEpochsApplied.Inc()
 	}
 	if !m.at.IsZero() {
 		mFrameWait.ObserveSince(m.at)
-		if !b.push {
-			if err := f.saveBlock(b); err != nil {
-				// The epoch is published; recovery just starts from
-				// the last block saved.
-				f.logf("repl: follower: saving epoch %d: %v", b.epoch, err)
-			}
+		if !push && (!f.impactCfg.Enabled || b.influence != nil) {
+			f.saveEpoch(r)
 		}
 	}
 	f.observeLag()
+	if h := f.heldInd; !push && h != nil && h.epoch <= b.epoch {
+		f.heldInd = nil
+		return f.applyIndicators(h)
+	}
 	return nil
+}
+
+// applyIndicators attaches the indicators of the full epoch an
+// indicator block names, derived from its shipped influence PageRank
+// (impact.Derive: no solve), republishes the newest view built on that
+// epoch with them, and saves the epoch as vectors.bin. A block for an
+// epoch not published yet is held until it is; one for an epoch a
+// later full epoch superseded is dropped, and a re-sent one ignored.
+// Indicator blocks arrive only on the live stream.
+func (f *Follower) applyIndicators(b *epochBlock) error {
+	if b.epoch > f.published {
+		f.heldInd = b
+		return nil
+	}
+	last := f.chain.Last()
+	if last == nil || last.Epoch != b.epoch {
+		ingest.ImpactAttachSuperseded.With("follower").Inc()
+		return nil
+	}
+	if ownIndicators(last) || !f.impactCfg.Enabled {
+		return nil
+	}
+	if len(b.influence) != last.Net.N() {
+		return resyncf("indicator block for epoch %d has %d values for %d papers", b.epoch, len(b.influence), last.Net.N())
+	}
+	influence := &core.Result{Scores: b.influence, Iterations: b.prIterations, Converged: b.prConverged}
+	ind, err := impact.Derive(last.Net, last.Result.Scores, influence, last.RankedAt, f.impactCfg)
+	if err != nil {
+		f.logf("repl: follower: epoch %d indicators skipped: %v", b.epoch, err)
+		return nil
+	}
+	full, _ := f.chain.Attach(b.epoch, ind)
+	v := full
+	if cur := f.ranking.Load(); cur.Epoch != full.Epoch {
+		v = cur.WithIndicators(full.Impact, full.ImpactEpoch)
+	}
+	f.ranking.Store(v)
+	ingest.ImpactAttachSeconds.With("follower").ObserveSince(f.fullAt)
+	f.saveEpoch(full)
+	return nil
+}
+
+// saveEpoch saves full epoch r's block, with its influence when it
+// has its own indicators, as vectors.bin. A failure is only logged:
+// the epoch is published, and recovery starts from the last block
+// saved.
+func (f *Follower) saveEpoch(r *ingest.Ranking) {
+	if err := f.saveBlock(blockOf(r, true)); err != nil {
+		f.logf("repl: follower: saving epoch %d: %v", r.Epoch, err)
+	}
 }
 
 func (f *Follower) observeLag() {

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"testing"
+
+	"attrank/internal/dataio"
 )
 
 // FuzzReplFrame throws arbitrary bytes at the segment-stream framing:
@@ -66,11 +68,19 @@ func testBlock(push bool, n int) *epochBlock {
 		return v
 	}
 	if push {
-		return &epochBlock{epoch: 9, push: true, staleness: 1e-9, pushes: 17, scores: vec(0)}
+		return &epochBlock{kind: blockPush, epoch: 9, staleness: 1e-9, pushes: 17, scores: vec(0)}
 	}
-	return &epochBlock{epoch: 8, papers: n, edges: 2 * n, rankedAt: 2011, iterations: 3, converged: true,
+	return &epochBlock{kind: blockFull, epoch: 8, papers: n, edges: 2 * n, rankedAt: 2011, iterations: 3, converged: true,
 		residuals: []float64{0.5, 0.01, 1e-13}, scores: vec(0), attention: vec(1), recency: vec(2),
 		influence: vec(3), prIterations: 29, prConverged: true}
+}
+
+// testIndicatorBlock returns the indicator block of testBlock(false,
+// n)'s epoch: its influence vector and diagnostics.
+func testIndicatorBlock(n int) *epochBlock {
+	full := testBlock(false, n)
+	return &epochBlock{kind: blockIndicators, epoch: full.epoch, influence: full.influence,
+		prIterations: full.prIterations, prConverged: full.prConverged}
 }
 
 // blockBytes is b's whole encoding: its epoch frames' payloads, less
@@ -107,7 +117,7 @@ func blockFrames(tb testing.TB, b *epochBlock, chunk int) []byte {
 // bytes; a full block it accepts holds one value per paper in each
 // vector. Wired into verify.sh's fuzz mode.
 func FuzzReplEpochFrame(f *testing.F) {
-	for _, b := range []*epochBlock{testBlock(false, 3), testBlock(true, 3)} {
+	for _, b := range []*epochBlock{testBlock(false, 3), testBlock(true, 3), testIndicatorBlock(3)} {
 		enc := blockBytes(f, b)
 		f.Add(enc)
 		f.Add(enc[:len(enc)-5])
@@ -116,6 +126,9 @@ func FuzzReplEpochFrame(f *testing.F) {
 	noInfluence := testBlock(false, 2)
 	noInfluence.influence, noInfluence.prIterations, noInfluence.prConverged = nil, 0, false
 	f.Add(blockBytes(f, noInfluence))
+	unconverged := testIndicatorBlock(2)
+	unconverged.prConverged = false
+	f.Add(blockBytes(f, unconverged))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if b, err := decodeBlock(data); err == nil {
@@ -133,9 +146,16 @@ func FuzzReplEpochFrame(f *testing.F) {
 // checkBlockShape requires a decoded block's vectors to fit its corpus.
 func checkBlockShape(t *testing.T, b *epochBlock) {
 	t.Helper()
-	if b.push {
+	switch b.kind {
+	case blockPush:
 		if len(b.scores) == 0 || b.attention != nil || b.influence != nil {
 			t.Fatalf("push block with %d scores, attention %v, influence %v", len(b.scores), b.attention != nil, b.influence != nil)
+		}
+		return
+	case blockIndicators:
+		if len(b.influence) == 0 || b.scores != nil || b.attention != nil || b.papers != 0 {
+			t.Fatalf("indicator block with %d influence values, scores %v, attention %v, %d papers",
+				len(b.influence), b.scores != nil, b.attention != nil, b.papers)
 		}
 		return
 	}
@@ -154,28 +174,37 @@ func checkBlockShape(t *testing.T, b *epochBlock) {
 // epoch's block as epoch frames). It must never panic, and an accepted
 // body must be self-consistent: a corpus of exactly the header's paper
 // count, and a full block of that corpus's papers and edges with one
-// value per paper in each vector. Seeded with a real leader's body
-// (its block in the epoch-frame layout) and truncations of it. Wired
-// into verify.sh's fuzz mode.
+// value per paper in each vector. Seeded with real leaders' bodies
+// (their blocks in the epoch-frame layout; with indicators on, the
+// block carries the influence) and truncations of them, and with a
+// body whose block is an indicator block, which no bootstrap accepts.
+// Wired into verify.sh's fuzz mode.
 func FuzzReplState(f *testing.F) {
 	_, srv := startLeader(f)
-	resp, err := http.Get(srv.URL + statePath)
-	if err != nil {
-		f.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		f.Fatalf("GET %s: %s, %v", statePath, resp.Status, err)
-	}
-	if _, _, _, err := readState(bufio.NewReader(bytes.NewReader(body))); err != nil {
-		f.Fatalf("a real leader's state body does not decode: %v", err)
-	}
+	body := stateBody(f, srv.URL)
 	f.Add(body)
 	header := bytes.IndexByte(body, '\n') + 1
 	for _, cut := range []int{0, header - 1, header, header + 8, len(body) - 40, len(body) - 4, len(body) - 1} {
 		f.Add(body[:cut])
 	}
+	_, impactSrv := startImpactLeader(f)
+	withInfluence := stateBody(f, impactSrv.URL)
+	f.Add(withInfluence)
+	hdr, net, blk, _ := readState(bufio.NewReader(bytes.NewReader(withInfluence)))
+	if blk.influence == nil {
+		f.Fatal("an indicator leader's state body carries no influence")
+	}
+	var indicators bytes.Buffer
+	indicators.Write(withInfluence[:bytes.IndexByte(withInfluence, '\n')+1])
+	if err := dataio.WriteBinary(&indicators, net); err != nil {
+		f.Fatal(err)
+	}
+	indicators.Write(blockFrames(f, &epochBlock{kind: blockIndicators, epoch: hdr.Epoch, influence: blk.influence,
+		prIterations: blk.prIterations, prConverged: blk.prConverged}, chunkSize))
+	if _, _, _, err := readState(bufio.NewReader(bytes.NewReader(indicators.Bytes()))); err == nil {
+		f.Fatal("a state body with an indicator block decoded")
+	}
+	f.Add(indicators.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hdr, net, blk, err := readState(bufio.NewReader(bytes.NewReader(data)))
@@ -188,6 +217,23 @@ func FuzzReplState(f *testing.F) {
 		}
 		checkBlockShape(t, blk)
 	})
+}
+
+// stateBody downloads a leader's /repl/state body, which must decode.
+func stateBody(tb testing.TB, leader string) []byte {
+	resp, err := http.Get(leader + statePath)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		tb.Fatalf("GET %s: %s, %v", statePath, resp.Status, err)
+	}
+	if _, _, _, err := readState(bufio.NewReader(bytes.NewReader(body))); err != nil {
+		tb.Fatalf("a real leader's state body does not decode: %v", err)
+	}
+	return body
 }
 
 func encodeFrame(tb testing.TB, typ byte, payload []byte) []byte {

@@ -13,7 +13,7 @@ import (
 // startImpactLeader is startPushLeader with the indicator layer enabled,
 // so full epochs publish impact classes and push epochs carry them
 // forward.
-func startImpactLeader(t *testing.T) (*ingest.Ingester, *httptest.Server) {
+func startImpactLeader(t testing.TB) (*ingest.Ingester, *httptest.Server) {
 	t.Helper()
 	ing, err := ingest.Open(pushNet(t), ingest.Config{
 		Dir:         t.TempDir(),
@@ -36,9 +36,11 @@ func startImpactLeader(t *testing.T) (*ingest.Ingester, *httptest.Server) {
 // assertImpactIdentical requires the follower's impact state at the
 // leader's current epoch to be bit-identical per external id: every
 // indicator's score bits, thresholds and class, plus the epoch-level
-// window/alpha/iteration diagnostics.
+// window/alpha/iteration diagnostics. It compares once both roles have
+// attached the indicators of the leader's last full epoch.
 func assertImpactIdentical(t *testing.T, ing *ingest.Ingester, f *Follower) {
 	t.Helper()
+	waitAttached(t, ing, f)
 	assertIdentical(t, ing, f)
 	lead, loc := ing.Ranking(), f.Ranking()
 	li, fi := lead.Impact, loc.Impact
@@ -69,6 +71,30 @@ func assertImpactIdentical(t *testing.T, ing *ingest.Ingester, f *Follower) {
 				t.Fatalf("paper %q: %s leader class %s, follower %s", id, ind, lc, fc)
 			}
 		}
+	}
+}
+
+// waitAttached waits until the leader's last full epoch carries its own
+// indicators and the follower serves the leader's newest epoch with
+// them too.
+func waitAttached(t *testing.T, ing *ingest.Ingester, f *Follower) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		full, _, err := ing.ReplState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lead, loc := ing.Ranking(), f.Ranking()
+		if full.ImpactEpoch == full.Epoch && lead.ImpactEpoch == full.Epoch &&
+			loc != nil && loc.Epoch == lead.Epoch && loc.ImpactEpoch == lead.ImpactEpoch {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("indicators not attached on both roles: leader full epoch %d has epoch %d's, follower at epoch %d has epoch %d's (leader at %d)",
+				full.Epoch, full.ImpactEpoch, f.Info().LocalEpoch, f.Ranking().ImpactEpoch, lead.Epoch)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

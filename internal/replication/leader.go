@@ -95,7 +95,8 @@ func (l *Leader) Handler() http.Handler {
 }
 
 // handleState streams a bootstrap: header line, corpus, the epoch's
-// block. The ReplState call guarantees the cursor in the header matches
+// block, with its influence when its indicators are attached. The
+// ReplState call guarantees the cursor in the header matches
 // the payload — a follower that seeds from this response and then
 // streams from header.Offset misses nothing and re-applies nothing.
 func (l *Leader) handleState(w http.ResponseWriter, r *http.Request) {
@@ -129,7 +130,7 @@ func (l *Leader) handleState(w http.ResponseWriter, r *http.Request) {
 	if err := dataio.WriteBinary(w, rank.Net); err != nil {
 		return
 	}
-	if err := writeBlock(w, blockOf(rank), make([]byte, chunkSize)); err != nil {
+	if err := writeBlock(w, blockOf(rank, true), make([]byte, chunkSize)); err != nil {
 		return
 	}
 	mBootstrapsServed.Inc()
@@ -141,7 +142,9 @@ func (l *Leader) handleState(w http.ResponseWriter, r *http.Request) {
 // block of each epoch published past have (the epoch the follower
 // already publishes) once the stream has shipped the epoch's marker:
 // at stream open for the newest epoch, and after each publication,
-// which wakes the stream. A cursor the leader cannot
+// which wakes the stream. The last full epoch's indicator block follows
+// its full block once the leader has attached them (the attach
+// republishes, which wakes the stream). A cursor the leader cannot
 // serve — wrong instance (leader restarted) or wrong generation (log
 // compacted) — answers 409 so the follower knows to re-bootstrap rather
 // than retry.
@@ -210,7 +213,9 @@ func (l *Leader) handleWAL(w http.ResponseWriter, r *http.Request) {
 	off := from
 	// sent is the newest epoch whose block the follower holds: the one
 	// it reported publishing, then each block this stream carried.
-	sent := have
+	// sentInd is the full epoch whose indicator block this stream
+	// carried.
+	sent, sentInd := have, uint64(0)
 	for {
 		if ctx.Err() != nil {
 			return
@@ -233,10 +238,17 @@ func (l *Leader) handleWAL(w http.ResponseWriter, r *http.Request) {
 			if e == nil || e.Ranking.Epoch <= sent || e.Cursor.Gen != gen || off < e.Cursor.Offset {
 				continue
 			}
-			if werr := writeBlock(w, blockOf(e.Ranking), buf); werr != nil {
+			if werr := writeBlock(w, blockOf(e.Ranking, false), buf); werr != nil {
 				return
 			}
 			sent, wrote = e.Ranking.Epoch, true
+			mEpochBlocksShipped.Inc()
+		}
+		if full != nil && ownIndicators(full.Ranking) && full.Ranking.Epoch <= sent && full.Ranking.Epoch > sentInd {
+			if werr := writeBlock(w, indicatorsOf(full.Ranking), buf); werr != nil {
+				return
+			}
+			sentInd, wrote = full.Ranking.Epoch, true
 			mEpochBlocksShipped.Inc()
 		}
 		if wrote && flusher != nil {

@@ -15,7 +15,7 @@ import (
 // pushes stays under the cumulative touched-fraction budget (a tiny or
 // densely connected corpus correctly falls back to full epochs, which
 // would make these tests vacuous).
-func pushNet(t *testing.T) *graph.Network {
+func pushNet(t testing.TB) *graph.Network {
 	t.Helper()
 	b := graph.NewBuilder()
 	for i := 0; i < 400; i++ {

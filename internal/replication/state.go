@@ -22,7 +22,9 @@ import (
 //	              last; it is the commit point of a save)
 //	vectors.bin — the block (block.go) of the last published full
 //	              epoch: the save point's, or a later one's, rewritten
-//	              after each full epoch is published
+//	              once per full epoch: when its indicators are
+//	              attached (the block then carries its influence), or
+//	              at publication when indicators are off
 //	wal.log     — every shipped record re-encoded locally, so recovery
 //	              can compact forward from the save point
 //
@@ -63,7 +65,7 @@ func (f *Follower) saveState() error {
 	if err := dataio.SaveBinaryAtomic(filepath.Join(f.dir, baseFile), r.Net); err != nil {
 		return err
 	}
-	if err := f.saveBlock(blockOf(r)); err != nil {
+	if err := f.saveBlock(blockOf(r, true)); err != nil {
 		return err
 	}
 	st := diskState{
@@ -175,7 +177,7 @@ func (f *Follower) start(wp wireParams, wi *wireImpact, m mark, blk *epochBlock)
 	if err != nil {
 		return err
 	}
-	f.chain, f.published, f.held = chain, 0, nil
+	f.chain, f.published, f.held, f.heldInd = chain, 0, nil, nil
 	f.base, f.delta, f.sinceMark, f.lastMark = m, nil, 0, m.epoch
 	f.marks = []mark{m}
 	f.markerLeaderOff, f.markerLocalOff = m.leaderOff, m.localOff
@@ -200,7 +202,7 @@ func (f *Follower) wipe() {
 	f.instance, f.gen = 0, 0
 	f.chain, f.published = nil, 0
 	f.base, f.delta, f.sinceMark, f.lastMark = mark{}, nil, 0, 0
-	f.marks, f.held, f.acc = nil, nil, nil
+	f.marks, f.held, f.heldInd, f.acc = nil, nil, nil, nil
 	f.impactCfg = impact.Config{}
 	f.pend = nil
 	f.streamOff, f.localWALOff = 0, 0

@@ -19,9 +19,10 @@ import (
 //
 //	GET /repl/state
 //	    Bootstrap: one JSON header line (stateHeader), then the corpus
-//	    in the .anb binary format, then the epoch's block (block.go) as
-//	    epoch frames. The header carries the exact replication cursor
-//	    the payload corresponds to.
+//	    in the .anb binary format, then the epoch's full block
+//	    (block.go) as epoch frames, with its influence PageRank when the
+//	    epoch's indicators are attached. The header carries the exact
+//	    replication cursor the payload corresponds to.
 //
 //	GET /repl/wal?instance=I&gen=G&from=N
 //	    Segment stream: an unbounded chunked response of frames, each
@@ -30,7 +31,9 @@ import (
 //	    generation G — verbatim record bytes, so the follower's record
 //	    parser is the WAL's. Epoch frames ('e') carry a published
 //	    epoch's block, sent once the stream has shipped that epoch's
-//	    marker. Heartbeat frames ('h') carry the leader's committed
+//	    marker, and the indicator block of the last full epoch, sent
+//	    after its full block once the leader attaches its indicators
+//	    (at stream open too, if attached by then). Heartbeat frames ('h') carry the leader's committed
 //	    epoch and boundary offset (u64 + i64, little-endian) so an idle
 //	    follower still tracks lag. An instance or generation mismatch
 //	    answers 409: the follower's offsets are meaningless and it must
@@ -211,9 +214,9 @@ func readState(br *bufio.Reader) (hdr stateHeader, net *graph.Network, blk *epoc
 	if blk, err = readBlock(br); err != nil {
 		return hdr, nil, nil, err
 	}
-	if blk.push || blk.epoch != hdr.Epoch || blk.rankedAt != hdr.RankedAt || blk.papers != net.N() || blk.edges != net.Edges() {
-		return hdr, nil, nil, fmt.Errorf("epoch block (epoch %d, push %v, %d papers, %d edges) does not match the header (epoch %d) and corpus (%d papers, %d edges)",
-			blk.epoch, blk.push, blk.papers, blk.edges, hdr.Epoch, net.N(), net.Edges())
+	if blk.kind != blockFull || blk.epoch != hdr.Epoch || blk.rankedAt != hdr.RankedAt || blk.papers != net.N() || blk.edges != net.Edges() {
+		return hdr, nil, nil, fmt.Errorf("epoch block (kind %q, epoch %d, %d papers, %d edges) does not match the header (epoch %d) and corpus (%d papers, %d edges)",
+			blk.kind, blk.epoch, blk.papers, blk.edges, hdr.Epoch, net.N(), net.Edges())
 	}
 	return hdr, net, blk, nil
 }

@@ -14,11 +14,16 @@ import (
 //	POST /v1/impact/batch  {"ids": [...]} → the same view for up to
 //	                       maxImpactBatch papers in one round trip
 //
-// Both serve the CURRENT epoch view's impact state. On an incremental
-// (push) epoch that state is the last full epoch's classes carried
-// forward: the response advertises it via "stale" plus the ranking
-// staleness bound, rather than recomputing thresholds per push. A
-// server without indicators enabled answers 503.
+// Both serve the CURRENT epoch view's impact state, and report the full
+// epoch its classes come from ("epoch", "ranked_at"). A live full epoch
+// is published before its indicators are computed, carrying the
+// previous full epoch's until its own are attached, and a push epoch
+// carries its full epoch's: whenever the classes' epoch is not the
+// view's, the response says "stale" (with the view's score-error bound
+// on a push epoch) rather than recomputing thresholds. A paper newer
+// than the carried classes answers 503 with Retry-After until they are
+// attached (item-wise in a batch). A server without indicators enabled
+// answers 503.
 const (
 	// maxImpactBatch bounds one batch request; larger batches are a
 	// client bug, not a load problem, and answer 400.
@@ -31,12 +36,13 @@ type indicatorBody struct {
 }
 
 type impactBody struct {
-	ID       string `json:"id"`
+	ID string `json:"id"`
+	// Epoch and RankedAt name the full epoch the classes come from.
 	Epoch    uint64 `json:"epoch"`
 	RankedAt int    `json:"ranked_at"`
-	// Stale marks classes served from a carried-forward full epoch under
-	// an incremental ranking; Staleness is that ranking's L1 score-error
-	// bound (the classes themselves are exact as of their epoch).
+	// Stale marks classes carried forward from an earlier full epoch
+	// than the view's; Staleness is the view's L1 score-error bound (the
+	// classes themselves are exact as of their epoch).
 	Stale     bool    `json:"stale,omitempty"`
 	Staleness float64 `json:"staleness,omitempty"`
 
@@ -79,13 +85,19 @@ func (s *Server) requireImpact(w http.ResponseWriter) (*ingest.Ranking, *impact.
 }
 
 // resolveImpactID maps an external id to a paper index: exact corpus id
-// first, then the impact epoch's normalized DOI-like mapping.
-func resolveImpactID(v *ingest.Ranking, e *impact.Epoch, id string) (int32, bool) {
-	if idx, ok := v.Net.Lookup(id); ok {
-		return idx, true
+// first, then the impact epoch's normalized DOI-like mapping. covered
+// is false for a paper of the view that the epoch's classes do not
+// cover yet (added since the full epoch they come from).
+func resolveImpactID(v *ingest.Ranking, e *impact.Epoch, id string) (idx int32, ok, covered bool) {
+	if idx, ok = v.Net.Lookup(id); !ok {
+		idx, ok = e.Resolve(v.Net, id)
 	}
-	return e.Resolve(id)
+	return idx, ok, int(idx) < e.Papers()
 }
+
+// pendingImpact is the answer for a paper the served classes do not
+// cover yet.
+const pendingImpact = "indicators for this paper are not computed yet"
 
 // impactBodyOf renders one paper's indicator view; idx must come from
 // the same view's resolution.
@@ -98,9 +110,9 @@ func impactBodyOf(v *ingest.Ranking, e *impact.Epoch, idx int32) impactBody {
 	}
 	return impactBody{
 		ID:         v.Net.Paper(idx).ID,
-		Epoch:      v.Epoch,
-		RankedAt:   v.RankedAt,
-		Stale:      v.Incremental,
+		Epoch:      v.ImpactEpoch,
+		RankedAt:   e.RankedAt,
+		Stale:      v.ImpactEpoch != v.Epoch,
 		Staleness:  v.Staleness,
 		Popularity: one(impact.Popularity),
 		Influence:  one(impact.Influence),
@@ -129,16 +141,22 @@ func (s *Server) handleImpact(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "missing paper id")
 		return
 	}
-	idx, ok := resolveImpactID(v, e, id)
+	idx, ok, covered := resolveImpactID(v, e, id)
 	if !ok {
 		s.writeError(w, http.StatusNotFound, "unknown paper %q", id)
+		return
+	}
+	if !covered {
+		w.Header().Set("Retry-After", "1")
+		s.writeError(w, http.StatusServiceUnavailable, "%s: %q", pendingImpact, id)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, impactBodyOf(v, e, idx))
 }
 
 // handleImpactBatch serves many ids in one request (POST
-// /v1/impact/batch). Unknown ids fail item-wise, never the batch;
+// /v1/impact/batch). Unknown ids, and papers the classes do not cover
+// yet, fail item-wise, never the batch;
 // duplicate ids are served independently. The id count is bounded so a
 // batch stays one bounded unit of work under admission control.
 func (s *Server) handleImpactBatch(w http.ResponseWriter, r *http.Request) {
@@ -163,19 +181,22 @@ func (s *Server) handleImpactBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := impactBatchBody{
-		Epoch:     v.Epoch,
-		RankedAt:  v.RankedAt,
-		Stale:     v.Incremental,
+		Epoch:     v.ImpactEpoch,
+		RankedAt:  e.RankedAt,
+		Stale:     v.ImpactEpoch != v.Epoch,
 		Staleness: v.Staleness,
 		Results:   make([]impactBatchItem, 0, len(req.IDs)),
 	}
 	for _, id := range req.IDs {
 		item := impactBatchItem{ID: id}
-		if idx, ok := resolveImpactID(v, e, id); ok {
+		switch idx, ok, covered := resolveImpactID(v, e, id); {
+		case !ok:
+			item.Error = "unknown paper"
+		case !covered:
+			item.Error = pendingImpact
+		default:
 			b := impactBodyOf(v, e, idx)
 			item.Body = &b
-		} else {
-			item.Error = "unknown paper"
 		}
 		out.Results = append(out.Results, item)
 	}

@@ -11,6 +11,8 @@ import (
 	"attrank/internal/core"
 	"attrank/internal/graph"
 	"attrank/internal/impact"
+	"attrank/internal/ingest"
+	"attrank/internal/replication"
 	"attrank/internal/synth"
 )
 
@@ -329,5 +331,78 @@ func TestImpactRouteLabels(t *testing.T) {
 		if got := routeLabel(path); got != want {
 			t.Errorf("routeLabel(%q) = %q, want %q", path, got, want)
 		}
+	}
+}
+
+// TestImpactPendingPaper: a full epoch published before its own
+// indicators serves the previous full epoch's, marked stale and named
+// by that epoch. A paper those do not cover answers 503 with
+// Retry-After (item-wise in a batch) until the epoch's indicators are
+// attached; /v1/epoch reports where the served indicators come from.
+func TestImpactPendingPaper(t *testing.T) {
+	params := core.Params{Alpha: 0.3, Beta: 0.4, Gamma: 0.3, AttentionYears: 3, W: -0.3}
+	cfg := impact.Config{Enabled: true}.WithDefaults()
+	chain, err := ingest.NewChain(params, core.PushConfig{}, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attach := func(r *ingest.Ranking) *ingest.Ranking {
+		t.Helper()
+		ind, err := ingest.Indicators(r, cfg, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, ok := chain.Attach(r.Epoch, ind)
+		if !ok {
+			t.Fatalf("epoch %d: attach superseded", r.Epoch)
+		}
+		return r
+	}
+	first, err := chain.Rank(1, liveSeed(t), nil, 1997)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attach(first)
+	next, err := chain.Rank(2, chain.Last().Net, []ingest.Mutation{
+		{Kind: ingest.KindPaper, Paper: ingest.PaperMut{ID: "fresh", Year: 1997}},
+		{Kind: ingest.KindCitation, Citation: ingest.CitationMut{Citing: "fresh", Cited: "hot"}},
+	}, 1997)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := &fakeReplica{ranking: next, params: params,
+		info: replication.Info{Connected: true, LeaderEpoch: 2, LocalEpoch: 2}}
+	srv := NewReplica(rep, 0)
+	srv.SetLogf(nil)
+	h := srv.Handler()
+
+	rec, body := get(t, h, "/v1/impact/fresh")
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("uncovered paper: status %d, Retry-After %q: %s", rec.Code, rec.Header().Get("Retry-After"), rec.Body.String())
+	}
+	rec, body = get(t, h, "/v1/impact/hot")
+	if rec.Code != http.StatusOK || body["epoch"].(float64) != 1 || body["stale"] != true {
+		t.Fatalf("covered paper under carried indicators: status %d, body %v", rec.Code, body)
+	}
+	rec = postJSON(t, h, "/v1/impact/batch", `{"ids":["fresh","hot","nope"]}`)
+	var batch impactBatchBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &batch); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("batch: status %d, %v: %s", rec.Code, err, rec.Body.String())
+	}
+	if r := batch.Results; len(r) != 3 || r[0].Error != pendingImpact || r[1].Body == nil || r[2].Error != "unknown paper" ||
+		batch.Epoch != 1 || !batch.Stale {
+		t.Fatalf("batch under carried indicators: %+v", batch)
+	}
+	if _, body := get(t, h, "/v1/epoch"); body["epoch"].(float64) != 2 || body["impact_epoch"].(float64) != 1 {
+		t.Fatalf("/v1/epoch under carried indicators: %v", body)
+	}
+
+	rep.ranking = attach(next)
+	rec, body = get(t, h, "/v1/impact/fresh")
+	if rec.Code != http.StatusOK || body["epoch"].(float64) != 2 || body["stale"] == true {
+		t.Fatalf("attached epoch: status %d, body %v", rec.Code, body)
+	}
+	if _, body := get(t, h, "/v1/epoch"); body["impact_epoch"].(float64) != 2 {
+		t.Fatalf("/v1/epoch after the attach: %v", body)
 	}
 }

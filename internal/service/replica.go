@@ -57,6 +57,7 @@ type replicaEpochBody struct {
 	Role        string           `json:"role"`
 	Papers      int              `json:"papers"`
 	Citations   int              `json:"citations"`
+	ImpactEpoch uint64           `json:"impact_epoch,omitempty"`
 	Replication replication.Info `json:"replication"`
 }
 
@@ -67,6 +68,7 @@ func (s *Server) handleReplicaEpoch(w http.ResponseWriter) {
 		body.Epoch = v.Epoch
 		body.Papers = v.Stats.Papers
 		body.Citations = v.Stats.Edges
+		body.ImpactEpoch = v.ImpactEpoch
 	}
 	s.writeJSON(w, http.StatusOK, body)
 }

@@ -94,6 +94,7 @@ type staticSource struct {
 	logf   func(format string, args ...any)
 	mu     sync.Mutex // serializes refreshes and EnableIndicators
 	chain  *ingest.Chain
+	impact impact.Config // the chain's indicator configuration
 	view   atomic.Pointer[ingest.Ranking]
 }
 
@@ -101,7 +102,8 @@ func (st *staticSource) Ranking() *ingest.Ranking { return st.view.Load() }
 func (st *staticSource) Params() core.Params      { return st.params }
 
 // refresh re-ranks the last epoch's network (warm-started) and
-// publishes the result as the next epoch.
+// publishes the result as the next epoch, with its own indicators
+// attached first when they are on.
 func (st *staticSource) refresh() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -109,6 +111,14 @@ func (st *staticSource) refresh() error {
 	v, err := st.chain.Rank(last.Epoch+1, last.Net, nil, last.RankedAt)
 	if err != nil {
 		return err
+	}
+	if st.impact.Enabled {
+		ind, err := ingest.Indicators(v, st.impact, -1)
+		if err != nil {
+			st.logf("impact: epoch %d indicators skipped: %v", v.Epoch, err)
+		} else {
+			v, _ = st.chain.Attach(v.Epoch, ind)
+		}
 	}
 	st.view.Store(v)
 	return nil
@@ -136,7 +146,7 @@ func (st *staticSource) enableIndicators(cfg impact.Config) error {
 	if v.Impact == nil {
 		return errors.New("computing impact indicators failed (see log)")
 	}
-	st.chain = chain
+	st.chain, st.impact = chain, cfg
 	st.view.Store(v)
 	return nil
 }

@@ -257,6 +257,9 @@ type epochBody struct {
 	PushEpochs  uint64  `json:"push_epochs,omitempty"`
 	PushBacklog int     `json:"push_backlog,omitempty"`
 	Staleness   float64 `json:"staleness,omitempty"`
+	// ImpactEpoch is the full epoch the served indicators come from
+	// (absent while indicators are off or none are attached yet).
+	ImpactEpoch uint64 `json:"impact_epoch,omitempty"`
 }
 
 // handleEpoch reports the ranking epoch and ingestion pipeline state
@@ -283,6 +286,7 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 			PushEpochs:     st.PushEpochs,
 			PushBacklog:    st.PushBacklog,
 			Staleness:      st.Staleness,
+			ImpactEpoch:    st.ImpactEpoch,
 		})
 		return
 	}
@@ -291,6 +295,7 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		Epoch: v.Epoch, Papers: v.Stats.Papers, Citations: v.Stats.Edges,
 		LastRerankMs:   float64(v.Result.Duration) / float64(time.Millisecond),
 		LastIterations: v.Result.Iterations,
+		ImpactEpoch:    v.ImpactEpoch,
 	})
 }
 

@@ -72,9 +72,6 @@ func FromCSC(rows, cols int, colPtr, rowIdx []int32, val []float64) (*Matrix, er
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
-
 // NNZ returns the number of stored nonzero entries.
 func (m *Matrix) NNZ() int { return len(m.rowIdx) }
 
@@ -114,7 +111,7 @@ func (m *Matrix) Scale(f float64) *Matrix {
 }
 
 // MulVec computes dst = M·x, writing into dst (which must have length
-// Rows). x must have length Cols. dst and x must not alias.
+// Rows). x must have one entry per column. dst and x must not alias.
 func (m *Matrix) MulVec(dst, x []float64) {
 	if len(x) != m.cols || len(dst) != m.rows {
 		panic(fmt.Sprintf("sparse: MulVec dimension mismatch: matrix %dx%d, x %d, dst %d",

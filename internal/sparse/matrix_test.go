@@ -38,8 +38,8 @@ func TestNewMatrixBasic(t *testing.T) {
 		{Row: 2, Col: 1, Val: 3},
 		{Row: 1, Col: 0, Val: 1},
 	})
-	if m.Rows() != 3 || m.Cols() != 3 || m.NNZ() != 3 {
-		t.Fatalf("dims/nnz = %d,%d,%d", m.Rows(), m.Cols(), m.NNZ())
+	if m.Rows() != 3 || m.cols != 3 || m.NNZ() != 3 {
+		t.Fatalf("dims/nnz = %d,%d,%d", m.Rows(), m.cols, m.NNZ())
 	}
 	if got := m.At(0, 1); got != 2 {
 		t.Errorf("At(0,1) = %v, want 2", got)
@@ -174,9 +174,9 @@ func TestFromCSCMatchesNewMatrix(t *testing.T) {
 			t.Fatalf("trial %d: FromCSC: %v", trial, err)
 		}
 		want := mustMatrix(t, rows, cols, entries)
-		if got.Rows() != want.Rows() || got.Cols() != want.Cols() || got.NNZ() != want.NNZ() {
+		if got.Rows() != want.Rows() || got.cols != want.cols || got.NNZ() != want.NNZ() {
 			t.Fatalf("trial %d: %dx%d nnz %d, want %dx%d nnz %d", trial,
-				got.Rows(), got.Cols(), got.NNZ(), want.Rows(), want.Cols(), want.NNZ())
+				got.Rows(), got.cols, got.NNZ(), want.Rows(), want.cols, want.NNZ())
 		}
 		for c := 0; c <= cols; c++ {
 			if got.colPtr[c] != want.colPtr[c] {

@@ -25,11 +25,17 @@
 #                       admission-control and write-body-limit tests,
 #                       the static server's
 #                       refresh and indicator epochs, the replication
-#                       follower tests, the leader's stream and
-#                       bootstrap caps and the epoch blocks that span
-#                       frames, and the impact-indicator
-#                       suites — seconds instead of minutes, for tight
-#                       iteration
+#                       follower tests (indicator blocks before and
+#                       after their full block, recovery with and
+#                       without saved indicators included), the
+#                       leader's stream and bootstrap caps and the
+#                       epoch blocks that span frames, the leader's
+#                       one-at-a-time indicator attach and its
+#                       superseded results, the one-pass window
+#                       citation counts, and the impact-indicator
+#                       suites (a paper the carried indicators do not
+#                       cover yet included) — seconds instead of
+#                       minutes, for tight iteration
 #   ./verify.sh fuzz    short coverage-guided fuzz sessions for the
 #                       dataio readers, HTTP query parsing, the write
 #                       endpoints' bodies, the replication stream, epoch
@@ -71,8 +77,8 @@ if [ "${1:-}" = "quick" ]; then
 	go test -race -run SweepAttRank ./internal/eval/
 	echo "==> go test -race (scratch metrics bit-equality)"
 	go test -race -run 'Scratch|Ordering|Ranks' ./internal/metrics/
-	echo "==> go test -race (ingest durability, replication log, compiled-operator lifetime, push-path gates, BENCH_ingest.json fields)"
-	go test -race -run 'WAL|WireSize|ReplState|Operator|IngestGates|IngestArmWaitIsBounded|BenchIngestFields' ./internal/ingest/
+	echo "==> go test -race (ingest durability, replication log, compiled-operator lifetime, push-path gates, BENCH_ingest.json fields, the indicator attach)"
+	go test -race -run 'WAL|WireSize|ReplState|Operator|IngestGates|IngestArmWaitIsBounded|BenchIngestFields|Attach' ./internal/ingest/
 	echo "==> go test -race (admission control, write body limit, replica serving policy, static refresh epochs, top pages, shutdown drain)"
 	go test -race -run 'Admission|Backpressure|BodyLimit|Deadline|Replica|RateLimiter|MaxRPS|Explain|TopPage|ServeListener|Refresh|Static|EnableIndicators' ./internal/service/
 	echo "==> go test -race -short (replication follower, leader caps, epoch blocks across frames)"
@@ -80,9 +86,9 @@ if [ "${1:-}" = "quick" ]; then
 	echo "==> go test -race (incremental push path and compaction: kernel, overlay, builder splice, network memo, metamorphic, ingest, replication)"
 	go test -race -run 'Push|Pusher|Overlay|Incremental|FlushDebounceRace|EpochMarkerLegacy|Builder|Compact|Compiled|Chain|Tracker|CitationMatrix|FromCSC|Validate' \
 		./internal/sparse/ ./internal/graph/ ./internal/core/ ./internal/ingest/ ./internal/replication/
-	echo "==> go test -race (impact indicators: classes, PageRank bit-equality, endpoints, replication)"
-	go test -race -run 'Impact|Class|Indicator|Influence|PageRank|Threshold|Impulse|NormalizeID|Golden|Resolve' \
-		./internal/impact/ ./internal/core/ ./internal/ingest/ ./internal/service/ ./internal/replication/
+	echo "==> go test -race (impact indicators: classes, window counts, PageRank bit-equality, endpoints, replication)"
+	go test -race -run 'Impact|Class|Indicator|Influence|PageRank|Threshold|Impulse|NormalizeID|Golden|Resolve|WindowCitations' \
+		./internal/graph/ ./internal/impact/ ./internal/core/ ./internal/ingest/ ./internal/service/ ./internal/replication/
 	echo "verify.sh: quick checks passed"
 	exit 0
 fi
